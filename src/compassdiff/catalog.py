@@ -8,6 +8,7 @@ descriptions and serve as the independent reference for membership testing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -243,7 +244,20 @@ def _pl_max_expr(rows) -> ex.NonsmoothExpr:
 
 
 def catalog() -> list[CatalogEntry]:
-    """The full test-function catalog."""
+    """The full test-function catalog: a fresh list of the shared, frozen entries."""
+    return list(_entries())
+
+
+def catalog_entry(name: str) -> CatalogEntry:
+    for entry in _entries():
+        if entry.name == name:
+            return entry
+    raise KeyError(f"no catalog entry named {name!r}")
+
+
+@functools.cache
+def _entries() -> tuple[CatalogEntry, ...]:
+    # built on first use, not at import, and once: each entry compiles its oracle
     x0, x1 = ex.var(0), ex.var(1)
     quad = ex.add(ex.mul(x0, x0), ex.mul(x1, x1))
     entries = [
@@ -376,11 +390,4 @@ def catalog() -> list[CatalogEntry]:
             curvature=0.0,
         ),
     ]
-    return entries
-
-
-def catalog_entry(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no catalog entry named {name!r}")
+    return tuple(entries)

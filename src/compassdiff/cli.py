@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -79,6 +80,8 @@ def _parse_point(text: str, what: str = "point") -> np.ndarray:
         raise InputError(f"bad {what} {text!r}: {err}") from None
     if not values:
         raise InputError(f"bad {what} {text!r}: no coordinates")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"bad {what} {text!r}: coordinates must be finite")
     return np.array(values)
 
 

@@ -263,15 +263,20 @@ def problem_from_json(source) -> OptimalValueProblem:
     if len(grad_exprs) != 2:
         raise ValueError("grad_x needs exactly two expressions (the outer space is two-dimensional)")
     total = 2 + m
-    for e in [obj_expr, *grad_exprs]:
-        if ex.dimension(e) > total:
-            raise ValueError("expression uses variables beyond the concatenated (x, y) dimension")
+    compiled = [ex.compile_expr(e) for e in (obj_expr, *grad_exprs)]
+    if any(c.dim > total for c in compiled):
+        raise ValueError("expression uses variables beyond the concatenated (x, y) dimension")
+    obj, *grads = (c.forward for c in compiled)
+
+    def _point(x, y) -> list[float]:
+        return np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]).tolist()
 
     def objective(x, y):
-        return ex.eval_value(obj_expr, np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
+        z = _point(x, y)
+        return obj(z, z)[0]
 
     def grad_x(x, y):
-        z = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-        return np.array([ex.eval_value(e, z) for e in grad_exprs])
+        z = _point(x, y)
+        return np.array([g(z, z)[0] for g in grads])
 
     return OptimalValueProblem(objective=objective, grad_x=grad_x, feasible=feasible, m=m)

@@ -28,6 +28,13 @@ The tie rules make the tangent the true one-sided derivative of the
 composite, not a subgradient selection: they agree with the limit of
 difference quotients whenever the children do.
 
+:func:`compile_expr` turns a tree into one closure over Python floats that
+returns the value and the tangent in a single pass; it is compiled on first
+use and cached on the tree.  Single points evaluate through it, batches of
+points through a vectorised numpy walk with bit-identical values.  NaN
+stays visible: a NaN child takes no ``abs`` kink branch, and ``max``,
+``min`` and ``norm`` of a NaN are NaN, in value and tangent.
+
 Printing via :func:`format_expr` and re-parsing via :func:`parse_expr`
 round-trips to an identical tree.
 """
@@ -35,7 +42,10 @@ round-trips to an identical tree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +84,15 @@ class NonsmoothExpr:
             raise ValueError(f"{self.kind} needs exactly one child")
         if self.kind == "scale" and len(self.children) != 1:
             raise ValueError("scale needs exactly one child")
+
+    @cached_property
+    def _compiled(self) -> CompiledExpr:
+        forward, dim = _compile(self)
+        return CompiledExpr(dim, forward)
+
+    def __getstate__(self):
+        # the cached compiled pass is made of closures, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
 
 def var(i: int) -> NonsmoothExpr:
@@ -122,31 +141,165 @@ def norm(*es: NonsmoothExpr) -> NonsmoothExpr:
 
 def dimension(expr: NonsmoothExpr) -> int:
     """Smallest input dimension the expression can be evaluated on."""
-    if expr.kind == "var":
-        return expr.index + 1
-    if not expr.children:
-        return 0
-    return max(dimension(c) for c in expr.children)
+    return compile_expr(expr).dim
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
+#: ``forward(x, d) -> (f(x), f'(x; d))`` with ``x`` and ``d`` lists of floats.
+Forward = Callable[[Sequence[float], Sequence[float]], tuple[float, float]]
+
+
+class CompiledExpr(NamedTuple):
+    """An expression compiled once: its dimension and its fused forward pass."""
+
+    dim: int
+    forward: Forward
+
+
+def compile_expr(expr: NonsmoothExpr) -> CompiledExpr:
+    """Compile ``expr`` into one closure that returns ``(f(x), f'(x; d))``.
+
+    The closure reads ``x[i]`` and ``d[i]`` for each ``(var i)``, so pass
+    lists of Python floats (``ndarray.tolist()``): value and tangent come out
+    of one pass with no numpy scalars in it.  For the value alone, pass ``x``
+    as ``d`` too and drop the tangent.  Values are bit-identical to the
+    batched :func:`eval_value` rows.  The tree is compiled on first use and
+    the result is cached on its root node.
+    """
+    return expr._compiled
+
+
+def _compile(e: NonsmoothExpr) -> tuple[Forward, int]:
+    k = e.kind
+    if k == "var":
+        i = e.index
+
+        def forward(x, d):
+            return x[i], d[i]
+
+        return forward, i + 1
+    if k == "const":
+        c = float(e.coeff)
+
+        def forward(x, d):
+            return c, 0.0
+
+        return forward, 0
+    compiled = [_compile(c) for c in e.children]
+    fs = tuple(f for f, _ in compiled)
+    dim = max((n for _, n in compiled), default=0)
+    if k == "scale":
+        c = float(e.coeff)
+        f, = fs
+
+        def forward(x, d):
+            v, t = f(x, d)
+            return c * v, c * t
+
+    elif k == "abs":
+        f, = fs
+
+        def forward(x, d):
+            v, t = f(x, d)
+            if v > 0.0:
+                return v, t
+            if v < 0.0:
+                return -v, -t
+            if v == 0.0:
+                return 0.0, abs(t)
+            return v, v  # NaN has no sign and no kink
+
+    elif k == "sub":
+        fa, fb = fs
+
+        def forward(x, d):
+            av, at = fa(x, d)
+            bv, bt = fb(x, d)
+            return av - bv, at - bt
+
+    elif k == "mul":
+        fa, fb = fs
+
+        def forward(x, d):
+            av, at = fa(x, d)
+            bv, bt = fb(x, d)
+            return av * bv, at * bv + av * bt
+
+    elif k == "add":
+        first, *rest = fs
+
+        def forward(x, d):
+            # the value keeps the first child's sign of zero, as the batched
+            # walk does; the tangent sums from +0.0, as it always has
+            v, t = first(x, d)
+            t = 0.0 + t
+            for f in rest:
+                cv, ct = f(x, d)
+                v += cv
+                t += ct
+            return v, t
+
+    elif k in ("max", "min"):
+        # the value as np.maximum / np.minimum give it: NaN propagates and a
+        # tie takes the later operand; the tangent is the extremum over ties
+        beats = operator.gt if k == "max" else operator.lt
+
+        def forward(x, d):
+            pairs = [f(x, d) for f in fs]
+            v = pairs[0][0]
+            for w, _ in pairs:
+                if not beats(v, w) and v == v:
+                    v = w
+            if v != v:
+                return v, v
+            t = None
+            for w, s in pairs:
+                if w == v and (t is None or beats(s, t)):
+                    t = s
+            return v, t
+
+    elif k == "norm":
+
+        def forward(x, d):
+            pairs = [f(x, d) for f in fs]
+            sq = 0.0
+            for v, _ in pairs:
+                sq += v * v
+            nv = math.sqrt(sq)
+            if nv == 0.0:
+                sq = 0.0
+                for _, t in pairs:
+                    sq += t * t
+                return nv, math.sqrt(sq)
+            dot = 0.0
+            for v, t in pairs:
+                dot += v * t
+            return nv, dot / nv
+
+    else:
+        raise ValueError(f"unknown node kind {k!r}")
+    return forward, dim
+
+
 def eval_value(expr: NonsmoothExpr, x) -> float | np.ndarray:
     """Evaluate the expression at ``x``.
 
     ``x`` may be a single point of shape (n,) or a batch of shape (N, n);
-    batches evaluate vectorised and return shape (N,).
+    a single point runs the compiled pass, a batch runs a vectorised numpy
+    walk and returns shape (N,).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] < dimension(expr):
+    compiled = compile_expr(expr)
+    if x.shape[-1] < compiled.dim:
         raise ValueError(
-            f"dimension mismatch: expression needs {dimension(expr)} variables, point has {x.shape[-1]}"
+            f"dimension mismatch: expression needs {compiled.dim} variables, point has {x.shape[-1]}"
         )
-    out = _value(expr, x)
     if x.ndim == 1:
-        return float(out)
-    return out
+        xs = x.tolist()
+        return compiled.forward(xs, xs)[0]
+    return _value(expr, x)
 
 
 def _value(e: NonsmoothExpr, x: np.ndarray):
@@ -154,7 +307,7 @@ def _value(e: NonsmoothExpr, x: np.ndarray):
     if k == "var":
         return x[..., e.index]
     if k == "const":
-        return np.broadcast_to(e.coeff, x.shape[:-1]) if x.ndim > 1 else e.coeff
+        return np.broadcast_to(e.coeff, x.shape[:-1])
     if k == "add":
         out = _value(e.children[0], x)
         for c in e.children[1:]:
@@ -188,66 +341,22 @@ def _value(e: NonsmoothExpr, x: np.ndarray):
 
 def eval_dir_deriv(expr: NonsmoothExpr, x, d) -> float:
     """Exact one-sided directional derivative of the expression at x along d."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = dimension(expr)
+    x = np.asarray(x, dtype=float).ravel()
+    d = np.asarray(d, dtype=float).ravel()
+    compiled = compile_expr(expr)
+    n = compiled.dim
     if x.size < n or d.size < n:
         raise ValueError(
             f"dimension mismatch: expression needs {n} variables, got point of size {x.size} and direction of size {d.size}"
         )
-    _, tangent = _value_and_tangent(expr, x, d)
-    return tangent
-
-
-def _value_and_tangent(e: NonsmoothExpr, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    k = e.kind
-    if k == "var":
-        return float(x[e.index]), float(d[e.index])
-    if k == "const":
-        return e.coeff, 0.0
-    if k == "add":
-        v, t = 0.0, 0.0
-        for c in e.children:
-            cv, ct = _value_and_tangent(c, x, d)
-            v += cv
-            t += ct
-        return v, t
-    if k == "sub":
-        av, at = _value_and_tangent(e.children[0], x, d)
-        bv, bt = _value_and_tangent(e.children[1], x, d)
-        return av - bv, at - bt
-    if k == "mul":
-        av, at = _value_and_tangent(e.children[0], x, d)
-        bv, bt = _value_and_tangent(e.children[1], x, d)
-        return av * bv, at * bv + av * bt
-    if k == "scale":
-        cv, ct = _value_and_tangent(e.children[0], x, d)
-        return e.coeff * cv, e.coeff * ct
-    if k == "abs":
-        cv, ct = _value_and_tangent(e.children[0], x, d)
-        if cv > 0.0:
-            return cv, ct
-        if cv < 0.0:
-            return -cv, -ct
-        return 0.0, abs(ct)
-    if k in ("max", "min"):
-        pairs = [_value_and_tangent(c, x, d) for c in e.children]
-        values = [p[0] for p in pairs]
-        extremum = max(values) if k == "max" else min(values)
-        tied = [p[1] for p in pairs if p[0] == extremum]
-        tangent = max(tied) if k == "max" else min(tied)
-        return extremum, tangent
-    if k == "norm":
-        pairs = [_value_and_tangent(c, x, d) for c in e.children]
-        nv = math.sqrt(sum(v * v for v, _ in pairs))
-        if nv > 0.0:
-            return nv, sum(v * t for v, t in pairs) / nv
-        return 0.0, math.sqrt(sum(t * t for _, t in pairs))
-    raise ValueError(f"unknown node kind {k!r}")
+    return compiled.forward(x.tolist(), d.tolist())[1]
 
 
 def as_oracle(expr: NonsmoothExpr, dim: int | None = None) -> DirectionalOracle:
-    """Wrap an expression as a :class:`DirectionalOracle` of dimension ``dim``."""
+    """Wrap an expression as a :class:`DirectionalOracle` of dimension ``dim``.
+
+    The expression is compiled here, once.
+    """
     need = dimension(expr)
     if dim is None:
         dim = need

@@ -12,7 +12,16 @@ phi, and the compass difference of psi (four integrations) is a guaranteed
 subgradient of phi for p in the plane.
 
 Integrator: an explicit Dormand-Prince 5(4) embedded pair with PI step-size
-control, written here to keep runs dependency-free and deterministic.  No
+control, written here to keep runs dependency-free and deterministic.  It is
+first-same-as-last: the seventh stage of an accepted step is evaluated at the
+new state and becomes the next step's first, so an integration costs
+2 + 6 * (accepted + rejected) right-hand-side evaluations.  In the coupled
+system each evaluation is one call of ``rhs.value_and_dir_deriv``; for
+expression problems that is one compiled pass per component (see
+:func:`compassdiff.expr.compile_expr`), compiled once when the problem is
+built.  Stage sums keep the builtin ``sum``'s order, and the reused stage
+was evaluated at the very state it stands for, so neither changes a bit of
+the result.  No
 event detection is attempted: the tangent right-hand side is only Lipschitz
 in y, and adaptive step control absorbs the kink crossings at desk scale.
 The default tolerances (1e-8 absolute and relative) are deliberately tight
@@ -119,9 +128,9 @@ class SensitivityTrajectory:
         return "\n".join(lines) + "\n"
 
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
+# Dormand-Prince 5(4) tableau; each row is a column vector so that
+# ``k[:s] * row`` scales stage j by its coefficient.
+_A = tuple(np.array(row).reshape(-1, 1) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -129,10 +138,10 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+))
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]).reshape(-1, 1)
 # b5 - b4: coefficients of the embedded error estimate
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]).reshape(-1, 1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -166,24 +175,42 @@ def _initial_step(fun, t_final: float, z0: np.ndarray, f0: np.ndarray, cfg: Inte
     return min(100.0 * h0, h1, t_final)
 
 
+def _combine(coeffs: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum(coeffs[j] * k[j]) in the builtin ``sum``'s order: from +0.0, left to right.
+
+    ``terms`` is a work buffer of shape (8, n) whose row 0 stays zero; the products
+    go into the rows after it and one ``add.accumulate`` adds them in order.
+    """
+    s = coeffs.shape[0]
+    np.multiply(k[:s], coeffs, out=terms[1:s + 1])
+    return np.add.accumulate(terms[:s + 1], axis=0)[s]
+
+
 def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
             direction=None) -> tuple[list[float], list[np.ndarray], StepStats]:
-    """Integrate dz/dt = fun(z) from 0 to t_final, recording accepted steps."""
+    """Integrate dz/dt = fun(z) from 0 to t_final, recording accepted steps.
+
+    First same as last: the last stage of an accepted step is evaluated at the
+    new state, so it is the next step's first stage, and a rejected step keeps
+    its first stage.  That costs 6 rhs evaluations per attempted step, plus
+    f(z0) and, without ``initial_step``, one more for the step-size guess.
+    """
     t = 0.0
     z = np.asarray(z0, dtype=float).copy()
     times = [0.0]
     states = [z.copy()]
-    f0 = np.asarray(fun(z), dtype=float)
+    k = np.empty((7, z.size))
+    k[0] = fun(z)
     evals = 1
     if cfg.initial_step is not None:
         h = min(cfg.initial_step, t_final)
     else:
-        h = _initial_step(fun, t_final, z, f0, cfg)
+        h = _initial_step(fun, t_final, z, k[0], cfg)
         evals += 1
     accepted = 0
     rejected = 0
     err_prev = 1.0
-    k = [np.zeros_like(z) for _ in range(7)]
+    terms = np.zeros((8, z.size))
     while t < t_final:
         if accepted + rejected >= cfg.max_steps:
             raise IntegrationError(
@@ -194,13 +221,11 @@ def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
         if h < cfg.min_step:
             raise IntegrationError(
                 f"step size underflow ({h:.3e}) at t = {t:.6g}", time=t, direction=direction)
-        k[0] = np.asarray(fun(z), dtype=float)
         for s in range(1, 7):
-            zs = z + h * sum(_A[s][j] * k[j] for j in range(s))
-            k[s] = np.asarray(fun(zs), dtype=float)
-        evals += 7
-        z_new = z + h * sum(_B5[j] * k[j] for j in range(7))
-        err_vec = h * sum(_E[j] * k[j] for j in range(7))
+            k[s] = fun(z + h * _combine(_A[s], k, terms))
+        evals += 6
+        z_new = z + h * _combine(_B5, k, terms)
+        err_vec = h * _combine(_E, k, terms)
         err = _error_norm(err_vec, z, z_new, cfg)
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite state at t = {t:.6g}", time=t, direction=direction)
@@ -211,6 +236,8 @@ def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
             times.append(t)
             states.append(z.copy())
             accepted += 1
+            # the last stage was evaluated at z_new (its row of _A is _B5)
+            k[0] = k[6]
             # PI controller (error exponent 0.7/p, history exponent 0.4/p)
             factor = _SAFETY * (max(err, 1e-16) ** (-0.7 / _ORDER)) * (max(err_prev, 1e-16) ** (0.4 / _ORDER))
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -240,15 +267,9 @@ def integrate_coupled(problem: OdeProblem, p, d,
     x0 = np.asarray(problem.init.value(p), dtype=float)
     y0 = np.asarray(problem.init.dir_deriv(p, d), dtype=float)
 
-    def fun(z):
-        x = z[:n]
-        y = z[n:]
-        return np.concatenate([
-            np.asarray(problem.rhs.value(x), dtype=float),
-            np.asarray(problem.rhs.dir_deriv(x, y), dtype=float),
-        ])
-
-    times, states, stats = _dopri5(fun, np.concatenate([x0, y0]), problem.t_final, config, direction=d)
+    fused = problem.rhs.value_and_dir_deriv
+    times, states, stats = _dopri5(lambda z: fused(z[:n], z[n:]), np.concatenate([x0, y0]),
+                                   problem.t_final, config, direction=d)
     zs = np.array(states)
     return SensitivityTrajectory(
         times=np.array(times),
@@ -293,20 +314,27 @@ def ode_subgradient(problem: OdeProblem, p,
 # JSON problem format
 
 def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> VectorOracle:
-    for e in exprs:
-        if ex.dimension(e) > dim_in:
+    compiled = [ex.compile_expr(e) for e in exprs]
+    for e, c in zip(exprs, compiled):
+        if c.dim > dim_in:
             raise ValueError(f"expression {ex.format_expr(e)} uses variables beyond dimension {dim_in}")
+    forwards = [c.forward for c in compiled]
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([ex.eval_value(e, x) for e in exprs])
+        xs = np.asarray(x, dtype=float).tolist()
+        return np.array([f(xs, xs)[0] for f in forwards])
 
     def dir_deriv(x, d):
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        return np.array([ex.eval_dir_deriv(e, x, d) for e in exprs])
+        return value_and_dir_deriv(x, d)[len(forwards):]
 
-    return VectorOracle(value=value, dir_deriv=dir_deriv, dim_in=dim_in, dim_out=len(exprs))
+    def value_and_dir_deriv(x, d):
+        xs = np.asarray(x, dtype=float).tolist()
+        ds = np.asarray(d, dtype=float).tolist()
+        pairs = [f(xs, ds) for f in forwards]
+        return np.array([v for v, _ in pairs] + [t for _, t in pairs])
+
+    return VectorOracle(value=value, dir_deriv=dir_deriv, dim_in=dim_in, dim_out=len(exprs),
+                        value_and_dir_deriv=value_and_dir_deriv)
 
 
 def problem_from_json(source) -> OdeProblem:

@@ -13,7 +13,7 @@ read-only use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,13 +67,30 @@ class VectorOracle:
 
     Used for ODE right-hand sides f: R^n -> R^n and initial-condition maps
     x0: R^2 -> R^n; ``dir_deriv(x, d)`` returns the componentwise one-sided
-    directional derivative.
+    directional derivative.  ``value_and_dir_deriv(x, d)`` returns both,
+    stacked into one array of length ``2 * dim_out`` (the right-hand side of
+    the coupled state/tangent system), from one pass where the oracle has
+    one; by default it calls ``value`` and then ``dir_deriv``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     dir_deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dim_in: int
     dim_out: int
+    value_and_dir_deriv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, compare=False)
+
+    def __post_init__(self):
+        if self.value_and_dir_deriv is None:
+            value, dir_deriv = self.value, self.dir_deriv
+
+            def value_and_dir_deriv(x, d):
+                return np.concatenate([
+                    np.asarray(value(x), dtype=float),
+                    np.asarray(dir_deriv(x, d), dtype=float),
+                ])
+
+            object.__setattr__(self, "value_and_dir_deriv", value_and_dir_deriv)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,17 @@ def test_catalog_contains_required_entries():
     assert required <= names
 
 
+def test_catalog_returns_fresh_lists_of_shared_entries():
+    first = catalog()
+    names = [e.name for e in first]
+    first.clear()
+    second = catalog()
+    assert [e.name for e in second] == names
+    assert second is not catalog()
+    assert all(a is b for a, b in zip(second, catalog()))
+    assert catalog_entry("abs_sum") is next(e for e in second if e.name == "abs_sum")
+
+
 def test_neg_abs_generators_at_origin():
     entry = catalog_entry("neg_abs_x1")
     hull = entry.clarke_hull(np.zeros(2))

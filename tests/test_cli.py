@@ -80,6 +80,21 @@ def test_cli_compass_dimension_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("compass", "--expr", "(abs (var 0))", "--at", "nan,1"),
+    ("optimize", "--expr", "(abs (var 0))", "--from", "nan,1", "--constant", "1"),
+    ("ode", "--problem", "example46.json", "--at=inf,0"),
+])
+def test_cli_nonfinite_coordinates_exit_2(capsys, argv):
+    # NaN used to fall into the abs kink branch (a "guaranteed" [0, 0]) or
+    # crash optimize with an AttributeError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_compass_evaluation_error_exits_3(capsys):
     # norm of four variables at a 4-point is rejected as input; a singular
     # basis on a valid expression is an evaluation failure

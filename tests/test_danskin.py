@@ -84,6 +84,17 @@ def test_solve_inner_rejects_nonfinite_objective():
         solve_inner(problem, [0.0, 0.0])
 
 
+def test_solve_inner_rejects_nan_from_a_compiled_objective():
+    # max(1, NaN) is NaN in the compiled pass, so the non-finite check fires
+    problem = problem_from_json({
+        "objective": "(max (const 1) (mul (var 2) (const nan)))",
+        "grad_x": ["(var 2)", "(var 3)"],
+        "feasible": {"cloud": [[0.0, 0.0], [1.0, 0.0]]},
+    })
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_inner(problem, [0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # psi
 

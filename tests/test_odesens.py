@@ -11,6 +11,11 @@ from compassdiff.odesens import (
     IntegrationConfig,
     IntegrationError,
     OdeProblem,
+    StepStats,
+    _A,
+    _B5,
+    _E,
+    _combine,
     integrate_coupled,
     ode_cost_dirderiv,
     ode_cost_value,
@@ -179,6 +184,67 @@ def test_nine_branch_tangent_table(bundled_problem):
         assert got[0] == table_dy1(x, y)
         assert got[1] == table_dy2(x, y)
         assert got[2] == y[2]
+
+
+# ---------------------------------------------------------------------------
+# pinned integrator output: bit-exact values and first-same-as-last step counts
+
+@pytest.mark.parametrize("p, expected", [
+    ((0.0, 0.0), ("0x1.beb27dff8219ep+1", "0x1.8b07552758ca1p-1")),
+    ((0.3, -0.7), ("0x1.5bf0a8b5c62d2p+2", "-0x1.2cd9fc466d2f4p+0")),
+    ((-0.952, 1.312), ("0x1.cb5c5a4adca0fp+0", "0x1.5cb54ddcce251p+0")),
+])
+def test_ode_subgradient_is_pinned_bit_for_bit(bundled_problem, p, expected):
+    got = ode_subgradient(bundled_problem, p).subgradient.tolist()
+    assert got == [float.fromhex(h) for h in expected]
+
+
+@pytest.mark.parametrize("p, expected", [
+    ((0.3, -0.7), "0x1.3a0fe3eca10b4p+1"),
+    ((-0.952, 1.312), "0x1.43566172cadd7p-4"),
+])
+def test_ode_cost_value_is_pinned_bit_for_bit(bundled_problem, p, expected):
+    assert ode_cost_value(bundled_problem, p) == float.fromhex(expected)
+
+
+@pytest.mark.parametrize("p, config, expected", [
+    ((0.0, 0.0), IntegrationConfig(), StepStats(19, 0, 116)),
+    ((0.0, 0.0), IntegrationConfig(initial_step=0.9), StepStats(13, 2, 91)),
+    ((-0.952, 1.312), IntegrationConfig(), StepStats(41, 30, 428)),
+])
+def test_integrate_coupled_step_counts(bundled_problem, p, config, expected):
+    # 6 rhs evaluations per attempted step, plus f(z0) and, without an
+    # initial step, the step-size guess
+    stats = integrate_coupled(bundled_problem, p, [1.0, 0.0], config).stats
+    assert stats == expected
+    setup = 1 if config.initial_step is not None else 2
+    assert stats.rhs_evals == setup + 6 * (stats.accepted + stats.rejected)
+
+
+def test_stage_sums_keep_the_builtin_sum_order():
+    # left to right from +0.0: a column of negative zeros sums to +0.0
+    rng = np.random.default_rng(3)
+    for m in (1, 3, 6, 9):
+        k = rng.standard_normal((7, m)) * 10.0 ** rng.integers(-9, 9, (7, m))
+        k[:, 0] = -0.0
+        for coeffs in (*_A[1:], _B5, _E):
+            coeffs = np.abs(coeffs)
+            expected = sum(coeffs[j, 0] * k[j] for j in range(coeffs.shape[0]))
+            got = _combine(coeffs, k, np.zeros((8, m)))
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_hand_written_rhs_gets_the_default_fused_pass():
+    calls = []
+    rhs = VectorOracle(value=lambda x: calls.append("value") or -x,
+                       dir_deriv=lambda x, y: calls.append("dir_deriv") or -y, dim_in=1, dim_out=1)
+    init = VectorOracle(value=lambda p: p[:1].copy(), dir_deriv=lambda p, d: d[:1].copy(), dim_in=2, dim_out=1)
+    cost = DirectionalOracle(value=lambda z: float(z[2]), dir_deriv=lambda z, t: float(t[2]), dim=3)
+    problem = OdeProblem(n_state=1, rhs=rhs, init=init, cost=cost, t_final=1.0)
+    traj = integrate_coupled(problem, [1.0, 0.0], [1.0, 0.0])
+    assert calls[:4] == ["value", "dir_deriv", "value", "dir_deriv"]
+    assert len(calls) == 2 * traj.stats.rhs_evals
+    assert traj.sensitivities[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
