@@ -32,7 +32,7 @@ from .compass import (
     compass_difference,
     finite_difference_probes,
 )
-from .danskin import danskin_subgradient, problem_from_json as danskin_from_json, solve_inner, stability_probe
+from .danskin import _subgradient_from_active, problem_from_json as danskin_from_json, solve_inner, stability_probe
 from .demos import DEMO_NAMES, paper_fixture_path, run_demo
 from .geometry import interval_hull, load_polytope_json, membership_check, midpoint_element
 from .odesens import (
@@ -322,12 +322,15 @@ def _cmd_danskin(args, manifest: RunManifest) -> int:
     x_hat = _parse_point(args.at)
     if x_hat.size != 2:
         raise InputError("the outer point must have two coordinates")
-    active = solve_inner(problem, x_hat, args.eps_active)
-    result = danskin_subgradient(problem, x_hat, args.eps_active)
+    eps = args.eps_active
+    if eps is not None and not (eps > 0 and math.isfinite(eps)):
+        raise InputError(f"--eps-active must be positive and finite, got {eps!r}")
+    active = solve_inner(problem, x_hat, eps)
+    result = _subgradient_from_active(problem, x_hat, active)
     payload = result.to_json_dict()
     payload["optimal_value"] = active.optimal_value
     payload["active_set_size"] = int(active.minimizers.shape[0])
-    payload["stability"] = stability_probe(problem, x_hat, args.eps_active)
+    payload["stability"] = stability_probe(problem, x_hat, eps)
     _emit(manifest, payload)
     return EXIT_OK
 

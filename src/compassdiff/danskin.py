@@ -39,6 +39,11 @@ class FinitePointCloud:
         object.__setattr__(self, "points", pts)
 
 
+#: Largest grid a :class:`Box` may enumerate, ``grid ** m`` points; the inner
+#: solve evaluates the whole grid as one batch.
+MAX_GRID_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box, minimised over a grid with local refinement."""
@@ -57,6 +62,8 @@ class Box:
             raise ValueError("invalid box bounds")
         if self.grid < 2:
             raise ValueError("grid resolution must be at least 2 per axis")
+        if int(self.grid) ** lower.size > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {self.grid}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be nonnegative")
 
@@ -68,12 +75,18 @@ FeasibleSet = Union[FinitePointCloud, Box]
 class OptimalValueProblem:
     """Inner objective, its x-gradient, and the compact feasible set.
 
-    ``objective(x, y)`` must be continuously differentiable with the supplied
-    ``grad_x(x, y)``; the gradient is user-supplied rather than approximated
-    so the reported subgradient carries no hidden differencing error.
+    Both callables take the outer point ``x`` of shape (2,) and a batch of
+    inner points ``ys`` of shape (N, m): ``objective(x, ys)`` returns the N
+    values f(x, y) and ``grad_x(x, ys)`` the N gradients grad_x f(x, y) as an
+    (N, 2) array, one row per inner point.  The solver makes one call per
+    point cloud, grid or active set, and one-row calls while it refines a
+    box minimizer.  ``objective`` must be continuously differentiable in x
+    with the supplied ``grad_x``; the gradient is user-supplied rather than
+    approximated so the reported subgradient carries no hidden differencing
+    error.
     """
 
-    objective: Callable[[np.ndarray, np.ndarray], float]
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible: FeasibleSet
     m: int
@@ -103,32 +116,39 @@ def _default_eps(optimal_value: float) -> float:
     return 1e-8 * (1.0 + abs(optimal_value))
 
 
+def _rows(what: str, values, ys: np.ndarray, width: Optional[int] = None) -> np.ndarray:
+    """``values`` as a float array of one row per inner point, all finite."""
+    values = np.asarray(values, dtype=float)
+    shape = (ys.shape[0],) if width is None else (ys.shape[0], width)
+    if values.shape != shape:
+        raise ValueError(f"expected {what}s of shape {shape} for {ys.shape[0]} inner points, got shape {values.shape}")
+    finite = np.isfinite(values) if width is None else np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite {what} at feasible point {ys[np.argmin(finite)].tolist()}")
+    return values
+
+
 def _evaluate(problem: OptimalValueProblem, x_hat: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    vals = np.empty(ys.shape[0])
-    for i, y in enumerate(ys):
-        v = float(problem.objective(x_hat, y))
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite objective value at feasible point {y.tolist()}")
-        vals[i] = v
-    return vals
+    return _rows("objective value", problem.objective(x_hat, ys), ys)
 
 
 def _refine_in_box(problem: OptimalValueProblem, x_hat: np.ndarray, y: np.ndarray, box: Box,
                    step0: np.ndarray) -> np.ndarray:
-    y = y.copy()
-    best = float(problem.objective(x_hat, y))
+    # one-row batches: each move depends on the one before it
+    y = y[np.newaxis, :].copy()
+    best = float(problem.objective(x_hat, y)[0])
     step = step0.copy()
     for _ in range(box.refine_steps):
-        for j in range(y.size):
+        for j in range(y.shape[1]):
             for sign in (1.0, -1.0):
                 cand = y.copy()
-                cand[j] = min(max(cand[j] + sign * step[j], box.lower[j]), box.upper[j])
-                v = float(problem.objective(x_hat, cand))
+                cand[0, j] = min(max(cand[0, j] + sign * step[j], box.lower[j]), box.upper[j])
+                v = float(problem.objective(x_hat, cand)[0])
                 if v < best:
                     best = v
                     y = cand
         step *= 0.5
-    return y
+    return y[0]
 
 
 def _dedup(points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -148,8 +168,8 @@ def solve_inner(problem: OptimalValueProblem, x_hat, eps_active: Optional[float]
     against the refined minimum.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    if eps_active is not None and eps_active <= 0:
-        raise ValueError("eps_active must be positive")
+    if eps_active is not None and not (eps_active > 0 and math.isfinite(eps_active)):
+        raise ValueError(f"eps_active must be positive and finite, got {eps_active!r}")
     feas = problem.feasible
     if isinstance(feas, FinitePointCloud):
         ys = feas.points
@@ -181,14 +201,24 @@ def optimal_value(problem: OptimalValueProblem, x_hat, eps_active: Optional[floa
 
 
 def psi(problem: OptimalValueProblem, x_hat, active: ActiveSet, d) -> float:
-    """Directional derivative of phi: min of <d, grad_x f(x_hat, y)> over the active set."""
+    """Directional derivative of phi: min of <d, grad_x f(x_hat, y)> over the active set.
+
+    Raises ``ValueError`` naming the first active point whose gradient is not
+    finite.
+    """
     x_hat = np.asarray(x_hat, dtype=float)
     d = np.asarray(d, dtype=float)
-    best = math.inf
-    for y in active.minimizers:
-        g = np.asarray(problem.grad_x(x_hat, y), dtype=float)
-        best = min(best, float(d @ g))
-    return best
+    ys = active.minimizers
+    g = _rows("gradient", problem.grad_x(x_hat, ys), ys, width=2)
+    # each sum starts from +0.0, as ``d @ g`` does, and the first of tied
+    # minima wins, as with ``min``: the bits of a per-point loop, signs of
+    # zero included
+    dots = (0.0 + g[:, 0] * d[0]) + g[:, 1] * d[1]
+    return float(dots[np.argmin(dots)])
+
+
+def _subgradient_from_active(problem: OptimalValueProblem, x_hat: np.ndarray, active: ActiveSet) -> CompassResult:
+    return compass_from_psi(lambda d: psi(problem, x_hat, active, d), dim=2)
 
 
 def danskin_subgradient(problem: OptimalValueProblem, x_hat,
@@ -200,8 +230,7 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.size != 2:
         raise ValueError("the outer parameter space is two-dimensional")
-    active = solve_inner(problem, x_hat, eps_active)
-    return compass_from_psi(lambda d: psi(problem, x_hat, active, d), dim=2)
+    return _subgradient_from_active(problem, x_hat, solve_inner(problem, x_hat, eps_active))
 
 
 def stability_probe(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> dict:
@@ -231,6 +260,8 @@ def problem_from_json(source) -> OptimalValueProblem:
 
     The objective and the two gradient components are expressions over the
     concatenated (x, y) variables: indices 0..1 are x, indices 2..m+1 are y.
+    A batch of inner points is evaluated as one (N, 2 + m) array of rows
+    ``[x | y]``.
     The feasible set is either ``{"cloud": [[...], ...]}`` or
     ``{"box": {"lower": [...], "upper": [...], "grid": k, "refine_steps": r}}``.
     """
@@ -262,21 +293,20 @@ def problem_from_json(source) -> OptimalValueProblem:
     grad_exprs = [ex.parse_expr(s) for s in data["grad_x"]]
     if len(grad_exprs) != 2:
         raise ValueError("grad_x needs exactly two expressions (the outer space is two-dimensional)")
-    total = 2 + m
-    compiled = [ex.compile_expr(e) for e in (obj_expr, *grad_exprs)]
-    if any(c.dim > total for c in compiled):
+    if any(ex.dimension(e) > 2 + m for e in (obj_expr, *grad_exprs)):
         raise ValueError("expression uses variables beyond the concatenated (x, y) dimension")
-    obj, *grads = (c.forward for c in compiled)
 
-    def _point(x, y) -> list[float]:
-        return np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]).tolist()
+    def _stack(x, ys) -> np.ndarray:
+        z = np.empty((len(ys), 2 + m))
+        z[:, :2] = x
+        z[:, 2:] = ys
+        return z
 
-    def objective(x, y):
-        z = _point(x, y)
-        return obj(z, z)[0]
+    def objective(x, ys):
+        return ex.eval_value(obj_expr, _stack(x, ys))
 
-    def grad_x(x, y):
-        z = _point(x, y)
-        return np.array([g(z, z)[0] for g in grads])
+    def grad_x(x, ys):
+        z = _stack(x, ys)
+        return np.column_stack([ex.eval_value(g, z) for g in grad_exprs])
 
     return OptimalValueProblem(objective=objective, grad_x=grad_x, feasible=feasible, m=m)

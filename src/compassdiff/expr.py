@@ -30,10 +30,11 @@ difference quotients whenever the children do.
 
 :func:`compile_expr` turns a tree into one closure over Python floats that
 returns the value and the tangent in a single pass; it is compiled on first
-use and cached on the tree.  Single points evaluate through it, batches of
-points through a vectorised numpy walk with bit-identical values.  NaN
-stays visible: a NaN child takes no ``abs`` kink branch, and ``max``,
-``min`` and ``norm`` of a NaN are NaN, in value and tangent.
+use and cached on the tree.  Single points and one-row batches evaluate
+through it, larger batches through a vectorised numpy walk with
+bit-identical values.  NaN stays visible: a NaN child takes no ``abs``
+kink branch, and ``max``, ``min`` and ``norm`` of a NaN are NaN, in value
+and tangent.
 
 Printing via :func:`format_expr` and re-parsing via :func:`parse_expr`
 round-trips to an identical tree.
@@ -286,9 +287,12 @@ def _compile(e: NonsmoothExpr) -> tuple[Forward, int]:
 def eval_value(expr: NonsmoothExpr, x) -> float | np.ndarray:
     """Evaluate the expression at ``x``.
 
-    ``x`` may be a single point of shape (n,) or a batch of shape (N, n);
-    a single point runs the compiled pass, a batch runs a vectorised numpy
-    walk and returns shape (N,).
+    ``x`` may be a single point of shape (n,) or a batch of shape (N, n),
+    which returns shape (N,).  A single point and a one-row batch run the
+    compiled pass, larger batches a vectorised numpy walk; the values are
+    the same bit for bit, and the compiled pass is the faster of the two on
+    one row.  Like the compiled pass, the walk raises no floating-point
+    warnings: ``inf * 0`` is NaN and an overflow is infinite, quietly.
     """
     x = np.asarray(x, dtype=float)
     compiled = compile_expr(expr)
@@ -299,7 +303,11 @@ def eval_value(expr: NonsmoothExpr, x) -> float | np.ndarray:
     if x.ndim == 1:
         xs = x.tolist()
         return compiled.forward(xs, xs)[0]
-    return _value(expr, x)
+    if x.shape[:-1] == (1,):
+        xs = x[0].tolist()
+        return np.array([compiled.forward(xs, xs)[0]])
+    with np.errstate(all="ignore"):
+        return _value(expr, x)
 
 
 def _value(e: NonsmoothExpr, x: np.ndarray):

@@ -10,7 +10,6 @@ dimension, which facet-enumeration tests are not.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 def hull_distance(point, generators) -> float:
@@ -24,6 +23,9 @@ def hull_distance(point, generators) -> float:
         raise ValueError(f"point dimension {p.size} does not match generators ({n})")
     if k == 1:
         return float(np.max(np.abs(g[0] - p)))
+    # imported here: importing scipy takes longer than most commands, and only the LP needs it
+    from scipy.optimize import linprog
+
     # variables: lambda_1..lambda_k, t;  minimize t
     # s.t.  sum_j lambda_j g_j  - p  in [-t, t]^n,  sum lambda = 1, lambda >= 0
     c = np.zeros(k + 1)

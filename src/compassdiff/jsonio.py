@@ -2,11 +2,13 @@
 
 Repeated runs on identical inputs must produce byte-identical output, so the
 serializer is a small explicit walker rather than ``json.dumps`` (whose float
-formatting is not pinned by contract).
+formatting is not pinned by contract).  Strings do go through ``json.dumps``,
+which escapes every control character.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -38,7 +40,7 @@ def _write(obj, out: list[str], indent: int, level: int):
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out, indent, level)
     elif isinstance(obj, dict):

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from compassdiff import jsonio
 from compassdiff.cli import main
 
 
@@ -157,6 +160,23 @@ def test_cli_hull_membership_point(capsys):
     payload = last_json(out)
     assert payload["membership"]["member"] is False
     assert payload["membership"]["witness"] is not None
+
+
+def test_cli_hull_escapes_control_characters(capsys, tmp_path):
+    description = "tab\there, \x01 and a \"quote\" \\ ok"
+    path = tmp_path / "tabbed.json"
+    path.write_text(json.dumps({"dim": 2, "description": description, "vertices": [[0, 0], [2, 0], [0, 2]]}))
+    code, out, _ = run_cli(capsys, "hull", "--polytope", str(path), "--json")
+    assert code == 0
+    assert "\t" not in out and "\x01" not in out
+    assert json.loads(out)["description"] == description
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.text(alphabet=st.characters(blacklist_characters=[chr(i) for i in range(32) if chr(i) != "\n"])))
+def test_json_strings_without_control_characters_keep_their_old_form(text):
+    old = '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+    assert jsonio.dumps(text) == old
 
 
 def test_cli_hull_missing_file_exits_2(capsys):

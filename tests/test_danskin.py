@@ -24,8 +24,8 @@ def _circle_cloud(count=360):
 
 def _inner_product_problem():
     return OptimalValueProblem(
-        objective=lambda x, y: float(x @ y),
-        grad_x=lambda x, y: np.asarray(y, dtype=float),
+        objective=lambda x, ys: ys[:, 0] * x[0] + ys[:, 1] * x[1],
+        grad_x=lambda x, ys: np.asarray(ys, dtype=float),
         feasible=FinitePointCloud(points=_circle_cloud()),
         m=2,
     )
@@ -33,8 +33,8 @@ def _inner_product_problem():
 
 def _sqdist_problem():
     return OptimalValueProblem(
-        objective=lambda x, y: float((y[0] - x[0]) ** 2 + (y[1] - x[1]) ** 2),
-        grad_x=lambda x, y: 2.0 * (np.asarray(x, float) - np.asarray(y, float)),
+        objective=lambda x, ys: (ys[:, 0] - x[0]) ** 2 + (ys[:, 1] - x[1]) ** 2,
+        grad_x=lambda x, ys: 2.0 * (np.asarray(x, float) - np.asarray(ys, float)),
         feasible=FinitePointCloud(points=_circle_cloud()),
         m=2,
     )
@@ -75,8 +75,8 @@ def test_solve_inner_default_epsilon_is_relative():
 
 def test_solve_inner_rejects_nonfinite_objective():
     problem = OptimalValueProblem(
-        objective=lambda x, y: float("nan"),
-        grad_x=lambda x, y: np.zeros(2),
+        objective=lambda x, ys: np.full(len(ys), np.nan),
+        grad_x=lambda x, ys: np.zeros((len(ys), 2)),
         feasible=FinitePointCloud(points=np.zeros((1, 2))),
         m=2,
     )
@@ -159,7 +159,7 @@ def test_danskin_smooth_singleton_reduces_to_gradient():
     problem = _inner_product_problem()
     res = danskin_subgradient(problem, [1.0, 0.0])
     active = solve_inner(problem, [1.0, 0.0])
-    gradient = problem.grad_x(np.array([1.0, 0.0]), active.minimizers[0])
+    gradient = problem.grad_x(np.array([1.0, 0.0]), active.minimizers[:1])[0]
     assert np.max(np.abs(res.subgradient - gradient)) <= 1e-10
 
 
@@ -167,8 +167,8 @@ def test_danskin_box_feasible_set():
     # squared distance to the unit box: at (2, 0.3) the projection is (1, 0.3)
     # and the gradient of the optimal value is 2 (x - projection) = (2, 0)
     problem = OptimalValueProblem(
-        objective=lambda x, y: float((y[0] - x[0]) ** 2 + (y[1] - x[1]) ** 2),
-        grad_x=lambda x, y: 2.0 * (np.asarray(x, float) - np.asarray(y, float)),
+        objective=lambda x, ys: (ys[:, 0] - x[0]) ** 2 + (ys[:, 1] - x[1]) ** 2,
+        grad_x=lambda x, ys: 2.0 * (np.asarray(x, float) - np.asarray(ys, float)),
         feasible=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0], grid=21, refine_steps=40),
         m=2,
     )
@@ -200,9 +200,9 @@ def test_problem_from_json_fixture_matches_in_memory():
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.uniform(-1, 1, 2)
-        y = rng.uniform(-1, 1, 2)
-        assert fixture.objective(x, y) == pytest.approx(local.objective(x, y), abs=1e-15)
-        assert fixture.grad_x(x, y) == pytest.approx(local.grad_x(x, y), abs=1e-15)
+        ys = rng.uniform(-1, 1, (1, 2))
+        assert fixture.objective(x, ys) == pytest.approx(local.objective(x, ys), abs=1e-15)
+        assert fixture.grad_x(x, ys) == pytest.approx(local.grad_x(x, ys), abs=1e-15)
     res = danskin_subgradient(fixture, [1.0, 0.0])
     assert res.subgradient == pytest.approx([-1.0, 0.0], abs=1e-3)
 

@@ -130,6 +130,16 @@ def test_compiled_pass_matches_reference_and_batch(e, points, d):
         assert bits(ex.eval_dir_deriv(e, x, d)) == bits(tangent)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_TREES, st.tuples(_COORD, _COORD, _COORD))
+def test_one_row_batch_matches_the_numpy_walk(e, x):
+    # a one-row batch runs the compiled pass; the walk is what larger batches run
+    row = ex.eval_value(e, np.array([x]))
+    assert row.shape == (1,)
+    walk = np.broadcast_to(ex._value(e, np.array([x])), (1,))
+    assert bits(row[0]) == bits(walk[0])
+
+
 def test_signs_of_zero_are_those_of_the_earlier_passes():
     # printed JSON shows -0.0 and 0.0 apart, so the compiled pass keeps the
     # signs the two earlier walks gave: a value sum keeps the sign of its
