@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +31,14 @@ from .compass import (
     compass_difference,
     finite_difference_probes,
 )
-from .danskin import _subgradient_from_active, problem_from_json as danskin_from_json, solve_inner, stability_probe
+from .danskin import _stability, _subgradient_from_active, problem_from_json as danskin_from_json, solve_inner
 from .demos import DEMO_NAMES, paper_fixture_path, run_demo
 from .geometry import interval_hull, load_polytope_json, membership_check, midpoint_element
 from .odesens import (
     IntegrationConfig,
     IntegrationError,
-    integrate_coupled,
+    _subgradient_and_trajectories,
     ode_cost_value,
-    ode_subgradient,
     problem_from_json as ode_from_json,
 )
 from .optimize import Constant, Diminishing, Polyak, rule_label, subgradient_method
@@ -54,23 +52,6 @@ EXIT_NUMERIC = 4
 
 class InputError(Exception):
     """Bad user input: malformed expressions, points, or problem files."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a single CLI invocation is about to do; fixed seed for reproducibility."""
-
-    subcommand: str
-    inputs: tuple[str, ...]
-    out_dir: str
-    seed: int
-    json_only: bool
-
-    def __post_init__(self):
-        if self.out_dir:
-            os.makedirs(self.out_dir, exist_ok=True)
-            if not os.access(self.out_dir, os.W_OK):
-                raise InputError(f"output directory not writable: {self.out_dir}")
 
 
 def _parse_point(text: str, what: str = "point") -> np.ndarray:
@@ -143,30 +124,23 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"cannot read {path}: {err}") from None
 
 
-def _manifest(args) -> RunManifest:
-    inputs = tuple(
-        str(getattr(args, name))
-        for name in ("expr", "expr_file", "problem", "polytope")
-        if getattr(args, name, None)
-    )
-    return RunManifest(
-        subcommand=args.command,
-        inputs=inputs,
-        out_dir=args.out,
-        seed=args.seed,
-        json_only=args.json,
-    )
+def _prepare_out_dir(out_dir: str):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise InputError(f"cannot create output directory {out_dir}: {err}") from None
+    if not os.access(out_dir, os.W_OK):
+        raise InputError(f"output directory not writable: {out_dir}")
 
 
-def _emit(manifest: RunManifest, payload: dict, human_lines: list[str] | None = None):
-    if human_lines and not manifest.json_only:
+def _emit(args, payload: dict, human_lines: list[str] | None = None):
+    if human_lines and not args.json:
         for line in human_lines:
             print(line)
     print(jsonio.dumps(payload))
 
 
 def _write_file(out_dir: str, name: str, content: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         fh.write(content)
@@ -176,7 +150,7 @@ def _write_file(out_dir: str, name: str, content: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_compass(args, manifest: RunManifest) -> int:
+def _cmd_compass(args) -> int:
     expression = _load_expression(args)
     x = _parse_point(args.at)
     dim = max(x.size, ex.dimension(expression))
@@ -196,7 +170,7 @@ def _cmd_compass(args, manifest: RunManifest) -> int:
             "guarantee": "approximate (centered finite differences)",
             "delta": args.fd,
         }
-        _emit(manifest, payload)
+        _emit(args, payload)
         return EXIT_OK
     if args.basis is not None:
         basis = _parse_matrix(args.basis)
@@ -211,29 +185,29 @@ def _cmd_compass(args, manifest: RunManifest) -> int:
             "membership guarantee (the example43 demo shows it can fail)",
             file=sys.stderr,
         )
-    _emit(manifest, result.to_json_dict())
+    _emit(args, result.to_json_dict())
     return EXIT_OK
 
 
-def _cmd_demo(args, manifest: RunManifest) -> int:
+def _cmd_demo(args) -> int:
     try:
         report = run_demo(args.name)
     except KeyError as err:
         raise InputError(str(err)) from None
     human = []
-    if not manifest.json_only:
+    if not args.json:
         human.append(f"demo {args.name}: {'all checks passed' if report['passed'] else 'CHECKS FAILED'}")
         for check in report["checks"]:
             mark = "ok " if check["passed"] else "FAIL"
             detail = f"  [{check['detail']}]" if check["detail"] else ""
             human.append(f"  [{mark}] {check['name']}{detail}")
-    _emit(manifest, report, human)
-    if manifest.out_dir:
-        _write_file(manifest.out_dir, f"demo_{args.name}.json", jsonio.dumps(report) + "\n")
+    _emit(args, report, human)
+    if args.out:
+        _write_file(args.out, f"demo_{args.name}.json", jsonio.dumps(report) + "\n")
     return EXIT_OK if report["passed"] else EXIT_EVAL
 
 
-def _cmd_hull(args, manifest: RunManifest) -> int:
+def _cmd_hull(args) -> int:
     data = _load_json_file(args.polytope)
     try:
         oracle = load_polytope_json(data)
@@ -246,7 +220,7 @@ def _cmd_hull(args, manifest: RunManifest) -> int:
     }
     if args.midpoint:
         mid = midpoint_element(oracle)
-        member = membership_check(oracle, mid.point, directions=args.directions, tol=args.tol, seed=manifest.seed)
+        member = membership_check(oracle, mid.point, directions=args.directions, tol=args.tol, seed=args.seed)
         payload["midpoint"] = {
             "point": mid.point.tolist(),
             "guarantee": mid.guarantee,
@@ -257,7 +231,7 @@ def _cmd_hull(args, manifest: RunManifest) -> int:
         p = _parse_point(args.point)
         if p.size != oracle.dim:
             raise InputError(f"point has {p.size} coordinates, polytope is {oracle.dim}-dimensional")
-        member = membership_check(oracle, p, directions=args.directions, tol=args.tol, seed=manifest.seed)
+        member = membership_check(oracle, p, directions=args.directions, tol=args.tol, seed=args.seed)
         payload["membership"] = {
             "point": p.tolist(),
             "member": member.member,
@@ -265,11 +239,11 @@ def _cmd_hull(args, manifest: RunManifest) -> int:
             "witness": None if member.witness is None else member.witness.tolist(),
             "detail": member.message(),
         }
-    _emit(manifest, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_ode(args, manifest: RunManifest) -> int:
+def _cmd_ode(args) -> int:
     data = _load_json_file(args.problem)
     try:
         problem = ode_from_json(data)
@@ -282,17 +256,14 @@ def _cmd_ode(args, manifest: RunManifest) -> int:
         config = IntegrationConfig(abs_tol=args.abstol, rel_tol=args.reltol)
     except ValueError as err:
         raise InputError(str(err)) from None
-    result = ode_subgradient(problem, p, config)
+    result, trajectories = _subgradient_and_trajectories(problem, p, config)
     payload = result.to_json_dict()
     payload["parameters"] = p.tolist()
     payload["tolerances"] = {"abs": args.abstol, "rel": args.reltol}
     written = []
-    out_dir = manifest.out_dir or "."
+    out_dir = args.out or "."
     if args.traj:
-        labels = ("plus_e1", "minus_e1", "plus_e2", "minus_e2")
-        dirs = (np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, -1.0]))
-        for label, d in zip(labels, dirs):
-            traj = integrate_coupled(problem, p, d, config)
+        for label, traj in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
             written.append(_write_file(out_dir, f"traj_{label}.csv", traj.to_csv()))
     if args.surface is not None:
         lo, hi, count = _parse_gridspec(args.surface)
@@ -309,11 +280,11 @@ def _cmd_ode(args, manifest: RunManifest) -> int:
         written.append(_write_file(out_dir, "surface.csv", "\n".join(lines) + "\n"))
     if written:
         payload["files"] = written
-    _emit(manifest, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_danskin(args, manifest: RunManifest) -> int:
+def _cmd_danskin(args) -> int:
     data = _load_json_file(args.problem)
     try:
         problem = danskin_from_json(data)
@@ -323,19 +294,20 @@ def _cmd_danskin(args, manifest: RunManifest) -> int:
     if x_hat.size != 2:
         raise InputError("the outer point must have two coordinates")
     eps = args.eps_active
-    if eps is not None and not (eps > 0 and math.isfinite(eps)):
-        raise InputError(f"--eps-active must be positive and finite, got {eps!r}")
+    # the stability report also solves with 10 * eps
+    if eps is not None and not (eps > 0 and math.isfinite(10.0 * eps)):
+        raise InputError(f"--eps-active must be positive and finite, and so must 10 * eps, got {eps!r}")
     active = solve_inner(problem, x_hat, eps)
     result = _subgradient_from_active(problem, x_hat, active)
     payload = result.to_json_dict()
     payload["optimal_value"] = active.optimal_value
     payload["active_set_size"] = int(active.minimizers.shape[0])
-    payload["stability"] = stability_probe(problem, x_hat, eps)
-    _emit(manifest, payload)
+    payload["stability"] = _stability(problem, x_hat, active, result)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_optimize(args, manifest: RunManifest) -> int:
+def _cmd_optimize(args) -> int:
     expression = _load_expression(args)
     x0 = _parse_point(getattr(args, "from"))
     if x0.size != 2 or ex.dimension(expression) > 2:
@@ -359,15 +331,15 @@ def _cmd_optimize(args, manifest: RunManifest) -> int:
         "stop_reason": trace.stop_reason,
     }
     human = None
-    if not manifest.json_only:
+    if not args.json:
         human = [
             f"{rule_label(rule)}: best value {trace.best_value:.6g} at "
             f"{np.array2string(trace.best_point, precision=6)} after {len(trace.iterates)} iterates "
             f"({trace.stop_reason})"
         ]
-    if manifest.out_dir:
-        payload["trace_file"] = _write_file(manifest.out_dir, "trace.csv", trace.to_csv())
-    _emit(manifest, payload, human)
+    if args.out:
+        payload["trace_file"] = _write_file(args.out, "trace.csv", trace.to_csv())
+    _emit(args, payload, human)
     return EXIT_OK
 
 
@@ -437,12 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        manifest = _manifest(args)
-        return args.handler(args, manifest)
+        if args.out:
+            _prepare_out_dir(args.out)
+        return args.handler(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

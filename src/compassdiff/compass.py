@@ -7,6 +7,14 @@ flagged as carrying no membership guarantee.  A change of probing basis and a
 centered finite-difference approximation are provided alongside, plus a
 verification harness for the defining subgradient inequality of convex
 functions.
+
+All of the compass arithmetic lives in one kernel, :func:`probe`: given a
+directional map psi and a basis V it evaluates psi(+v_1), psi(-v_1),
+psi(+v_2), ... and returns (V^T)^{-1} [(psi(v_i) - psi(-v_i)) / 2]_i.  Every
+front end only supplies a psi: an oracle's directional derivative, a tangent
+ODE solve (``odesens``), an inner minimisation (``danskin``), the samples
+f(x + delta d) of a centered difference, or a support function, whose probes
+are the interval hull (``geometry``).
 """
 
 from __future__ import annotations
@@ -31,28 +39,54 @@ from .sampling import halton_in_box, unit_directions
 DEFAULT_DET_TOL = 1e-12
 
 
-def _probe(oracle: DirectionalOracle, x: np.ndarray, d: np.ndarray) -> float:
-    try:
-        value = float(oracle.dir_deriv(x, d))
-    except OracleError:
-        raise
-    except Exception as err:
-        raise OracleError(f"oracle evaluation failed in direction {d.tolist()}: {err}", direction=d) from err
-    if not math.isfinite(value):
-        raise OracleError(f"oracle returned non-finite value in direction {d.tolist()}", direction=d)
-    return value
+def _pair_subgradient(probes, basis: np.ndarray | None) -> np.ndarray:
+    """(V^T)^{-1} [(psi(v_i) - psi(-v_i)) / 2]_i from probes ordered +v_1, -v_1, +v_2, ...
+
+    The solve is skipped when V is exactly the identity (or absent), so a
+    plain compass difference is the halved differences themselves, bit for bit.
+    """
+    n = len(probes) // 2
+    half = np.array([0.5 * (probes[2 * i].value - probes[2 * i + 1].value) for i in range(n)])
+    if basis is None or np.array_equal(basis, np.eye(n)):
+        return half
+    return np.linalg.solve(basis.T, half)
 
 
-def _paired_probes(oracle: DirectionalOracle, x: np.ndarray, directions) -> tuple[list[Probe], np.ndarray]:
+def probe(psi, basis: np.ndarray) -> CompassResult:
+    """Compass difference of the directional map ``psi`` along the columns of ``basis``.
+
+    Calls psi(+v_1), psi(-v_1), psi(+v_2), psi(-v_2), ... in that order and
+    raises :class:`OracleError` carrying the direction at the first
+    non-finite value.  Exceptions raised by psi itself pass through
+    unchanged.  ``basis`` is stored in the result as given.
+    """
     probes: list[Probe] = []
-    half = np.empty(len(directions))
-    for i, d in enumerate(directions):
-        plus = _probe(oracle, x, d)
-        minus = _probe(oracle, x, -d)
-        probes.append(Probe(direction=d.copy(), value=plus))
-        probes.append(Probe(direction=-d, value=minus))
-        half[i] = 0.5 * (plus - minus)
-    return probes, half
+    for column in basis.T:
+        for d in (column.copy(), -column):
+            value = float(psi(d))
+            if not math.isfinite(value):
+                raise OracleError(f"non-finite directional value along {d.tolist()}", direction=d)
+            probes.append(Probe(direction=d, value=value))
+    return CompassResult(
+        subgradient=_pair_subgradient(probes, basis),
+        probes=tuple(probes),
+        basis=basis,
+        guarantee=guarantee_for_dim(basis.shape[0]),
+    )
+
+
+def _oracle_psi(oracle: DirectionalOracle, x: np.ndarray):
+    """psi(d) = f'(x; d), with oracle failures reported as :class:`OracleError` naming d."""
+
+    def psi(d: np.ndarray) -> float:
+        try:
+            return float(oracle.dir_deriv(x, d))
+        except OracleError:
+            raise
+        except Exception as err:
+            raise OracleError(f"oracle evaluation failed in direction {d.tolist()}: {err}", direction=d) from err
+
+    return psi
 
 
 def compass_difference(oracle: DirectionalOracle, x) -> CompassResult:
@@ -66,14 +100,7 @@ def compass_difference(oracle: DirectionalOracle, x) -> CompassResult:
     n = oracle.dim
     if x.size != n:
         raise ValueError(f"point has dimension {x.size}, oracle expects {n}")
-    directions = [e.copy() for e in np.eye(n)]
-    probes, half = _paired_probes(oracle, x, directions)
-    return CompassResult(
-        subgradient=half,
-        probes=tuple(probes),
-        basis=np.eye(n),
-        guarantee=guarantee_for_dim(n),
-    )
+    return probe(_oracle_psi(oracle, x), np.eye(n))
 
 
 def basis_compass_difference(oracle: DirectionalOracle, x, V, det_tol: float = DEFAULT_DET_TOL) -> CompassResult:
@@ -95,40 +122,27 @@ def basis_compass_difference(oracle: DirectionalOracle, x, V, det_tol: float = D
     det = float(np.linalg.det(V))
     if abs(det) < det_tol:
         raise ValueError(f"basis not invertible: |det| = {abs(det):.3e} below threshold {det_tol:.0e}")
-    directions = [V[:, i].copy() for i in range(n)]
-    probes, half = _paired_probes(oracle, x, directions)
-    if np.array_equal(V, np.eye(n)):
-        subgradient = half
-    else:
-        subgradient = np.linalg.solve(V.T, half)
-    return CompassResult(
-        subgradient=subgradient,
-        probes=tuple(probes),
-        basis=V.copy(),
-        guarantee=guarantee_for_dim(n),
-    )
+    return probe(_oracle_psi(oracle, x), V.copy())
 
 
 def finite_difference_probes(value_fn, x, delta: float) -> tuple[np.ndarray, tuple[Probe, ...]]:
-    """Centered-difference compass approximation plus the sampled values."""
+    """Centered-difference compass approximation plus the sampled values.
+
+    The compass kernel applied to psi(d) = f(x + delta d), divided by delta.
+    """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    n = x.size
-    approx = np.empty(n)
-    probes: list[Probe] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        f_plus = float(value_fn(x + delta * e))
-        f_minus = float(value_fn(x - delta * e))
-        for point_value, sample in ((f_plus, x + delta * e), (f_minus, x - delta * e)):
-            if not math.isfinite(point_value):
-                raise ValueError(f"non-finite function value at sample point {sample.tolist()}")
-        probes.append(Probe(direction=e, value=f_plus))
-        probes.append(Probe(direction=-e, value=f_minus))
-        approx[i] = (f_plus - f_minus) / (2.0 * delta)
-    return approx, tuple(probes)
+
+    def psi(d: np.ndarray) -> float:
+        sample = x + delta * d
+        value = float(value_fn(sample))
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite function value at sample point {sample.tolist()}")
+        return value
+
+    result = probe(psi, np.eye(x.size))
+    return result.subgradient / delta, result.probes
 
 
 def finite_difference_compass(value_fn, x, delta: float) -> np.ndarray:
@@ -150,9 +164,8 @@ def univariate_clarke_interval(oracle: DirectionalOracle, x) -> UnivariateClarke
     if oracle.dim != 1:
         raise ValueError(f"univariate interval needs a one-dimensional oracle, got dim {oracle.dim}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    plus = _probe(oracle, x, np.array([1.0]))
-    minus = _probe(oracle, x, np.array([-1.0]))
-    endpoints = (plus, -minus)
+    plus, minus = probe(_oracle_psi(oracle, x), np.eye(1)).probes
+    endpoints = (plus.value, -minus.value)
     return UnivariateClarkeInterval(lo=min(endpoints), hi=max(endpoints))
 
 
@@ -238,20 +251,4 @@ def compass_from_psi(psi_fn, dim: int = 2) -> CompassResult:
     (an ODE cost, an optimal-value function): the compass difference of psi
     at the origin is then a subgradient of that function.
     """
-    directions = [e.copy() for e in np.eye(dim)]
-    probes: list[Probe] = []
-    half = np.empty(dim)
-    for i, d in enumerate(directions):
-        plus = float(psi_fn(d))
-        minus = float(psi_fn(-d))
-        if not (math.isfinite(plus) and math.isfinite(minus)):
-            raise OracleError(f"non-finite directional value along {d.tolist()}", direction=d)
-        probes.append(Probe(direction=d, value=plus))
-        probes.append(Probe(direction=-d, value=minus))
-        half[i] = 0.5 * (plus - minus)
-    return CompassResult(
-        subgradient=half,
-        probes=tuple(probes),
-        basis=np.eye(dim),
-        guarantee=guarantee_for_dim(dim),
-    )
+    return probe(psi_fn, np.eye(dim))

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import expr as ex
-from .compass import compass_from_psi
+from .compass import probe
 from .oracle import CompassResult
 
 
@@ -218,7 +218,7 @@ def psi(problem: OptimalValueProblem, x_hat, active: ActiveSet, d) -> float:
 
 
 def _subgradient_from_active(problem: OptimalValueProblem, x_hat: np.ndarray, active: ActiveSet) -> CompassResult:
-    return compass_from_psi(lambda d: psi(problem, x_hat, active, d), dim=2)
+    return probe(lambda d: psi(problem, x_hat, active, d), np.eye(2))
 
 
 def danskin_subgradient(problem: OptimalValueProblem, x_hat,
@@ -233,6 +233,18 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
     return _subgradient_from_active(problem, x_hat, solve_inner(problem, x_hat, eps_active))
 
 
+def _stability(problem: OptimalValueProblem, x_hat: np.ndarray, base: ActiveSet, result: CompassResult) -> dict:
+    # ``result`` is the compass difference over ``base``: its probes are psi under eps
+    wide = solve_inner(problem, x_hat, 10.0 * base.epsilon)
+    return {
+        "eps_active": base.epsilon,
+        "active_size": int(base.minimizers.shape[0]),
+        "active_size_10eps": int(wide.minimizers.shape[0]),
+        "psi": [p.value for p in result.probes],
+        "psi_10eps": [p.value for p in _subgradient_from_active(problem, x_hat, wide).probes],
+    }
+
+
 def stability_probe(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> dict:
     """psi in the compass directions under eps and 10 * eps activation.
 
@@ -241,15 +253,7 @@ def stability_probe(problem: OptimalValueProblem, x_hat, eps_active: Optional[fl
     """
     x_hat = np.asarray(x_hat, dtype=float)
     base = solve_inner(problem, x_hat, eps_active)
-    wide = solve_inner(problem, x_hat, 10.0 * base.epsilon)
-    dirs = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, -1.0])]
-    return {
-        "eps_active": base.epsilon,
-        "active_size": int(base.minimizers.shape[0]),
-        "active_size_10eps": int(wide.minimizers.shape[0]),
-        "psi": [psi(problem, x_hat, base, d) for d in dirs],
-        "psi_10eps": [psi(problem, x_hat, wide, d) for d in dirs],
-    }
+    return _stability(problem, x_hat, base, _subgradient_from_active(problem, x_hat, base))
 
 
 # ---------------------------------------------------------------------------

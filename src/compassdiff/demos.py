@@ -134,8 +134,8 @@ def demo_example43() -> dict:
 def demo_example44() -> dict:
     # the open set {-1 < x1, x2 < 1, x1 < x2}; its closure is the triangle below
     closure = load_polytope_json(paper_fixture_path("example44_closure.json"))
-    hull = interval_hull(closure)
-    mid = hull.midpoint
+    midpoint = midpoint_element(closure)
+    hull, mid = midpoint.hull, midpoint.point
     checks: list = []
     _check(checks, "interval hull is [-1, 1]^2",
            np.array_equal(hull.lower, -np.ones(2)) and np.array_equal(hull.upper, np.ones(2)))

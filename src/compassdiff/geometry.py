@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .compass import probe
 from .oracle import GUARANTEED, UNGUARANTEED
 from .sampling import unit_directions
 
@@ -50,10 +51,6 @@ class IntervalHull:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or np.any(lower > upper):
             raise ValueError("interval hull bounds out of order")
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -145,24 +142,31 @@ def load_polytope_json(source) -> SupportOracle:
     return polytope_support(vertices, description=data.get("description", ""))
 
 
+def _probe_support(oracle: SupportOracle) -> tuple[IntervalHull, np.ndarray]:
+    """The interval hull and its midpoint from the 2 * dim compass probes of sigma.
+
+    upper_i = sigma(e_i) and lower_i = -sigma(-e_i); the compass difference
+    of sigma, (sigma(e_i) - sigma(-e_i)) / 2, is the midpoint, the dual of
+    the subgradient result.
+    """
+
+    def sigma(d: np.ndarray) -> float:
+        value = float(oracle.sigma(d))
+        if not math.isfinite(value):
+            raise ValueError(f"unbounded or empty set: support value along direction {d.tolist()} is not finite")
+        return value
+
+    result = probe(sigma, np.eye(oracle.dim))
+    values = [p.value for p in result.probes]
+    return IntervalHull(lower=-np.array(values[1::2]), upper=np.array(values[0::2])), result.subgradient
+
+
 def interval_hull(oracle: SupportOracle) -> IntervalHull:
     """Interval hull from 2 * dim support evaluations.
 
     lower_i = -sigma(-e_i) and upper_i = sigma(e_i).
     """
-    n = oracle.dim
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        hi = float(oracle.sigma(e))
-        lo = -float(oracle.sigma(-e))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError(f"unbounded or empty set: support value along axis {i} is not finite")
-        lower[i] = lo
-        upper[i] = hi
-    return IntervalHull(lower=lower, upper=upper)
+    return _probe_support(oracle)[0]
 
 
 def midpoint_element(oracle: SupportOracle, compact_convex: bool = True) -> MidpointResult:
@@ -173,10 +177,10 @@ def midpoint_element(oracle: SupportOracle, compact_convex: bool = True) -> Midp
     bundled three-dimensional demo refutes it).  Compactness and convexity
     are the caller's assertion; a support oracle cannot verify them.
     """
-    hull = interval_hull(oracle)
+    hull, point = _probe_support(oracle)
     guaranteed = oracle.dim == 2 and compact_convex
     return MidpointResult(
-        point=hull.midpoint,
+        point=point,
         guarantee=GUARANTEED if guaranteed else UNGUARANTEED,
         hull=hull,
     )

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .compass import compass_from_psi
+from .compass import probe
 from .oracle import CompassResult, DirectionalOracle, VectorOracle
 
 
@@ -287,15 +287,32 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
     return float(problem.cost.value(np.concatenate([p, states[-1]])))
 
 
+def _cost_dirderiv(problem: OdeProblem, p: np.ndarray, traj: SensitivityTrajectory) -> float:
+    point = np.concatenate([p, traj.states[-1]])
+    tangent = np.concatenate([traj.direction, traj.sensitivities[-1]])
+    return float(problem.cost.dir_deriv(point, tangent))
+
+
 def ode_cost_dirderiv(problem: OdeProblem, p, d,
                       config: IntegrationConfig = IntegrationConfig()) -> float:
     """psi(d) = g'((p, x(T)); (d, y(T, d))) by one coupled integration."""
-    traj = integrate_coupled(problem, p, d, config)
     p = np.asarray(p, dtype=float)
-    d = np.asarray(d, dtype=float)
-    point = np.concatenate([p, traj.states[-1]])
-    tangent = np.concatenate([d, traj.sensitivities[-1]])
-    return float(problem.cost.dir_deriv(point, tangent))
+    return _cost_dirderiv(problem, p, integrate_coupled(problem, p, d, config))
+
+
+def _subgradient_and_trajectories(problem: OdeProblem, p, config: IntegrationConfig
+                                  ) -> tuple[CompassResult, list[SensitivityTrajectory]]:
+    """:func:`ode_subgradient` plus the coupled integrations behind its probes, in probe order."""
+    p = np.asarray(p, dtype=float)
+    if p.size != 2:
+        raise ValueError("the parameter space is two-dimensional")
+    trajectories: list[SensitivityTrajectory] = []
+
+    def psi(d: np.ndarray) -> float:
+        trajectories.append(integrate_coupled(problem, p, d, config))
+        return _cost_dirderiv(problem, p, trajectories[-1])
+
+    return probe(psi, np.eye(2)), trajectories
 
 
 def ode_subgradient(problem: OdeProblem, p,
@@ -304,10 +321,7 @@ def ode_subgradient(problem: OdeProblem, p,
 
     Four coupled integrations, one per compass direction.
     """
-    p = np.asarray(p, dtype=float)
-    if p.size != 2:
-        raise ValueError("the parameter space is two-dimensional")
-    return compass_from_psi(lambda d: ode_cost_dirderiv(problem, p, d, config), dim=2)
+    return _subgradient_and_trajectories(problem, p, config)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -125,18 +125,15 @@ class CompassResult:
     def recompute_subgradient(self) -> np.ndarray:
         """Re-derive the subgradient from the stored probes and basis.
 
-        Performs bit-for-bit the same arithmetic as the original evaluation,
-        so the result reproduces ``subgradient`` exactly.
+        Runs the compass kernel's own arithmetic on the stored values, so the
+        result reproduces ``subgradient`` exactly.
         """
+        from .compass import _pair_subgradient  # compass imports this module
+
         n = self.dim
         if len(self.probes) != 2 * n:
             raise ValueError(f"expected {2 * n} probes, found {len(self.probes)}")
-        half = np.empty(n)
-        for i in range(n):
-            half[i] = 0.5 * (self.probes[2 * i].value - self.probes[2 * i + 1].value)
-        if self.basis is None or np.array_equal(self.basis, np.eye(n)):
-            return half
-        return np.linalg.solve(self.basis.T, half)
+        return _pair_subgradient(self.probes, self.basis)
 
     def to_json_dict(self) -> dict:
         return {

@@ -218,11 +218,24 @@ def test_cli_ode_integration_failure_exits_4(capsys, tmp_path):
     assert "numerical failure" in err
 
 
-def test_cli_ode_trajectories_and_surface(capsys, tmp_path):
+def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
+    from compassdiff import odesens
+
+    integrations = []  # directions of the coupled state/tangent integrations
+    dopri5 = odesens._dopri5
+
+    def counting(*args, direction=None, **kwargs):
+        if direction is not None:
+            integrations.append(direction)
+        return dopri5(*args, direction=direction, **kwargs)
+
+    monkeypatch.setattr(odesens, "_dopri5", counting)
     # '=' form needed for a grid starting at a negative bound
     code, out, _ = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0,0",
                            "--traj", "--surface=-1:1:5", "--out", str(tmp_path))
     assert code == 0
+    # the trajectories written are the subgradient's own four probes
+    assert [d.tolist() for d in integrations] == [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
     payload = last_json(out)
     assert len(payload["files"]) == 5
     surface = (tmp_path / "surface.csv").read_text().strip().split("\n")
@@ -233,6 +246,16 @@ def test_cli_ode_trajectories_and_surface(capsys, tmp_path):
         assert phi >= affine - 1e-4  # the affine map underestimates the cost
     traj = (tmp_path / "traj_plus_e1.csv").read_text().split("\n")
     assert traj[0] == "t,x1,x2,x3,y1,y2,y3"
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_cli_unusable_out_dir_exits_2(capsys, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    code, stdout, err = run_cli(capsys, "compass", "--expr", "(abs (var 0))", "--at", "1,2", "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot create output directory {out}")
 
 
 def test_cli_ode_bad_gridspec_exits_2(capsys):

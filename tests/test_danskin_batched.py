@@ -273,6 +273,15 @@ def test_bad_activation_tolerance_is_rejected(eps, capsys):
     assert "--eps-active must be positive and finite" in captured.err
 
 
+def test_activation_tolerance_must_stay_finite_when_widened(capsys):
+    # the stability report solves again with 10 * eps, which overflows here
+    code = main(["danskin", "--problem", "danskin_circle.json", "--at", "0,0", "--eps-active", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "10 * eps" in captured.err
+
+
 def test_box_grid_is_capped():
     # constructing a Box enumerates nothing, so the cap is checked before any allocation
     dk.Box(lower=[0.0, 0.0], upper=[1.0, 1.0], grid=1000)
@@ -300,7 +309,7 @@ def test_cli_rejects_an_oversized_box_with_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # the CLI's inner solves
 
-def test_cli_danskin_solves_the_inner_problem_three_times(monkeypatch, capsys):
+def test_cli_danskin_solves_the_inner_problem_twice(monkeypatch, capsys):
     import compassdiff.cli as cli
 
     calls = []
@@ -314,7 +323,7 @@ def test_cli_danskin_solves_the_inner_problem_three_times(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_inner", counting)
     assert main(["danskin", "--problem", "danskin_sqdist.json", "--at", "0.25,-0.5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert len(calls) == 3  # the base active set, then the stability probe's two
+    assert len(calls) == 2  # the base active set, then the stability report's 10 * eps one
     problem = dk.problem_from_json(paper_fixture_path("danskin_sqdist.json"))
     assert payload["subgradient"] == dk.danskin_subgradient(problem, [0.25, -0.5]).subgradient.tolist()
 
