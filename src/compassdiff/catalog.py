@@ -3,7 +3,8 @@
 Each entry pairs an expression with a ``clarke_hull`` map giving, at any
 point, a finite generator set (or a ball rule) whose convex hull is the Clarke
 generalized gradient there.  The formulas are hand-derived piecewise
-descriptions and serve as the independent reference for membership testing.
+descriptions and serve as the independent reference for membership testing,
+which is exact: the ball rule, or :func:`hulls.separation` on the generators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .hulls import hull_distance
+from .hulls import separation
 from .oracle import DirectionalOracle
 from .sampling import unit_directions
 
@@ -58,7 +59,6 @@ class CatalogEntry:
     convex: bool
     clarke_hull: Callable[[np.ndarray], GradientHull]
     kink_points: tuple = ()
-    known_points: tuple = ()     # (point, GradientHull) headline pairs
     f_star: Optional[float] = None
     curvature: Optional[float] = None  # sup Hessian norm of the smooth part; None if unbounded
     oracle: DirectionalOracle = field(init=False)
@@ -67,28 +67,19 @@ class CatalogEntry:
         object.__setattr__(self, "oracle", ex.as_oracle(self.expr, self.dim))
 
 
-def clarke_membership_check(s, hull: GradientHull, tol: float = 1e-9, directions: int = 360) -> bool:
+def clarke_membership_check(s, hull: GradientHull, tol: float = 1e-9) -> bool:
     """Is ``s`` in the convex hull described by ``hull``, within ``tol``?
 
     For a ball rule this is ``||s|| <= radius + tol``.  For finite generators
-    the sampled support inequality <d, s> <= max_g <d, g> + tol is checked
-    over ``directions`` unit directions, and membership is additionally
-    confirmed by the exact LP hull test (which removes the sampled test's
-    false-accept risk near the boundary).
+    it is the exact test :func:`hulls.separation`: no direction separates
+    ``s`` from the generators by more than ``tol``.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tol must be nonnegative")
     s = np.asarray(s, dtype=float).ravel()
     if hull.ball_radius is not None:
         return bool(np.linalg.norm(s) <= hull.ball_radius + tol)
-    gens = hull.generators
-    if gens.shape[0] == 0:
-        raise ValueError("empty generator list")
-    dirs = unit_directions(directions, s.size)
-    support = np.max(dirs @ gens.T, axis=1)
-    if np.any(dirs @ s > support + tol):
-        return False
-    return hull_distance(s, gens) <= tol
+    return separation(s, hull.generators)[0] <= tol
 
 
 def sample_limiting_gradients(entry_or_expr, x, radius: float = 1e-3, count: int = 64,
@@ -268,10 +259,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_hull_euclid_norm,
             kink_points=((0.0, 0.0),),
-            known_points=(
-                ((0.0, 0.0), _hull_euclid_norm(np.zeros(2))),
-                ((3.0, 4.0), singleton([0.6, 0.8])),
-            ),
             f_star=0.0,
             curvature=None,  # unbounded near the origin
         ),
@@ -282,7 +269,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=False,
             clarke_hull=_hull_neg_abs_x1,
             kink_points=((0.0, 0.0), (0.0, 1.5), (0.0, -2.0)),
-            known_points=(((0.0, 0.0), GradientHull(generators=[[-1.0, 0.0], [1.0, 0.0]])),),
             curvature=0.0,
         ),
         CatalogEntry(
@@ -292,9 +278,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=False,
             clarke_hull=_hull_max0_min,
             kink_points=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (-1.0, -1.0)),
-            known_points=(
-                ((0.0, 0.0), GradientHull(generators=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-            ),
             curvature=0.0,
         ),
         CatalogEntry(
@@ -304,7 +287,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_hull_maxx1_0,
             kink_points=((0.0, 0.0), (0.0, -1.0), (0.0, 2.0)),
-            known_points=(((0.0, 0.0), GradientHull(generators=[[0.0, 0.0], [1.0, 0.0]])),),
             f_star=0.0,
             curvature=0.0,
         ),
@@ -315,9 +297,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_hull_abs_sum,
             kink_points=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-0.5, 0.0)),
-            known_points=(
-                ((0.0, 0.0), GradientHull(generators=[[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])),
-            ),
             f_star=0.0,
             curvature=0.0,
         ),
@@ -327,10 +306,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             expr=quad,
             convex=True,
             clarke_hull=_hull_smooth_quad,
-            known_points=(
-                ((0.0, 0.0), singleton([0.0, 0.0])),
-                ((1.0, 2.0), singleton([2.0, 4.0])),
-            ),
             f_star=0.0,
             curvature=2.0,
         ),
@@ -341,7 +316,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_hull_quad_plus_abs,
             kink_points=((0.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
-            known_points=(((0.0, 1.0), GradientHull(generators=[[-1.0, 2.0], [1.0, 2.0]])),),
             f_star=0.0,
             curvature=2.0,
         ),
@@ -354,7 +328,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_hull_max_plus_quad,
             kink_points=((0.0, 0.0), (0.0, 1.0), (0.0, -0.5)),
-            known_points=(((0.0, 0.0), GradientHull(generators=[[0.0, 0.0], [1.0, 0.0]])),),
             f_star=0.0,
             curvature=0.25,
         ),
@@ -365,7 +338,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_hull_abs_univariate,
             kink_points=((0.0,),),
-            known_points=(((0.0,), GradientHull(generators=[[-1.0], [1.0]])),),
             f_star=0.0,
             curvature=0.0,
         ),
@@ -376,7 +348,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_pl_max_hull(_EX43_F_ROWS),
             kink_points=((0.0, 0.0, 0.0),),
-            known_points=(((0.0, 0.0, 0.0), GradientHull(generators=_EX43_F_ROWS)),),
             curvature=0.0,
         ),
         CatalogEntry(
@@ -386,7 +357,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             convex=True,
             clarke_hull=_pl_max_hull(_EX43_PHI_ROWS),
             kink_points=((0.0, 0.0, 0.0),),
-            known_points=(((0.0, 0.0, 0.0), GradientHull(generators=_EX43_PHI_ROWS)),),
             curvature=0.0,
         ),
     ]

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``compass``   compass difference of a user expression at a point
 * ``demo``      run a bundled demonstration and verify its claims
-* ``hull``      interval hull / midpoint / membership of a polytope
+* ``hull``      interval hull / midpoint / exact membership of a polytope
 * ``ode``       subgradient of a parametric ODE cost, trajectories, surface
 * ``danskin``   subgradient of an optimal-value function
 * ``optimize``  subgradient method on a user expression
@@ -33,7 +33,7 @@ from .compass import (
 )
 from .danskin import _stability, _subgradient_from_active, problem_from_json as danskin_from_json, solve_inner
 from .demos import DEMO_NAMES, paper_fixture_path, run_demo
-from .geometry import interval_hull, load_polytope_json, membership_check, midpoint_element
+from .geometry import load_polytope_json, membership_check, midpoint_element
 from .odesens import (
     IntegrationConfig,
     IntegrationError,
@@ -142,8 +142,11 @@ def _emit(args, payload: dict, human_lines: list[str] | None = None):
 
 def _write_file(out_dir: str, name: str, content: str) -> str:
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w") as fh:
+            fh.write(content)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from None
     return path
 
 
@@ -213,14 +216,15 @@ def _cmd_hull(args) -> int:
         oracle = load_polytope_json(data)
     except ValueError as err:
         raise InputError(str(err)) from None
-    hull = interval_hull(oracle)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    mid = midpoint_element(oracle)
     payload: dict = {
         "description": oracle.description,
-        "hull": {"lower": hull.lower.tolist(), "upper": hull.upper.tolist()},
+        "hull": {"lower": mid.hull.lower.tolist(), "upper": mid.hull.upper.tolist()},
     }
     if args.midpoint:
-        mid = midpoint_element(oracle)
-        member = membership_check(oracle, mid.point, directions=args.directions, tol=args.tol, seed=args.seed)
+        member = membership_check(oracle, mid.point, tol=args.tol)
         payload["midpoint"] = {
             "point": mid.point.tolist(),
             "guarantee": mid.guarantee,
@@ -231,7 +235,7 @@ def _cmd_hull(args) -> int:
         p = _parse_point(args.point)
         if p.size != oracle.dim:
             raise InputError(f"point has {p.size} coordinates, polytope is {oracle.dim}-dimensional")
-        member = membership_check(oracle, p, directions=args.directions, tol=args.tol, seed=args.seed)
+        member = membership_check(oracle, p, tol=args.tol)
         payload["membership"] = {
             "point": p.tolist(),
             "member": member.member,
@@ -353,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="", help="directory for CSV/JSON artifacts")
-    common.add_argument("--seed", type=int, default=0, help="seed for direction sampling")
     common.add_argument("--json", action="store_true", help="machine-readable output only")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -375,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polytope", required=True, help="polytope JSON file")
     p.add_argument("--midpoint", action="store_true", help="also locate the interval-hull midpoint")
     p.add_argument("--point", help="check membership of this point")
-    p.add_argument("--directions", type=int, default=360)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="membership slack: the largest separating gap still inside")
     p.set_defaults(handler=_cmd_hull)
 
     p = sub.add_parser("ode", parents=[common], help="subgradient of a parametric ODE cost")

@@ -36,7 +36,7 @@ from .geometry import (
     midpoint_element,
     three_probe_ambiguity,
 )
-from .hulls import hull_distance
+from .hulls import separation
 from .oracle import UNGUARANTEED
 
 DEMO_NAMES = ("example41", "example42", "example43", "example44", "footnote1")
@@ -94,7 +94,7 @@ def demo_example43() -> dict:
     _check(checks, "midpoint is the origin and is flagged unguaranteed",
            np.array_equal(mid1.point, np.zeros(3)) and mid1.guarantee == UNGUARANTEED)
     for label, oracle in (("C1", c1), ("C2", c2)):
-        report = membership_check(oracle, np.zeros(3), directions=360, tol=1e-9)
+        report = membership_check(oracle, np.zeros(3), tol=1e-9)
         _check(checks, f"midpoint is not a member of {label}", not report.member, report.message())
     e = np.ones(3)
     sep_hi = float(c2.sigma(e))
@@ -121,7 +121,7 @@ def demo_example43() -> dict:
                np.array_equal(result.subgradient, np.zeros(3)) and result.guarantee == UNGUARANTEED)
         gens = entry.clarke_hull(np.zeros(3)).generators
         _check(checks, f"{name}: zero vector is outside the generalized gradient",
-               hull_distance(np.zeros(3), gens) > 1e-3)
+               separation(np.zeros(3), gens)[0] > 1e-3)
     gens_f = catalog_entry("example43_f").clarke_hull(np.zeros(3)).generators
     gens_phi = catalog_entry("example43_phi").clarke_hull(np.zeros(3)).generators
     _check(checks, "the two generalized gradients are disjoint (separated by (1,1,1))",
@@ -146,7 +146,7 @@ def demo_example44() -> dict:
 
     _check(checks, "midpoint violates the strict inequality x1 < x2", not strictly_inside(mid),
            f"x1 = {mid[0]}, x2 = {mid[1]}")
-    closure_report = membership_check(closure, mid, directions=360, tol=1e-9)
+    closure_report = membership_check(closure, mid, tol=1e-9)
     _check(checks, "support oracle of the closure cannot exclude the midpoint", closure_report.member,
            "open sets share their closure's support function")
     return _report("example44", checks, midpoint=mid.tolist())

@@ -7,6 +7,8 @@ midpoint is guaranteed to belong to the set, which locates an element with
 four support evaluations.  Three evaluations are never enough, and the
 guarantee fails in three dimensions; both facts are reproducible here
 (:func:`three_probe_ambiguity` and the bundled three-dimensional polytopes).
+Membership in a polytope is decided exactly from its vertices; an oracle
+known through sigma alone, such as the ball, is tested on sampled directions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .compass import probe
+from .hulls import separation
 from .oracle import GUARANTEED, UNGUARANTEED
 from .sampling import unit_directions
 
@@ -31,6 +34,7 @@ class SupportOracle:
     dim: int
     sigma: Callable[[np.ndarray], float]
     description: str = ""
+    vertices: Optional[np.ndarray] = None   # a polytope's generators; None when only sigma is known
 
     def __post_init__(self):
         if self.dim < 1:
@@ -65,12 +69,15 @@ class MembershipReport:
     member: bool
     witness: Optional[np.ndarray]   # separating direction when member is False
     max_gap: float                  # largest <d, p> - sigma(d) seen
-    n_directions: int
+    n_directions: Optional[int]     # sampled directions; None for the exact vertex test
 
     def message(self) -> str:
-        if self.member:
-            return f"no separation found among {self.n_directions} directions"
-        return f"separated by direction {self.witness.tolist()} with gap {self.max_gap:.6g}"
+        exact = " (exact test)" if self.n_directions is None else ""
+        if not self.member:
+            return f"separated by direction {self.witness.tolist()} with gap {self.max_gap:.6g}{exact}"
+        if exact:
+            return "in the convex hull of the vertices" + exact
+        return f"no separation found among {self.n_directions} directions"
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,8 @@ def polytope_support(vertices, description: str = "") -> SupportOracle:
             raise ValueError(f"direction dimension {d.size} does not match polytope ({dim})")
         return float(np.max(v @ d))
 
-    return SupportOracle(dim=dim, sigma=sigma, description=description or f"polytope with {v.shape[0]} vertices")
+    return SupportOracle(dim=dim, sigma=sigma, description=description or f"polytope with {v.shape[0]} vertices",
+                         vertices=v)
 
 
 def ball_support(radius: float = 1.0, dim: int = 2) -> SupportOracle:
@@ -188,29 +196,36 @@ def midpoint_element(oracle: SupportOracle, compact_convex: bool = True) -> Midp
 
 def membership_check(oracle: SupportOracle, p, directions: int = 360, tol: float = 1e-9,
                      seed: int = 0) -> MembershipReport:
-    """Sampled separation test: is <d, p> <= sigma(d) for all unit d?
+    """Separation test: is <d, p> <= sigma(d) + tol for all unit d?
 
-    A returned ``member=False`` is a certificate (the witness direction
-    separates p from the set); ``member=True`` only reports that no
-    separation was found among the sampled directions.
+    With a vertex list the verdict is exact (:func:`hulls.separation`, no
+    sigma call).  Otherwise ``directions`` sampled unit vectors are tested: a
+    separating witness is still a certificate, but ``member=True`` only
+    reports that no sampled direction separates.
     """
-    if directions < 8:
-        raise ValueError("need at least 8 sample directions")
+    if not tol >= 0:  # NaN too
+        raise ValueError("tol must be nonnegative")
     p = np.asarray(p, dtype=float)
-    dirs = unit_directions(directions, oracle.dim, seed=seed)
-    max_gap = -math.inf
-    witness = None
-    for d in dirs:
-        gap = float(p @ d) - float(oracle.sigma(d))
-        if gap > max_gap:
-            max_gap = gap
-            witness = d
+    if oracle.vertices is not None:
+        max_gap, witness = separation(p, oracle.vertices)
+        n_directions = None
+    else:
+        if directions < 8:
+            raise ValueError("need at least 8 sample directions")
+        max_gap = -math.inf
+        witness = None
+        for d in unit_directions(directions, oracle.dim, seed=seed):
+            gap = float(p @ d) - float(oracle.sigma(d))
+            if gap > max_gap:
+                max_gap = gap
+                witness = d
+        n_directions = directions
     member = max_gap <= tol
     return MembershipReport(
         member=member,
         witness=None if member else witness,
         max_gap=max_gap,
-        n_directions=directions,
+        n_directions=n_directions,
     )
 
 

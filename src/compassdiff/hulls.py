@@ -1,10 +1,10 @@
-"""Exact membership tests for convex hulls of finitely many points.
+"""Exact membership in the convex hull of finitely many points.
 
-The workhorse is a small linear program: a point lies in conv{g_1, ..., g_k}
-iff some convex combination of the generators reproduces it, and the LP below
-computes the l-inf distance to the hull (zero inside).  This is robust to
-degenerate generator sets (collinear points, repeated points) in any
-dimension, which facet-enumeration tests are not.
+:func:`separation` is the one membership decision.  On the line and in the
+plane it tests the outward edge normals of :func:`convex_hull_2d` and the
+coordinate directions, with no linear program.  In higher dimensions its
+direction is the dual solution of the LP behind :func:`hull_distance`, the
+l-inf distance to the hull, which is robust to degenerate generator sets.
 """
 
 from __future__ import annotations
@@ -12,20 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def hull_distance(point, generators) -> float:
-    """l-inf distance from ``point`` to the convex hull of ``generators``."""
+def _as_point_and_generators(point, generators) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(point, dtype=float).ravel()
     g = np.atleast_2d(np.asarray(generators, dtype=float))
     if g.size == 0:
         raise ValueError("empty generator list")
-    k, n = g.shape
-    if p.size != n:
-        raise ValueError(f"point dimension {p.size} does not match generators ({n})")
-    if k == 1:
-        return float(np.max(np.abs(g[0] - p)))
+    if p.size != g.shape[1]:
+        raise ValueError(f"point dimension {p.size} does not match generators ({g.shape[1]})")
+    return p, g
+
+
+def _hull_lp(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """The l-inf distance t* from p to conv(g), and a dual direction d (l1 norm 1) separating by t* > 0."""
     # imported here: importing scipy takes longer than most commands, and only the LP needs it
     from scipy.optimize import linprog
 
+    k, n = g.shape
     # variables: lambda_1..lambda_k, t;  minimize t
     # s.t.  sum_j lambda_j g_j  - p  in [-t, t]^n,  sum lambda = 1, lambda >= 0
     c = np.zeros(k + 1)
@@ -41,11 +43,43 @@ def hull_distance(point, generators) -> float:
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=[(0, None)] * (k + 1), method="highs")
     if not res.success:
         raise RuntimeError(f"hull distance LP failed: {res.message}")
-    return float(res.fun)
+    y = res.ineqlin.marginals
+    return float(res.fun), y[:n] - y[n:]
 
 
-def point_in_hull(point, generators, tol: float = 1e-9) -> bool:
-    return hull_distance(point, generators) <= tol
+def hull_distance(point, generators) -> float:
+    """l-inf distance from ``point`` to the convex hull of ``generators``."""
+    p, g = _as_point_and_generators(point, generators)
+    return _hull_lp(p, g)[0]
+
+
+def separation(point, generators) -> tuple[float, np.ndarray]:
+    """The largest gap ``<d, p> - max_g <d, g>`` over a complete set of unit ``d``, and that ``d``.
+
+    ``point`` is in the hull iff the gap is at most the caller's tolerance.  A
+    positive gap lies between ``1/sqrt(2)`` times the l-inf distance to the
+    hull and the Euclidean distance, and ``d`` separates by it.
+    """
+    p, g = _as_point_and_generators(point, generators)
+    n = p.size
+    dirs = [np.eye(n), -np.eye(n)]
+    if n == 2:
+        v = convex_hull_2d(g)
+        if v.shape[0] > 1:
+            # outward edge normals; with the +-e_i no ray of a vertex's normal
+            # cone is more than 45 degrees from a tested direction
+            edges = np.roll(v, -1, axis=0) - v
+            normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+            dirs.insert(0, normals / np.linalg.norm(normals, axis=1, keepdims=True))
+    elif n > 2 and g.shape[0] > 1:
+        d = _hull_lp(p, g)[1]
+        norm = float(np.linalg.norm(d))
+        if norm > 0.0:
+            dirs.insert(0, d[None, :] / norm)
+    dirs = np.vstack(dirs)
+    gaps = dirs @ p - np.max(dirs @ g.T, axis=1)
+    best = int(np.argmax(gaps))
+    return float(gaps[best]), dirs[best]
 
 
 def convex_hull_2d(points) -> np.ndarray:
@@ -73,27 +107,3 @@ def convex_hull_2d(points) -> np.ndarray:
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])
-
-
-def point_in_convex_polygon(point, vertices_ccw, tol: float = 1e-9) -> bool:
-    """Membership in a counter-clockwise convex polygon, boundary inclusive.
-
-    ``tol`` is an absolute slack on the cross products, scaled by edge length,
-    so points within ``tol`` of the boundary count as inside.
-    """
-    p = np.asarray(point, dtype=float)
-    v = np.asarray(vertices_ccw, dtype=float)
-    m = v.shape[0]
-    if m == 1:
-        return bool(np.max(np.abs(p - v[0])) <= tol)
-    if m == 2:
-        # degenerate polygon: a segment
-        return hull_distance(p, v) <= tol
-    for i in range(m):
-        a = v[i]
-        b = v[(i + 1) % m]
-        edge = b - a
-        cross = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
-        if cross < -tol * max(1.0, float(np.linalg.norm(edge))):
-            return False
-    return True

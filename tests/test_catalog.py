@@ -9,7 +9,7 @@ from compassdiff.catalog import (
     clarke_membership_check,
     sample_limiting_gradients,
 )
-from compassdiff.hulls import convex_hull_2d, hull_distance, point_in_convex_polygon
+from compassdiff.hulls import convex_hull_2d, hull_distance, separation
 
 
 def test_catalog_contains_required_entries():
@@ -106,9 +106,9 @@ def test_convex_hull_2d_and_point_tests():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
     hull = convex_hull_2d(square)
     assert hull.shape == (4, 2)
-    assert point_in_convex_polygon([0.5, 0.5], hull)
-    assert point_in_convex_polygon([0.0, 0.5], hull)  # on the boundary
-    assert not point_in_convex_polygon([1.1, 0.5], hull)
+    assert separation([0.5, 0.5], hull)[0] <= 1e-9
+    assert separation([0.0, 0.5], hull)[0] <= 1e-9  # on the boundary
+    assert not separation([1.1, 0.5], hull)[0] <= 1e-9
     collinear = convex_hull_2d([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     assert collinear.shape[0] == 2
 

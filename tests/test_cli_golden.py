@@ -61,7 +61,7 @@ GOLDEN = [
      {}),
     ('demo_example43',
      ['demo', 'example43'],
-     0, 'c04b6afea840fda9d4264410e5bf120ad0f179db927d374f7e56747b38953a23',
+     0, '6f66006dd5e5ac4e458df9a1d573837944d37836265d10ffecc5af1b69e1b585',
      {}),
     ('demo_example44',
      ['demo', 'example44'],
@@ -73,20 +73,20 @@ GOLDEN = [
      {}),
     ('demo_example43_out',
      ['demo', 'example43', '--json', '--out', 'results'],
-     0, '9c0b5671a292a6cf9487e6a49d30cd56776eadd704df0fea21d4af36c7308aa8',
+     0, 'af9c88b23931ca21fd0bc0391640ec8b2aead3083822cfbfa4b46536434993aa',
      {'results/demo_example43.json':
-          '9c0b5671a292a6cf9487e6a49d30cd56776eadd704df0fea21d4af36c7308aa8'}),
+          'af9c88b23931ca21fd0bc0391640ec8b2aead3083822cfbfa4b46536434993aa'}),
     ('hull_midpoint',
      ['hull', '--polytope', 'triangle.json', '--midpoint'],
-     0, 'd8f8db1308ff71fd95556c7f9a237f425f7f4997b06b595d0cc714b4fee1f23e',
+     0, '6d726a12e8125ec9b07618367c2dae38810b7af1e2de9b38a4131b5b5a56fb89',
      {}),
     ('hull_point',
      ['hull', '--polytope', 'triangle.json', '--point', '0.5,0.5'],
-     0, 'b58e1ff919417afc7c0e1c3440d603c5bd7d5fd7dcc1f5da6c3bf3fd6396e0ce',
+     0, 'ae28359d332278428bf562f906c654c17a02121c720387ad73ed0e887d5a4b08',
      {}),
     ('hull_3d_midpoint',
-     ['hull', '--polytope', 'example43_c1.json', '--midpoint', '--seed', '3'],
-     0, 'c8bda31f173cf86da4c080ea80e2901eef39d2522ff55efdad30fb9f4544e5bf',
+     ['hull', '--polytope', 'example43_c1.json', '--midpoint'],
+     0, 'df52ad0dbea188a10871cd44f3bc7cd78af0aa1fe671d15670c0bae6302a8092',
      {}),
     ('ode_origin',
      ['ode', '--problem', 'example46.json', '--at', '0,0'],

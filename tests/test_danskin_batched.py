@@ -338,10 +338,12 @@ def test_scipy_is_imported_only_for_the_lp():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['danskin', '--problem', 'danskin_circle.json', '--at', '1,0']) == 0\n"
         "    assert cli.main(['ode', '--problem', 'example46.json', '--at', '0,0']) == 0\n"
+        "    assert cli.main(['hull', '--polytope', 'triangle.json', '--midpoint', '--point', '1.5,1.5']) == 0\n"
+        "    assert cli.main(['demo', 'example41']) == 0\n"
+        "    assert cli.main(['demo', 'footnote1']) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "from compassdiff.hulls import point_in_hull\n"
-        "assert point_in_hull([0.5, 0.5], [[0, 0], [2, 0], [0, 2]])\n"
-        "assert not point_in_hull([1.5, 1.5], [[0, 0], [2, 0], [0, 2]])\n"
+        "from compassdiff.hulls import separation\n"
+        "assert separation([0, 0, 0], [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, 1]])[0] > 0\n"
         "assert 'scipy.optimize' in sys.modules\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
