@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .hulls import separation
-from .oracle import DirectionalOracle
+from .oracle import DirectionalOracle, require_positive
 from .sampling import unit_directions
 
 
@@ -74,8 +74,7 @@ def clarke_membership_check(s, hull: GradientHull, tol: float = 1e-9) -> bool:
     it is the exact test :func:`hulls.separation`: no direction separates
     ``s`` from the generators by more than ``tol``.
     """
-    if not tol >= 0:  # NaN too
-        raise ValueError("tol must be nonnegative")
+    require_positive("tol", tol, zero_ok=True)
     s = np.asarray(s, dtype=float).ravel()
     if hull.ball_radius is not None:
         return bool(np.linalg.norm(s) <= hull.ball_radius + tol)

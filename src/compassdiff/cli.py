@@ -9,9 +9,10 @@ Subcommands:
 * ``danskin``   subgradient of an optimal-value function
 * ``optimize``  subgradient method on a user expression
 
-Exit codes: 0 success, 2 input error, 3 evaluation error, 4 numerical
-failure.  All JSON output is deterministic (fixed float formatting), so
-repeated runs on identical inputs are byte-identical.
+Exit codes: 0 success, 2 input error (any :class:`InputError`: the library
+checks each argument it uses, this module only what it parses itself), 3
+evaluation error, 4 numerical failure.  All JSON output is deterministic
+(fixed float formatting), so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ from .odesens import (
     problem_from_json as ode_from_json,
 )
 from .optimize import Constant, Diminishing, Polyak, rule_label, subgradient_method
-from .oracle import OracleError, UNGUARANTEED
+from .oracle import CompassResult, InputError, OracleError, UNGUARANTEED
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EVAL = 3
 EXIT_NUMERIC = 4
 
-
-class InputError(Exception):
-    """Bad user input: malformed expressions, points, or problem files."""
+#: Largest ``ode --surface`` count: the surface costs count ** 2 state
+#: integrations, about 10 s at this cap.
+MAX_SURFACE_COUNT = 100
 
 
 def _parse_point(text: str, what: str = "point") -> np.ndarray:
@@ -67,14 +68,10 @@ def _parse_point(text: str, what: str = "point") -> np.ndarray:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    try:
-        rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-    except ValueError as err:
-        raise InputError(f"bad matrix {text!r}: {err}") from None
-    mat = np.array(rows)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    rows = [_parse_point(row, "matrix row") for row in text.split(";")]
+    if any(row.size != len(rows) for row in rows):
         raise InputError(f"bad matrix {text!r}: must be square, rows separated by ';'")
-    return mat
+    return np.array(rows)
 
 
 def _parse_gridspec(text: str) -> tuple[float, float, int]:
@@ -85,24 +82,19 @@ def _parse_gridspec(text: str) -> tuple[float, float, int]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as err:
         raise InputError(f"bad grid spec {text!r}: {err}") from None
-    if count < 2 or hi <= lo:
-        raise InputError(f"bad grid spec {text!r}: need hi > lo and count >= 2")
+    if not (-math.inf < lo < hi < math.inf and 2 <= count <= MAX_SURFACE_COUNT):
+        raise InputError(f"bad grid spec {text!r}: need finite lo < hi and 2 <= count <= {MAX_SURFACE_COUNT}")
     return lo, hi, count
 
 
 def _load_expression(args) -> ex.NonsmoothExpr:
     if args.expr is not None:
-        source = args.expr
-    else:
-        try:
-            with open(args.expr_file) as fh:
-                source = fh.read()
-        except OSError as err:
-            raise InputError(f"cannot read expression file: {err}") from None
+        return ex.parse_expr(args.expr)
     try:
-        return ex.parse_expr(source)
-    except ex.ExprParseError as err:
-        raise InputError(f"expression parse error: {err}") from None
+        with open(args.expr_file) as fh:
+            return ex.parse_expr(fh.read())
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read expression file: {err}") from None
 
 
 def _resolve_input_path(path: str) -> str:
@@ -114,14 +106,21 @@ def _resolve_input_path(path: str) -> str:
     raise InputError(f"no such file: {path} (and no bundled fixture of that name)")
 
 
-def _load_json_file(path: str) -> dict:
+def _load_problem(path: str, loader, what: str):
+    """``loader`` applied to the JSON in ``path``; a malformed file is an :class:`InputError`."""
     try:
         with open(_resolve_input_path(path)) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as err:
         raise InputError(f"malformed JSON in {path}: {err}") from None
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from None
+    try:
+        return loader(data)
+    except ValueError as err:
+        raise InputError(f"bad {what}: {err}") from None
+    except (TypeError, LookupError) as err:  # a missing field or a value of the wrong type
+        raise InputError(f"bad {what}: {err!r}") from None
 
 
 def _prepare_out_dir(out_dir: str):
@@ -159,27 +158,15 @@ def _cmd_compass(args) -> int:
     dim = max(x.size, ex.dimension(expression))
     if dim not in (1, 2, 3):
         raise InputError(f"dimension must be 1, 2, or 3; expression/point imply {dim}")
-    if x.size != dim:
-        raise InputError(f"point has {x.size} coordinates but the expression needs {dim}")
     oracle = ex.as_oracle(expression, dim)
     if args.fd is not None:
-        if args.fd <= 0:
-            raise InputError("--fd must be a positive step")
-        approx, probes = finite_difference_probes(lambda p: ex.eval_value(expression, p), x, args.fd)
-        payload = {
-            "subgradient": approx.tolist(),
-            "probes": [{"direction": p.direction.tolist(), "value": p.value} for p in probes],
-            "basis": None,
-            "guarantee": "approximate (centered finite differences)",
-            "delta": args.fd,
-        }
+        approx, probes = finite_difference_probes(oracle.value, x, args.fd)
+        payload = CompassResult(approx, probes, None, "approximate (centered finite differences)").to_json_dict()
+        payload["delta"] = args.fd
         _emit(args, payload)
         return EXIT_OK
     if args.basis is not None:
-        basis = _parse_matrix(args.basis)
-        if basis.shape != (dim, dim):
-            raise InputError(f"basis must be {dim}x{dim}")
-        result = basis_compass_difference(oracle, x, basis)
+        result = basis_compass_difference(oracle, x, _parse_matrix(args.basis))
     else:
         result = compass_difference(oracle, x)
     if result.guarantee == UNGUARANTEED:
@@ -193,10 +180,7 @@ def _cmd_compass(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    try:
-        report = run_demo(args.name)
-    except KeyError as err:
-        raise InputError(str(err)) from None
+    report = run_demo(args.name)
     human = []
     if not args.json:
         human.append(f"demo {args.name}: {'all checks passed' if report['passed'] else 'CHECKS FAILED'}")
@@ -211,13 +195,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    data = _load_json_file(args.polytope)
-    try:
-        oracle = load_polytope_json(data)
-    except ValueError as err:
-        raise InputError(str(err)) from None
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise InputError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    oracle = _load_problem(args.polytope, load_polytope_json, "polytope")
     mid = midpoint_element(oracle)
     payload: dict = {
         "description": oracle.description,
@@ -233,8 +211,6 @@ def _cmd_hull(args) -> int:
         }
     if args.point is not None:
         p = _parse_point(args.point)
-        if p.size != oracle.dim:
-            raise InputError(f"point has {p.size} coordinates, polytope is {oracle.dim}-dimensional")
         member = membership_check(oracle, p, tol=args.tol)
         payload["membership"] = {
             "point": p.tolist(),
@@ -248,18 +224,10 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    data = _load_json_file(args.problem)
-    try:
-        problem = ode_from_json(data)
-    except (ValueError, ex.ExprParseError) as err:
-        raise InputError(f"bad ODE problem: {err}") from None
+    problem = _load_problem(args.problem, ode_from_json, "ODE problem")
     p = _parse_point(args.at, "parameter point")
-    if p.size != 2:
-        raise InputError("the parameter point must have two coordinates")
-    try:
-        config = IntegrationConfig(abs_tol=args.abstol, rel_tol=args.reltol)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    config = IntegrationConfig(abs_tol=args.abstol, rel_tol=args.reltol)
+    grid = None if args.surface is None else np.linspace(*_parse_gridspec(args.surface))
     result, trajectories = _subgradient_and_trajectories(problem, p, config)
     payload = result.to_json_dict()
     payload["parameters"] = p.tolist()
@@ -269,9 +237,7 @@ def _cmd_ode(args) -> int:
     if args.traj:
         for label, traj in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
             written.append(_write_file(out_dir, f"traj_{label}.csv", traj.to_csv()))
-    if args.surface is not None:
-        lo, hi, count = _parse_gridspec(args.surface)
-        grid = np.linspace(lo, hi, count)
+    if grid is not None:
         phi0 = ode_cost_value(problem, p, config)
         s = result.subgradient
         lines = ["p1,p2,phi,affine"]
@@ -289,19 +255,9 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_danskin(args) -> int:
-    data = _load_json_file(args.problem)
-    try:
-        problem = danskin_from_json(data)
-    except (ValueError, ex.ExprParseError) as err:
-        raise InputError(f"bad optimal-value problem: {err}") from None
+    problem = _load_problem(args.problem, danskin_from_json, "optimal-value problem")
     x_hat = _parse_point(args.at)
-    if x_hat.size != 2:
-        raise InputError("the outer point must have two coordinates")
-    eps = args.eps_active
-    # the stability report also solves with 10 * eps
-    if eps is not None and not (eps > 0 and math.isfinite(10.0 * eps)):
-        raise InputError(f"--eps-active must be positive and finite, and so must 10 * eps, got {eps!r}")
-    active = solve_inner(problem, x_hat, eps)
+    active = solve_inner(problem, x_hat, args.eps_active)
     result = _subgradient_from_active(problem, x_hat, active)
     payload = result.to_json_dict()
     payload["optimal_value"] = active.optimal_value
@@ -314,8 +270,6 @@ def _cmd_danskin(args) -> int:
 def _cmd_optimize(args) -> int:
     expression = _load_expression(args)
     x0 = _parse_point(getattr(args, "from"))
-    if x0.size != 2 or ex.dimension(expression) > 2:
-        raise InputError("the optimizer works on bivariate functions")
     oracle = ex.as_oracle(expression, 2)
     rules = [r for r in (args.polyak, args.constant, args.diminishing) if r is not None]
     if len(rules) != 1:
@@ -366,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--expr", help="expression in prefix syntax, e.g. '(neg (abs (var 0)))'")
     group.add_argument("--expr-file", help="file containing the expression")
     p.add_argument("--at", required=True, help="evaluation point, comma separated")
-    p.add_argument("--basis", help="probe basis as 'a,b;c,d' (columns are probe directions)")
-    p.add_argument("--fd", type=float, help="use centered finite differences with this step")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--basis", help="probe basis as 'a,b;c,d' (columns are probe directions)")
+    group.add_argument("--fd", type=float, help="use centered finite differences with this step")
     p.set_defaults(handler=_cmd_compass)
 
     p = sub.add_parser("demo", parents=[common], help="run a bundled demonstration")

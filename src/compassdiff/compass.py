@@ -27,10 +27,12 @@ import numpy as np
 from .oracle import (
     CompassResult,
     DirectionalOracle,
+    InputError,
     OracleError,
     Probe,
     UnivariateClarkeInterval,
     guarantee_for_dim,
+    require_positive,
 )
 from .sampling import halton_in_box, unit_directions
 
@@ -99,7 +101,7 @@ def compass_difference(oracle: DirectionalOracle, x) -> CompassResult:
     x = np.asarray(x, dtype=float)
     n = oracle.dim
     if x.size != n:
-        raise ValueError(f"point has dimension {x.size}, oracle expects {n}")
+        raise InputError(f"point has dimension {x.size}, oracle expects {n}")
     return probe(_oracle_psi(oracle, x), np.eye(n))
 
 
@@ -117,8 +119,8 @@ def basis_compass_difference(oracle: DirectionalOracle, x, V, det_tol: float = D
     x = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
     n = oracle.dim
-    if V.shape != (n, n):
-        raise ValueError(f"basis must be {n}x{n}, got {V.shape}")
+    if x.size != n or V.shape != (n, n):
+        raise InputError(f"point of size {x.size} and basis of shape {V.shape} do not fit dimension {n}")
     det = float(np.linalg.det(V))
     if abs(det) < det_tol:
         raise ValueError(f"basis not invertible: |det| = {abs(det):.3e} below threshold {det_tol:.0e}")
@@ -130,8 +132,7 @@ def finite_difference_probes(value_fn, x, delta: float) -> tuple[np.ndarray, tup
 
     The compass kernel applied to psi(d) = f(x + delta d), divided by delta.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    require_positive("delta", delta)
     x = np.asarray(x, dtype=float)
 
     def psi(d: np.ndarray) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .compass import probe
-from .oracle import CompassResult
+from .oracle import CompassResult, InputError, require_positive
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class FinitePointCloud:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("point cloud must not be empty")
+        if pts.size == 0 or pts.ndim != 2 or not np.isfinite(pts).all():
+            raise InputError("point cloud must be a nonempty list of points with finite coordinates")
         object.__setattr__(self, "points", pts)
 
 
@@ -58,14 +58,15 @@ class Box:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if lower.shape != upper.shape or np.any(lower > upper):
-            raise ValueError("invalid box bounds")
+        if lower.ndim != 1 or lower.shape != upper.shape or not np.all(
+                (-np.inf < lower) & (lower <= upper) & (upper < np.inf)):
+            raise InputError(f"box bounds must be finite with lower <= upper, got {lower.tolist()} and {upper.tolist()}")
         if self.grid < 2:
-            raise ValueError("grid resolution must be at least 2 per axis")
+            raise InputError("grid resolution must be at least 2 per axis")
         if int(self.grid) ** lower.size > MAX_GRID_POINTS:
-            raise ValueError(f"grid of {self.grid}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
+            raise InputError(f"grid of {self.grid}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
         if self.refine_steps < 0:
-            raise ValueError("refine_steps must be nonnegative")
+            raise InputError("refine_steps must be nonnegative")
 
 
 FeasibleSet = Union[FinitePointCloud, Box]
@@ -93,7 +94,7 @@ class OptimalValueProblem:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("inner dimension must be positive")
+            raise InputError("inner dimension must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,10 @@ def solve_inner(problem: OptimalValueProblem, x_hat, eps_active: Optional[float]
     against the refined minimum.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    if eps_active is not None and not (eps_active > 0 and math.isfinite(eps_active)):
-        raise ValueError(f"eps_active must be positive and finite, got {eps_active!r}")
+    if x_hat.size != 2:
+        raise InputError("the outer parameter space is two-dimensional")
+    if eps_active is not None:
+        require_positive("eps_active", eps_active)
     feas = problem.feasible
     if isinstance(feas, FinitePointCloud):
         ys = feas.points
@@ -228,13 +231,13 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
     One inner solve, then the compass difference of psi (four evaluations).
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.size != 2:
-        raise ValueError("the outer parameter space is two-dimensional")
     return _subgradient_from_active(problem, x_hat, solve_inner(problem, x_hat, eps_active))
 
 
 def _stability(problem: OptimalValueProblem, x_hat: np.ndarray, base: ActiveSet, result: CompassResult) -> dict:
     # ``result`` is the compass difference over ``base``: its probes are psi under eps
+    if not 10.0 * base.epsilon < math.inf:
+        raise InputError(f"eps_active must be positive and finite, and so must 10 * eps, got {base.epsilon!r}")
     wide = solve_inner(problem, x_hat, 10.0 * base.epsilon)
     return {
         "eps_active": base.epsilon,
@@ -276,7 +279,7 @@ def problem_from_json(source) -> OptimalValueProblem:
         data = source
     for key in ("objective", "grad_x", "feasible"):
         if key not in data:
-            raise ValueError(f"optimal-value problem JSON is missing {key!r}")
+            raise InputError(f"optimal-value problem JSON is missing {key!r}")
     feas_data = data["feasible"]
     if "cloud" in feas_data:
         feasible: FeasibleSet = FinitePointCloud(points=np.asarray(feas_data["cloud"], dtype=float))
@@ -291,14 +294,14 @@ def problem_from_json(source) -> OptimalValueProblem:
         )
         m = feasible.lower.size
     else:
-        raise ValueError("feasible set must be a 'cloud' or a 'box'")
+        raise InputError("feasible set must be a 'cloud' or a 'box'")
 
     obj_expr = ex.parse_expr(data["objective"])
     grad_exprs = [ex.parse_expr(s) for s in data["grad_x"]]
     if len(grad_exprs) != 2:
-        raise ValueError("grad_x needs exactly two expressions (the outer space is two-dimensional)")
+        raise InputError("grad_x needs exactly two expressions (the outer space is two-dimensional)")
     if any(ex.dimension(e) > 2 + m for e in (obj_expr, *grad_exprs)):
-        raise ValueError("expression uses variables beyond the concatenated (x, y) dimension")
+        raise InputError("expression uses variables beyond the concatenated (x, y) dimension")
 
     def _stack(x, ys) -> np.ndarray:
         z = np.empty((len(ys), 2 + m))

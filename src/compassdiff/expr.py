@@ -50,14 +50,20 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .oracle import DirectionalOracle
+from .oracle import DirectionalOracle, InputError
 
 _NARY = {"add", "max", "min", "norm"}
 _BINARY = {"sub", "mul"}
 _UNARY = {"abs"}
 
 
-class ExprParseError(ValueError):
+#: Deepest nesting :func:`parse_expr` accepts.  Parsing, compiling, printing,
+#: comparing and evaluating a tree all recurse once or twice per level, so
+#: the cap keeps every one of them far inside Python's recursion limit.
+MAX_DEPTH = 200
+
+
+class ExprParseError(InputError):
     """Raised on malformed expression text; ``position`` is the character offset."""
 
     def __init__(self, message: str, position: int):
@@ -297,7 +303,7 @@ def eval_value(expr: NonsmoothExpr, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     compiled = compile_expr(expr)
     if x.shape[-1] < compiled.dim:
-        raise ValueError(
+        raise InputError(
             f"dimension mismatch: expression needs {compiled.dim} variables, point has {x.shape[-1]}"
         )
     if x.ndim == 1:
@@ -354,7 +360,7 @@ def eval_dir_deriv(expr: NonsmoothExpr, x, d) -> float:
     compiled = compile_expr(expr)
     n = compiled.dim
     if x.size < n or d.size < n:
-        raise ValueError(
+        raise InputError(
             f"dimension mismatch: expression needs {n} variables, got point of size {x.size} and direction of size {d.size}"
         )
     return compiled.forward(x.tolist(), d.tolist())[1]
@@ -369,19 +375,19 @@ def as_oracle(expr: NonsmoothExpr, dim: int | None = None) -> DirectionalOracle:
     if dim is None:
         dim = need
     if dim < need:
-        raise ValueError(f"expression uses variable indices up to {need - 1}, beyond dimension {dim}")
+        raise InputError(f"expression uses variable indices up to {need - 1}, beyond dimension {dim}")
 
     def value(x):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != dim:
-            raise ValueError(f"dimension mismatch: oracle expects {dim}, got {x.shape[-1]}")
+            raise InputError(f"dimension mismatch: oracle expects {dim}, got {x.shape[-1]}")
         return eval_value(expr, x)
 
     def dir_deriv(x, d):
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
         if x.size != dim or d.size != dim:
-            raise ValueError(f"dimension mismatch: oracle expects {dim}, got {x.size}/{d.size}")
+            raise InputError(f"dimension mismatch: oracle expects {dim}, got {x.size}/{d.size}")
         return eval_dir_deriv(expr, x, d)
 
     return DirectionalOracle(value=value, dir_deriv=dir_deriv, dim=dim)
@@ -405,12 +411,16 @@ def format_expr(e: NonsmoothExpr) -> str:
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
+    depth = 0
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
         elif ch in "()":
+            depth += 1 if ch == "(" else -1
+            if depth > MAX_DEPTH:
+                raise ExprParseError(f"expression nested deeper than {MAX_DEPTH} levels", i)
             tokens.append((ch, i))
             i += 1
         else:
@@ -423,7 +433,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse_expr(text: str) -> NonsmoothExpr:
-    """Parse the prefix syntax; raises :class:`ExprParseError` with a position."""
+    """Parse the prefix syntax; raises :class:`ExprParseError` with a position.
+
+    Nesting deeper than :data:`MAX_DEPTH` is rejected before anything recurses.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ExprParseError("empty expression", 0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .compass import probe
 from .hulls import separation
-from .oracle import GUARANTEED, UNGUARANTEED
+from .oracle import GUARANTEED, UNGUARANTEED, InputError, require_positive
 from .sampling import unit_directions
 
 
@@ -113,8 +113,8 @@ class AmbiguityCertificate:
 def polytope_support(vertices, description: str = "") -> SupportOracle:
     """Support oracle of the convex hull of finitely many points."""
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if v.size == 0:
-        raise ValueError("vertex list must not be empty")
+    if v.size == 0 or not np.isfinite(v).all():
+        raise InputError("vertex list must be nonempty, with finite coordinates")
     dim = v.shape[1]
 
     def sigma(d):
@@ -142,11 +142,11 @@ def load_polytope_json(source) -> SupportOracle:
     else:
         data = source
     if "vertices" not in data:
-        raise ValueError("polytope JSON needs a 'vertices' field")
+        raise InputError("polytope JSON needs a 'vertices' field")
     vertices = np.asarray(data["vertices"], dtype=float)
     dim = int(data.get("dim", vertices.shape[1]))
     if vertices.ndim != 2 or vertices.shape[1] != dim:
-        raise ValueError(f"vertices must be a list of {dim}-dimensional points")
+        raise InputError(f"vertices must be a list of {dim}-dimensional points")
     return polytope_support(vertices, description=data.get("description", ""))
 
 
@@ -203,8 +203,7 @@ def membership_check(oracle: SupportOracle, p, directions: int = 360, tol: float
     separating witness is still a certificate, but ``member=True`` only
     reports that no sampled direction separates.
     """
-    if not tol >= 0:  # NaN too
-        raise ValueError("tol must be nonnegative")
+    require_positive("tol", tol, zero_ok=True)
     p = np.asarray(p, dtype=float)
     if oracle.vertices is not None:
         max_gap, witness = separation(p, oracle.vertices)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .oracle import InputError
+
 
 def _as_point_and_generators(point, generators) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(point, dtype=float).ravel()
     g = np.atleast_2d(np.asarray(generators, dtype=float))
     if g.size == 0:
-        raise ValueError("empty generator list")
+        raise InputError("empty generator list")
     if p.size != g.shape[1]:
-        raise ValueError(f"point dimension {p.size} does not match generators ({g.shape[1]})")
+        raise InputError(f"point dimension {p.size} does not match generators ({g.shape[1]})")
     return p, g
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import expr as ex
 from .compass import probe
-from .oracle import CompassResult, DirectionalOracle, VectorOracle
+from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, require_positive
 
 
 class IntegrationError(RuntimeError):
@@ -62,14 +62,13 @@ class IntegrationConfig:
     initial_step: Optional[float] = None  # None: choose automatically
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
+        require_positive("abs_tol", self.abs_tol)
+        require_positive("rel_tol", self.rel_tol)
+        require_positive("min_step", self.min_step)
+        if self.initial_step is not None:
+            require_positive("initial_step", self.initial_step)
+        if not self.max_steps >= 1:
+            raise InputError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,15 @@ class OdeProblem:
     t_final: float
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        require_positive("t_final", self.t_final)
+        if self.n_state < 1:
+            raise InputError(f"n_state must be at least 1, got {self.n_state}")
         if self.rhs.dim_in != self.n_state or self.rhs.dim_out != self.n_state:
-            raise ValueError("rhs oracle dimensions do not match n_state")
+            raise InputError("rhs oracle dimensions do not match n_state")
         if self.init.dim_in != 2 or self.init.dim_out != self.n_state:
-            raise ValueError("init map must send R^2 to R^n_state")
+            raise InputError("init map must send R^2 to R^n_state")
         if self.cost.dim != 2 + self.n_state:
-            raise ValueError("cost oracle must act on (p, x), dimension 2 + n_state")
+            raise InputError("cost oracle must act on (p, x), dimension 2 + n_state")
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,8 @@ def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
     states = [z.copy()]
     k = np.empty((7, z.size))
     k[0] = fun(z)
+    if not np.isfinite(k[0]).all():  # the step-size guess would divide by zero
+        raise IntegrationError("non-finite state derivative at t = 0", time=0.0, direction=direction)
     evals = 1
     if cfg.initial_step is not None:
         h = min(cfg.initial_step, t_final)
@@ -262,7 +264,7 @@ def integrate_coupled(problem: OdeProblem, p, d,
     p = np.asarray(p, dtype=float)
     d = np.asarray(d, dtype=float)
     if p.size != 2 or d.size != 2:
-        raise ValueError("the parameter space is two-dimensional")
+        raise InputError("the parameter space is two-dimensional")
     n = problem.n_state
     x0 = np.asarray(problem.init.value(p), dtype=float)
     y0 = np.asarray(problem.init.dir_deriv(p, d), dtype=float)
@@ -305,7 +307,7 @@ def _subgradient_and_trajectories(problem: OdeProblem, p, config: IntegrationCon
     """:func:`ode_subgradient` plus the coupled integrations behind its probes, in probe order."""
     p = np.asarray(p, dtype=float)
     if p.size != 2:
-        raise ValueError("the parameter space is two-dimensional")
+        raise InputError("the parameter space is two-dimensional")
     trajectories: list[SensitivityTrajectory] = []
 
     def psi(d: np.ndarray) -> float:
@@ -331,7 +333,7 @@ def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> Vec
     compiled = [ex.compile_expr(e) for e in exprs]
     for e, c in zip(exprs, compiled):
         if c.dim > dim_in:
-            raise ValueError(f"expression {ex.format_expr(e)} uses variables beyond dimension {dim_in}")
+            raise InputError(f"expression {ex.format_expr(e)} uses variables beyond dimension {dim_in}")
     forwards = [c.forward for c in compiled]
 
     def value(x):
@@ -369,12 +371,12 @@ def problem_from_json(source) -> OdeProblem:
         data = source
     for key in ("n_state", "rhs_expr", "init_expr", "cost_expr", "t_final"):
         if key not in data:
-            raise ValueError(f"ODE problem JSON is missing {key!r}")
+            raise InputError(f"ODE problem JSON is missing {key!r}")
     n = int(data["n_state"])
     rhs_exprs = [ex.parse_expr(s) for s in data["rhs_expr"]]
     init_exprs = [ex.parse_expr(s) for s in data["init_expr"]]
     if len(rhs_exprs) != n or len(init_exprs) != n:
-        raise ValueError(f"need exactly {n} rhs and init expressions")
+        raise InputError(f"need exactly {n} rhs and init expressions")
     cost_expr = ex.parse_expr(data["cost_expr"])
     return OdeProblem(
         n_state=n,

@@ -8,6 +8,7 @@ functions, and the trace records that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, catalog
 from .compass import compass_difference
-from .oracle import DirectionalOracle
+from .oracle import DirectionalOracle, InputError, OracleError, require_positive
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,7 @@ class Constant:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("step length must be positive")
+        require_positive("step length", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class Diminishing:
     gamma0: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError("step length must be positive")
+        require_positive("step length", self.gamma0)
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,10 @@ class Polyak:
     """gamma_k = (f(x_k) - f_star) / ||g_k||^2, for a known optimal value."""
 
     f_star: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.f_star):
+            raise InputError(f"the optimal value f_star must be finite, got {self.f_star!r}")
 
 
 StepRule = Union[Constant, Diminishing, Polyak]
@@ -93,15 +96,20 @@ def subgradient_method(oracle: DirectionalOracle, x0, rule: StepRule,
     (a heuristic, recorded as such) or, under the Polyak rule, when
     f(x_k) - f_star <= stop_tol.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if oracle.dim != 2:
-        raise ValueError("the subgradient method is driven by bivariate oracles")
+    if not max_iters >= 1:
+        raise InputError(f"max_iters must be at least 1, got {max_iters!r}")
+    require_positive("stop_tol", stop_tol, zero_ok=True)
     x = np.asarray(x0, dtype=float).copy()
+    if oracle.dim != 2 or x.size != 2:
+        raise InputError("the subgradient method works on bivariate functions from a two-coordinate start")
     trace = OptTrace()
-    for k in range(max_iters):
+    for k in range(max_iters + 1):
         f = float(oracle.value(x))
+        if not math.isfinite(f):
+            raise OracleError(f"non-finite function value {f} at {x.tolist()}")
         g = compass_difference(oracle, x).subgradient
+        if k == max_iters:  # the budget is spent: record the last point and stop
+            break
         g_norm_sq = float(g @ g)
         if isinstance(rule, Polyak) and f - rule.f_star <= stop_tol:
             trace.record(Iterate(x=x.copy(), value=f, subgradient=g, step=0.0))
@@ -121,8 +129,6 @@ def subgradient_method(oracle: DirectionalOracle, x0, rule: StepRule,
             step = (f - rule.f_star) / g_norm_sq
         trace.record(Iterate(x=x.copy(), value=f, subgradient=g, step=step))
         x = x - step * g
-    f = float(oracle.value(x))
-    g = compass_difference(oracle, x).subgradient
     trace.record(Iterate(x=x.copy(), value=f, subgradient=g, step=0.0))
     return trace
 

@@ -13,6 +13,7 @@ read-only use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,6 +29,20 @@ UNGUARANTEED = "unguaranteed"
 
 def guarantee_for_dim(dim: int) -> str:
     return GUARANTEED if dim <= 2 else UNGUARANTEED
+
+
+class InputError(ValueError):
+    """The caller's argument is malformed or out of range (the CLI's exit code 2).
+
+    Evaluation failures on well-formed input raise :class:`OracleError` or a plain ``ValueError``.
+    """
+
+
+def require_positive(name: str, value: float, zero_ok: bool = False) -> None:
+    """Raise :class:`InputError` unless ``value`` is finite and positive (or zero, with ``zero_ok``); NaN never passes."""
+    above = 0 <= value if zero_ok else 0 < value
+    if not (above and value < math.inf):
+        raise InputError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {value!r}")
 
 
 class OracleError(RuntimeError):
@@ -58,7 +73,7 @@ class DirectionalOracle:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError(f"oracle dimension must be positive, got {self.dim}")
+            raise InputError(f"oracle dimension must be positive, got {self.dim}")
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,7 @@ def test_bad_activation_tolerance_is_rejected(eps, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "--eps-active must be positive and finite" in captured.err
+    assert "eps_active must be positive and finite" in captured.err
 
 
 def test_activation_tolerance_must_stay_finite_when_widened(capsys):

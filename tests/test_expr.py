@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_expr
@@ -175,3 +177,40 @@ def test_dimension_mismatch_raises():
     oracle = ex.as_oracle(ex.var(0), 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         oracle.value(np.zeros(3))
+
+
+def _chain(depth: int) -> str:
+    """``depth`` levels of nesting: alternating abs, max, norm, scale and add around (var 0)."""
+    wrappers = ["(abs {})", "(max {} (var 1))", "(norm {} (const 1))", "(scale -0.5 {})", "(add {} (var 0))"]
+    text = "(var 0)"
+    for level in range(depth - 1):
+        text = wrappers[level % len(wrappers)].format(text)
+    return text
+
+
+def test_nesting_at_the_depth_cap_parses_and_evaluates():
+    import pickle
+
+    abs_chain = ex.parse_expr("(abs " * (ex.MAX_DEPTH - 1) + "(var 0)" + ")" * (ex.MAX_DEPTH - 1))
+    assert ex.eval_value(abs_chain, [-2.0]) == 2.0
+    assert ex.eval_dir_deriv(abs_chain, [-2.0], [1.0]) == -1.0
+    assert ex.eval_dir_deriv(abs_chain, [0.0], [-3.0]) == 3.0
+    e = ex.parse_expr(_chain(ex.MAX_DEPTH))
+    assert ex.parse_expr(ex.format_expr(e)) == e
+    assert ex.parse_expr(_chain(ex.MAX_DEPTH)) == e
+    rows = np.array([[0.3, -0.2], [0.0, 0.0], [-1.5, 2.0]])
+    batch = ex.eval_value(e, rows)
+    assert batch.shape == (3,)
+    for row, value in zip(rows, batch):
+        v, t = ex.compile_expr(e).forward(row.tolist(), [1.0, 0.5])
+        assert v == value and math.isfinite(t)
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_nesting_past_the_depth_cap_is_a_parse_error():
+    too_deep = _chain(ex.MAX_DEPTH + 1)
+    with pytest.raises(ex.ExprParseError, match=f"deeper than {ex.MAX_DEPTH}") as err:
+        ex.parse_expr(too_deep)
+    assert err.value.position == too_deep.index("(var 0)")
+    with pytest.raises(ex.ExprParseError, match="deeper"):
+        ex.parse_expr("(abs " * 3000 + "(var 0)" + ")" * 3000)

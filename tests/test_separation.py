@@ -200,7 +200,7 @@ def test_cli_sampling_options_are_gone(capsys, extra):
 def test_cli_hull_tolerance_must_be_finite_and_nonnegative(capsys, tol):
     code, out, err = _run(capsys, "hull", "--polytope", "triangle.json", "--point", "0,0", f"--tol={tol}")
     assert code == 2 and out == ""
-    assert "--tol must be finite and nonnegative" in err
+    assert "tol must be nonnegative and finite" in err
 
 
 def test_cli_hull_probes_sigma_four_times(capsys, monkeypatch):
