@@ -50,8 +50,8 @@ EXIT_INPUT = 2
 EXIT_EVAL = 3
 EXIT_NUMERIC = 4
 
-#: Largest ``ode --surface`` count: the surface costs count ** 2 state
-#: integrations, about 10 s at this cap.
+#: Largest ``ode --surface`` count: the surface is one lockstep integration
+#: of count ** 2 + 1 rows (``odesens._dopri5_rows``).
 MAX_SURFACE_COUNT = 100
 
 
@@ -238,15 +238,14 @@ def _cmd_ode(args) -> int:
         for label, traj in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
             written.append(_write_file(out_dir, f"traj_{label}.csv", traj.to_csv()))
     if grid is not None:
-        phi0 = ode_cost_value(problem, p, config)
+        points = np.array([[a, b] for a in grid for b in grid])
+        # one lockstep integration: p, then the grid
+        phi0, *phis = ode_cost_value(problem, np.vstack([p, points]), config).tolist()
         s = result.subgradient
         lines = ["p1,p2,phi,affine"]
-        for a in grid:
-            for b in grid:
-                q = np.array([a, b])
-                phi = ode_cost_value(problem, q, config)
-                affine = phi0 + float(s @ (q - p))
-                lines.append(",".join(format(v, ".17g") for v in (a, b, phi, affine)))
+        for q, phi in zip(points, phis):
+            affine = phi0 + float(s @ (q - p))
+            lines.append(",".join(format(v, ".17g") for v in (*q, phi, affine)))
         written.append(_write_file(out_dir, "surface.csv", "\n".join(lines) + "\n"))
     if written:
         payload["files"] = written

@@ -43,6 +43,11 @@ class FinitePointCloud:
 #: solve evaluates the whole grid as one batch.
 MAX_GRID_POINTS = 10**6
 
+#: Largest ``Box.refine_steps``.  Refinement halves a step of at most 2^1024
+#: once per round, which reaches 0.0 within 2100 halvings; every round after
+#: that moves nothing and still costs 2m objective calls.
+MAX_REFINE_STEPS = 2100
+
 
 @dataclass(frozen=True)
 class Box:
@@ -65,8 +70,8 @@ class Box:
             raise InputError("grid resolution must be at least 2 per axis")
         if int(self.grid) ** lower.size > MAX_GRID_POINTS:
             raise InputError(f"grid of {self.grid}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
-        if self.refine_steps < 0:
-            raise InputError("refine_steps must be nonnegative")
+        if not 0 <= self.refine_steps <= MAX_REFINE_STEPS:
+            raise InputError(f"refine_steps must be between 0 and {MAX_REFINE_STEPS}, got {self.refine_steps}")
 
 
 FeasibleSet = Union[FinitePointCloud, Box]

@@ -21,7 +21,21 @@ expression problems that is one compiled pass per component (see
 :func:`compassdiff.expr.compile_expr`), compiled once when the problem is
 built.  Stage sums keep the builtin ``sum``'s order, and the reused stage
 was evaluated at the very state it stands for, so neither changes a bit of
-the result.  No
+the result.
+
+State-only batches (``ode_cost_value`` on an (N, 2) array of parameter
+points, which is what ``ode --surface`` evaluates) run in lockstep
+(:func:`_dopri5_rows`): one rhs call per stage on the rows still running,
+through ``VectorOracle.value_rows``, while each row keeps its own t, h,
+error history and accept/reject decision.  Both loops call the same step
+control, error scale and initial-step helpers, so a row takes exactly the
+steps of its one-point integration.  Two rules keep the bits equal: every
+step-size factor and the initial step are computed per row with Python's
+``**`` (libc ``pow``; numpy's array ``**`` rounds differently in the last
+bit on a few percent of inputs), and row error norms are numpy's
+reduction over the last axis, the same one as for a single state.
+The coupled state/tangent integrations keep the one-row loop, which is the
+faster of the two for a single system.  No
 event detection is attempted: the tangent right-hand side is only Lipschitz
 in y, and adaptive step control absorbs the kink crossings at desk scale.
 The default tolerances (1e-8 absolute and relative) are deliberately tight
@@ -45,12 +59,14 @@ from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, 
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; carries the failure time and, when the
-    failure happened inside a directional probe, the parameter direction."""
+    failure happened inside a directional probe, the parameter direction, or
+    in a lockstep batch, the index of the failing row."""
 
-    def __init__(self, message: str, time: float, direction=None):
+    def __init__(self, message: str, time: float, direction=None, row: Optional[int] = None):
         super().__init__(message)
         self.time = time
         self.direction = None if direction is None else np.asarray(direction, dtype=float)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -149,30 +165,67 @@ _MAX_FACTOR = 5.0
 _ORDER = 5.0
 
 
-def _error_norm(err: np.ndarray, z_old: np.ndarray, z_new: np.ndarray, cfg: IntegrationConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z_old), np.abs(z_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _scale(cfg: IntegrationConfig, magnitude: np.ndarray) -> np.ndarray:
+    """Per-component error scale abs_tol + rel_tol * magnitude.
+
+    Tolerances near the float limit overflow it to inf.  That happens
+    quietly, as in the expression walk, and the error it scales then counts
+    as zero.
+    """
+    with np.errstate(over="ignore"):
+        return cfg.abs_tol + cfg.rel_tol * magnitude
 
 
-def _initial_step(fun, t_final: float, z0: np.ndarray, f0: np.ndarray, cfg: IntegrationConfig) -> float:
+def _rms(v: np.ndarray, scale: np.ndarray):
+    """Root mean square of ``v / scale`` over the last axis: one value for a state, one per row for rows.
+
+    The same bits as ``np.sqrt(np.mean((v / scale) ** 2, axis=-1))``, at a third of its call cost.
+    """
+    q = v / scale
+    return np.sqrt(np.add.reduce(q * q, axis=-1) / v.shape[-1])
+
+
+def _error_norm(err: np.ndarray, z_old: np.ndarray, z_new: np.ndarray, cfg: IntegrationConfig):
+    return _rms(err, _scale(cfg, np.maximum(np.abs(z_old), np.abs(z_new))))
+
+
+def _first_guess(d0: float, d1: float, t_final: float) -> float:
     # standard two-evaluation heuristic, with a defensive fallback when the
     # problem starts at an equilibrium (f0 == 0)
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(z0)
-    d0 = float(np.sqrt(np.mean((z0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, t_final)
-    z1 = z0 + h0 * f0
-    f1 = fun(z1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    return min(h0, t_final)
+
+
+def _second_guess(h0: float, d1: float, df: float, t_final: float) -> float:
+    """The initial step from the first guess ``h0`` and ``df``, the scaled norm of f(z0 + h0 f0) - f0."""
+    d2 = df / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / _ORDER)
     return min(100.0 * h0, h1, t_final)
+
+
+def _initial_step(fun, t_final: float, z0: np.ndarray, f0: np.ndarray, cfg: IntegrationConfig) -> float:
+    scale = _scale(cfg, np.abs(z0))
+    d1 = float(_rms(f0, scale))
+    h0 = _first_guess(float(_rms(z0, scale)), d1, t_final)
+    f1 = fun(z0 + h0 * f0)
+    return _second_guess(h0, d1, float(_rms(f1 - f0, scale)), t_final)
+
+
+def _control(h: float, err: float, err_prev: float) -> tuple[float, float]:
+    """PI step-size control after a step of size ``h`` with error norm ``err``.
+
+    The step is accepted when ``err <= 1``.  Returns the next step size and
+    the next ``err_prev``.  The factors use Python's ``**`` (libc ``pow``):
+    numpy's array ``**`` rounds differently in the last bit.
+    """
+    if err <= 1.0:
+        # PI controller (error exponent 0.7/p, history exponent 0.4/p)
+        factor = _SAFETY * (max(err, 1e-16) ** (-0.7 / _ORDER)) * (max(err_prev, 1e-16) ** (0.4 / _ORDER))
+        return h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max(err, 1e-16)
+    return h * max(0.1, _SAFETY * err ** (-1.0 / _ORDER)), err_prev
 
 
 def _combine(coeffs: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -228,7 +281,7 @@ def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
         evals += 6
         z_new = z + h * _combine(_B5, k, terms)
         err_vec = h * _combine(_E, k, terms)
-        err = _error_norm(err_vec, z, z_new, cfg)
+        err = float(_error_norm(err_vec, z, z_new, cfg))
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite state at t = {t:.6g}", time=t, direction=direction)
         if err <= 1.0:
@@ -240,14 +293,93 @@ def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
             accepted += 1
             # the last stage was evaluated at z_new (its row of _A is _B5)
             k[0] = k[6]
-            # PI controller (error exponent 0.7/p, history exponent 0.4/p)
-            factor = _SAFETY * (max(err, 1e-16) ** (-0.7 / _ORDER)) * (max(err_prev, 1e-16) ** (0.4 / _ORDER))
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-16)
         else:
             rejected += 1
-            h *= max(0.1, _SAFETY * err ** (-1.0 / _ORDER))
+        h, err_prev = _control(h, err, err_prev)
     return times, states, StepStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
+
+
+def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig) -> tuple[np.ndarray, list[StepStats]]:
+    """Integrate dz/dt = fun(z) from 0 to t_final for every row of ``Z0`` in lockstep.
+
+    ``fun`` maps an (M, n) array of states to their derivatives.  Each row
+    keeps its own t, h, error history and accept/reject decision, and takes
+    the steps :func:`_dopri5` would take from that row alone, bit for bit:
+    the stage arithmetic is elementwise and the step control is the same
+    scalar code.  The rhs sees only the rows still running; a row leaves the
+    batch when it reaches t_final.  Only the final states are kept.  Returns
+    them, shape (N, n), and each row's :class:`StepStats`.  A failure names
+    the lowest-index row that fails in its iteration (``IntegrationError.row``).
+    """
+    final = np.array(Z0, dtype=float)
+    N, n = final.shape
+    rows = np.arange(N)  # original index of each running row
+    z = final.copy()
+    k = np.empty((7, N, n))
+    k[0] = fun(z)
+    bad = ~np.isfinite(k[0]).all(axis=1)
+    if bad.any():  # the step-size guess would divide by zero
+        raise IntegrationError("non-finite state derivative at t = 0", time=0.0, row=int(np.argmax(bad)))
+    setup = 1
+    if cfg.initial_step is not None:
+        h = np.full(N, min(cfg.initial_step, t_final))
+    else:
+        scale = _scale(cfg, np.abs(z))
+        d1 = _rms(k[0], scale).tolist()
+        h0 = [_first_guess(a, b, t_final) for a, b in zip(_rms(z, scale).tolist(), d1)]
+        df = _rms(fun(z + np.array(h0)[:, None] * k[0]) - k[0], scale).tolist()
+        h = np.array([_second_guess(*guess, t_final) for guess in zip(h0, d1, df)])
+        setup += 1
+    # per running row; elementwise numpy arithmetic rounds as the scalar loop's
+    t = np.zeros(N)
+    err_prev = [1.0] * N
+    accepted = np.zeros(N, dtype=int)
+    rejected = np.zeros(N, dtype=int)
+    stats: list = [None] * N
+    terms = np.zeros((8, N * n))
+    while rows.size:
+        m = rows.size
+        over = accepted + rejected >= cfg.max_steps
+        last = h >= t_final - t
+        h = np.where(last, t_final - t, h)
+        under = h < cfg.min_step
+        if over.any() or under.any():
+            i = int(np.argmax(over | under))
+            message = (f"step limit {cfg.max_steps} exceeded" if over[i]
+                       else f"step size underflow ({h[i]:.3e})")
+            raise IntegrationError(f"{message} at t = {t[i]:.6g}", time=float(t[i]), row=int(rows[i]))
+        hs = h[:, None]
+        # the stage sums run on the flattened (7, m * n) view, as in _dopri5
+        flat = k.reshape(7, m * n)
+        for s in range(1, 7):
+            k[s] = fun(z + hs * _combine(_A[s], flat, terms).reshape(m, n))
+        z_new = z + hs * _combine(_B5, flat, terms).reshape(m, n)
+        err = _error_norm(hs * _combine(_E, flat, terms).reshape(m, n), z, z_new, cfg)
+        if not np.isfinite(err).all():
+            i = int(np.argmin(np.isfinite(err)))
+            raise IntegrationError(f"non-finite state at t = {t[i]:.6g}", time=float(t[i]), row=int(rows[i]))
+        ok = err <= 1.0
+        # land exactly on t_final: t + (t_final - t) can round past it
+        t = np.where(ok, np.where(last, t_final, t + h), t)
+        accepted += ok
+        rejected += ~ok
+        z[ok] = z_new[ok]
+        k[0, ok] = k[6, ok]
+        h, err_prev = zip(*map(_control, h.tolist(), err.tolist(), err_prev))
+        h = np.array(h)
+        done = t >= t_final  # the one-row loop's exit test
+        if done.any():
+            final[rows[done]] = z[done]
+            for i in np.flatnonzero(done).tolist():
+                a, r = int(accepted[i]), int(rejected[i])
+                stats[rows[i]] = StepStats(accepted=a, rejected=r, rhs_evals=setup + 6 * (a + r))
+            keep = ~done
+            # contiguous, so that the flat view above is a view
+            rows, z, k = rows[keep], z[keep], np.ascontiguousarray(k[:, keep])
+            t, h, accepted, rejected = t[keep], h[keep], accepted[keep], rejected[keep]
+            err_prev = [e for e, d in zip(err_prev, done.tolist()) if not d]
+            terms = np.zeros((8, rows.size * n))
+    return final, stats
 
 
 def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
@@ -282,11 +414,31 @@ def integrate_coupled(problem: OdeProblem, p, d,
     )
 
 
-def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()) -> float:
-    """phi(p) = g(p, x(T, p)) by one state integration."""
-    p = np.asarray(p, dtype=float)
-    times, states, _ = integrate_state(problem, p, config)
-    return float(problem.cost.value(np.concatenate([p, states[-1]])))
+def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
+    """phi(p) = g(p, x(T, p)) by one state integration.
+
+    ``p`` is one point of shape (2,), which returns a float, or a batch of
+    shape (N, 2), which returns shape (N,) from one lockstep integration of
+    all rows (:func:`_dopri5_rows`); row i equals ``ode_cost_value(problem,
+    p[i])`` bit for bit.  A failing row's point is named in the error.
+    """
+    try:
+        p = np.asarray(p, dtype=float)
+    except ValueError:
+        p = None
+    if p is not None and p.shape == (2,):
+        times, states, _ = integrate_state(problem, p, config)
+        return float(problem.cost.value(np.concatenate([p, states[-1]])))
+    if p is None or p.ndim != 2 or p.shape[1] != 2:
+        raise InputError("parameter points must be numbers of shape (2,) or (N, 2)")
+    if not len(p):
+        return np.empty(0)
+    try:
+        final, _ = _dopri5_rows(problem.rhs.value_rows, problem.init.value_rows(p), problem.t_final, config)
+    except IntegrationError as err:
+        a, b = p[err.row].tolist()
+        raise IntegrationError(f"{err} for p = ({a:.17g}, {b:.17g})", time=err.time, row=err.row) from None
+    return np.array([float(problem.cost.value(np.concatenate([q, x]))) for q, x in zip(p, final)])
 
 
 def _cost_dirderiv(problem: OdeProblem, p: np.ndarray, traj: SensitivityTrajectory) -> float:
@@ -336,6 +488,13 @@ def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> Vec
             raise InputError(f"expression {ex.format_expr(e)} uses variables beyond dimension {dim_in}")
     forwards = [c.forward for c in compiled]
 
+    def value_rows(X):
+        X = np.asarray(X, dtype=float)
+        out = np.empty((X.shape[0], len(exprs)))
+        for j, e in enumerate(exprs):
+            out[:, j] = ex.eval_value(e, X)
+        return out
+
     def value(x):
         xs = np.asarray(x, dtype=float).tolist()
         return np.array([f(xs, xs)[0] for f in forwards])
@@ -350,7 +509,7 @@ def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> Vec
         return np.array([v for v, _ in pairs] + [t for _, t in pairs])
 
     return VectorOracle(value=value, dir_deriv=dir_deriv, dim_in=dim_in, dim_out=len(exprs),
-                        value_and_dir_deriv=value_and_dir_deriv)
+                        value_and_dir_deriv=value_and_dir_deriv, value_rows=value_rows)
 
 
 def problem_from_json(source) -> OdeProblem:

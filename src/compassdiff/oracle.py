@@ -86,6 +86,9 @@ class VectorOracle:
     stacked into one array of length ``2 * dim_out`` (the right-hand side of
     the coupled state/tangent system), from one pass where the oracle has
     one; by default it calls ``value`` and then ``dir_deriv``.
+    ``value_rows(X)`` maps an (N, dim_in) batch to its (N, dim_out) values,
+    each row equal to ``value`` of that row; by default it calls ``value``
+    once per row.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -94,8 +97,17 @@ class VectorOracle:
     dim_out: int
     value_and_dir_deriv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, compare=False)
+    value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.value_rows is None:
+            value, dim_out = self.value, self.dim_out
+
+            def value_rows(X):
+                X = np.asarray(X, dtype=float)
+                return np.array([value(x) for x in X], dtype=float).reshape(len(X), dim_out)
+
+            object.__setattr__(self, "value_rows", value_rows)
         if self.value_and_dir_deriv is None:
             value, dir_deriv = self.value, self.dir_deriv
 

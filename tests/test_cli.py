@@ -218,6 +218,33 @@ def test_cli_ode_integration_failure_exits_4(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+def test_cli_surface_failure_names_the_grid_point(capsys, tmp_path):
+    # dx/dt = x^2 from x(0) = p1 blows up at t = 1 / p1: the three rows with
+    # p1 = 2 fail in the same iteration and the lowest-index one is named
+    blowup = tmp_path / "blowup.json"
+    blowup.write_text(json.dumps({
+        "n_state": 1,
+        "rhs_expr": ["(mul (var 0) (var 0))"],
+        "init_expr": ["(var 0)"],
+        "cost_expr": "(var 2)",
+        "t_final": 1.0,
+    }))
+    code, out, err = run_cli(capsys, "ode", "--problem", str(blowup), "--at", "0,0",
+                             "--surface=-2:2:3", "--out", str(tmp_path))
+    assert code == 4 and out == ""
+    assert err.startswith("numerical failure: ") and err.endswith(" at t = 0.5 for p = (2, -2)\n"), err
+
+
+@pytest.mark.parametrize("extra", [[], ["--surface=-1:1:3"]])
+def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
+    # abs_tol + rel_tol * |x| overflows to inf; the step control reads that
+    # as a zero error, without numpy warnings on stderr
+    code, out, err = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0.3,0.2",
+                             "--abstol", "1e308", "--reltol", "1e308", "--out", str(tmp_path), *extra)
+    assert code == 0 and err == ""
+    assert last_json(out)["guarantee"] == "guaranteed"
+
+
 def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     from compassdiff import odesens
 

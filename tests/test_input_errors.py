@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 import compassdiff
 from compassdiff import cli, expr as ex, oracle
 from compassdiff.compass import basis_compass_difference, compass_difference, finite_difference_probes
-from compassdiff.danskin import Box, FinitePointCloud, problem_from_json as danskin_from_json, solve_inner
+from compassdiff.danskin import (
+    MAX_REFINE_STEPS,
+    Box,
+    FinitePointCloud,
+    problem_from_json as danskin_from_json,
+    solve_inner,
+)
 from compassdiff.demos import DEMO_NAMES, paper_fixture_path
 from compassdiff.geometry import membership_check, polytope_support
 from compassdiff.hulls import separation
@@ -48,6 +54,7 @@ LIBRARY_CASES = {
     "cloud inf": lambda: FinitePointCloud(points=[[0.0, 1.0], [math.inf, 0.0]]),
     "box nan": lambda: Box(lower=[0.0, math.nan], upper=[1.0, 1.0]),
     "box inf": lambda: Box(lower=[0.0, 0.0], upper=[1.0, math.inf]),
+    "refine_steps above cap": lambda: Box(lower=[0.0], upper=[1.0], refine_steps=MAX_REFINE_STEPS + 1),
     "constant inf": lambda: Constant(gamma=math.inf),
     "constant -1": lambda: Constant(gamma=-1.0),
     "diminishing nan": lambda: Diminishing(gamma0=math.nan),
@@ -120,11 +127,18 @@ ACCEPTANCE_ARGV = [
     ["optimize", _NORM_EXPR, "--from=3,4,5", "--constant=1"],
     ["hull", "--polytope=triangle.json", "--point=1,2,3"],
     ["danskin", "--problem=danskin_circle.json", "--at=1,2,3"],
+    ["danskin", "--problem=refine_above_cap.json", "--at=0.3,0"],
 ]
+
+# problem files of the table, written to the working directory
+_REFINE_ABOVE_CAP = {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                     "feasible": {"box": {"lower": [0], "upper": [1], "grid": 2, "refine_steps": 100000000}}}
 
 
 @pytest.mark.parametrize("argv", ACCEPTANCE_ARGV, ids=[" ".join(a)[:60] for a in ACCEPTANCE_ARGV])
-def test_cli_input_errors_exit_2(capsys, argv):
+def test_cli_input_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "refine_above_cap.json").write_text(json.dumps(_REFINE_ABOVE_CAP))
     code, out, err = _run(capsys, argv)
     assert code == 2, err
     assert out == ""

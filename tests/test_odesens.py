@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from compassdiff import expr as ex
@@ -16,13 +18,15 @@ from compassdiff.odesens import (
     _B5,
     _E,
     _combine,
+    _dopri5,
+    _dopri5_rows,
     integrate_coupled,
     ode_cost_dirderiv,
     ode_cost_value,
     ode_subgradient,
     problem_from_json,
 )
-from compassdiff.oracle import DirectionalOracle, VectorOracle
+from compassdiff.oracle import DirectionalOracle, InputError, VectorOracle
 from compassdiff.sampling import halton_in_box
 
 E = math.e
@@ -232,6 +236,57 @@ def test_stage_sums_keep_the_builtin_sum_order():
             expected = sum(coeffs[j, 0] * k[j] for j in range(coeffs.shape[0]))
             got = _combine(coeffs, k, np.zeros((8, m)))
             assert got.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lockstep rows: each row is its own one-row integration, bit for bit
+
+_ROW_PROBLEMS = {
+    "example46": problem_from_json(paper_fixture_path("example46.json")),
+    # compiled pass on one row, numpy walk on more
+    "linear, expressions": problem_from_json({
+        "n_state": 2,
+        "rhs_expr": ["(add (scale 0.3 (var 0)) (scale -1.2 (var 1)))",
+                     "(add (scale 0.7 (var 0)) (scale -0.5 (var 1)))"],
+        "init_expr": ["(var 0)", "(var 1)"], "cost_expr": "(var 2)", "t_final": 1.0}),
+    # the default value_rows: one value call per row
+    "linear, hand-written": _linear_problem([[0.3, -1.2], [0.7, -0.5]], [1.0, 0.0]),
+}
+
+# coordinates on the kink lines p1 = 0 and p2 = 0 half the time
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5, allow_nan=False))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_ROW_PROBLEMS)),
+       points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60),
+       config=st.sampled_from([IntegrationConfig(), IntegrationConfig(initial_step=0.9)]))
+def test_lockstep_rows_match_one_row_integrations(name, points, config):
+    problem = _ROW_PROBLEMS[name]
+    P = np.array(points)
+    Z0 = problem.init.value_rows(P)
+    final, stats = _dopri5_rows(problem.rhs.value_rows, Z0, problem.t_final, config)
+    assert final.shape == Z0.shape and len(stats) == len(points)
+    for q, z0, z, row_stats in zip(P, Z0, final, stats):
+        x0 = problem.init.value(q)
+        assert z0.tobytes() == x0.tobytes()
+        _, states, one_row = _dopri5(problem.rhs.value, x0, problem.t_final, config)
+        assert z.tobytes() == states[-1].tobytes()
+        assert row_stats == one_row
+    costs = ode_cost_value(problem, P, config)
+    assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
+
+
+def test_ode_cost_value_shapes(bundled_problem):
+    one = ode_cost_value(bundled_problem, [0.3, -0.7])
+    assert type(one) is float and one == float.fromhex("0x1.3a0fe3eca10b4p+1")
+    batch = ode_cost_value(bundled_problem, [[0.3, -0.7], [-0.952, 1.312]])
+    assert batch.shape == (2,)
+    assert batch.tolist() == [float.fromhex("0x1.3a0fe3eca10b4p+1"), float.fromhex("0x1.43566172cadd7p-4")]
+    assert ode_cost_value(bundled_problem, np.empty((0, 2))).shape == (0,)
+    for bad in ([[0.0, 0.0], [1.0]], [[0.0, 0.0, 0.0]], [0.0, 0.0, 0.0], [[[0.0, 0.0]]], "ab"):
+        with pytest.raises(InputError, match="shape"):
+            ode_cost_value(bundled_problem, bad)
 
 
 def test_hand_written_rhs_gets_the_default_fused_pass():
