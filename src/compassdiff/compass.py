@@ -54,21 +54,25 @@ def _pair_subgradient(probes, basis: np.ndarray | None) -> np.ndarray:
     return np.linalg.solve(basis.T, half)
 
 
+def probe_directions(basis: np.ndarray) -> list[np.ndarray]:
+    """+v_1, -v_1, +v_2, -v_2, ...: the directions :func:`probe` hands to psi, in its order."""
+    return [d for column in basis.T for d in (column.copy(), -column)]
+
+
 def probe(psi, basis: np.ndarray) -> CompassResult:
     """Compass difference of the directional map ``psi`` along the columns of ``basis``.
 
-    Calls psi(+v_1), psi(-v_1), psi(+v_2), psi(-v_2), ... in that order and
-    raises :class:`OracleError` carrying the direction at the first
-    non-finite value.  Exceptions raised by psi itself pass through
-    unchanged.  ``basis`` is stored in the result as given.
+    Calls psi on :func:`probe_directions` in that order and raises
+    :class:`OracleError` carrying the direction at the first non-finite
+    value.  Exceptions raised by psi itself pass through unchanged.
+    ``basis`` is stored in the result as given.
     """
     probes: list[Probe] = []
-    for column in basis.T:
-        for d in (column.copy(), -column):
-            value = float(psi(d))
-            if not math.isfinite(value):
-                raise OracleError(f"non-finite directional value along {d.tolist()}", direction=d)
-            probes.append(Probe(direction=d, value=value))
+    for d in probe_directions(basis):
+        value = float(psi(d))
+        if not math.isfinite(value):
+            raise OracleError(f"non-finite directional value along {d.tolist()}", direction=d)
+        probes.append(Probe(direction=d, value=value))
     return CompassResult(
         subgradient=_pair_subgradient(probes, basis),
         probes=tuple(probes),

@@ -66,6 +66,10 @@ class Box:
         if lower.ndim != 1 or lower.shape != upper.shape or not np.all(
                 (-np.inf < lower) & (lower <= upper) & (upper < np.inf)):
             raise InputError(f"box bounds must be finite with lower <= upper, got {lower.tolist()} and {upper.tolist()}")
+        with np.errstate(over="ignore"):
+            width = upper - lower
+        if not np.isfinite(width).all():  # the grid would hold NaN points
+            raise InputError(f"box widths upper - lower must be finite, got {width.tolist()}")
         if self.grid < 2:
             raise InputError("grid resolution must be at least 2 per axis")
         if int(self.grid) ** lower.size > MAX_GRID_POINTS:

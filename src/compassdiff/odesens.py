@@ -12,34 +12,22 @@ phi, and the compass difference of psi (four integrations) is a guaranteed
 subgradient of phi for p in the plane.
 
 Integrator: an explicit Dormand-Prince 5(4) embedded pair with PI step-size
-control, written here to keep runs dependency-free and deterministic.  It is
-first-same-as-last: the seventh stage of an accepted step is evaluated at the
-new state and becomes the next step's first, so an integration costs
-2 + 6 * (accepted + rejected) right-hand-side evaluations.  In the coupled
-system each evaluation is one call of ``rhs.value_and_dir_deriv``; for
-expression problems that is one compiled pass per component (see
-:func:`compassdiff.expr.compile_expr`), compiled once when the problem is
-built.  Stage sums keep the builtin ``sum``'s order, and the reused stage
-was evaluated at the very state it stands for, so neither changes a bit of
-the result.
-
-State-only batches (``ode_cost_value`` on an (N, 2) array of parameter
-points, which is what ``ode --surface`` evaluates) run in lockstep
-(:func:`_dopri5_rows`): one rhs call per stage on the rows still running,
-through ``VectorOracle.value_rows``, while each row keeps its own t, h,
-error history and accept/reject decision.  Both loops call the same step
-control, error scale and initial-step helpers, so a row takes exactly the
-steps of its one-point integration.  Two rules keep the bits equal: every
-step-size factor and the initial step are computed per row with Python's
-``**`` (libc ``pow``; numpy's array ``**`` rounds differently in the last
-bit on a few percent of inputs), and row error norms are numpy's
-reduction over the last axis, the same one as for a single state.
-The coupled state/tangent integrations keep the one-row loop, which is the
-faster of the two for a single system.  No
-event detection is attempted: the tangent right-hand side is only Lipschitz
-in y, and adaptive step control absorbs the kink crossings at desk scale.
-The default tolerances (1e-8 absolute and relative) are deliberately tight
-so compass differences inherit roughly six accurate digits.
+control, written here to keep runs dependency-free and deterministic.  One
+loop, :func:`_dopri5_rows`, runs every integration: it integrates the rows of
+an (N, n) array in lockstep, each row with its own t, h, error history and
+accept/reject decision, so a row takes the steps it would take alone, bit for
+bit.  The four compass probes are four coupled state/tangent rows of one
+integration, whose right-hand side is ``rhs.value_and_dir_deriv`` row by row
+(for expression problems one compiled pass per component, see
+:func:`compassdiff.expr.compile_expr`).  ``ode --surface`` is one state-only
+batch through ``rhs.value_rows``.  A single integration is a batch of one.
+The loop is first-same-as-last: the seventh stage of an accepted step is
+evaluated at the new state and becomes the next step's first, so a row costs
+2 + 6 * (accepted + rejected) right-hand-side evaluations.  No event
+detection is attempted: the tangent right-hand side is only Lipschitz in y,
+and adaptive step control absorbs the kink crossings at desk scale.  The
+default tolerances (1e-8 absolute and relative) are deliberately tight so
+compass differences inherit roughly six accurate digits.
 """
 
 from __future__ import annotations
@@ -53,14 +41,19 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .compass import probe
+from .compass import probe, probe_directions
 from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, require_positive
 
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; carries the failure time and, when the
     failure happened inside a directional probe, the parameter direction, or
-    in a lockstep batch, the index of the failing row."""
+    in a state-only batch, the index of the failing row.
+
+    A failing row leaves its lockstep batch while the others run on, so a
+    failure does not depend on the batch.  It is raised when the caller
+    reaches its row: ``psi`` in probe order, ``ode_cost_value`` the lowest.
+    """
 
     def __init__(self, message: str, time: float, direction=None, row: Optional[int] = None):
         super().__init__(message)
@@ -165,53 +158,43 @@ _MAX_FACTOR = 5.0
 _ORDER = 5.0
 
 
-def _scale(cfg: IntegrationConfig, magnitude: np.ndarray) -> np.ndarray:
-    """Per-component error scale abs_tol + rel_tol * magnitude.
-
-    Tolerances near the float limit overflow it to inf.  That happens
-    quietly, as in the expression walk, and the error it scales then counts
-    as zero.
-    """
-    with np.errstate(over="ignore"):
-        return cfg.abs_tol + cfg.rel_tol * magnitude
-
-
 def _rms(v: np.ndarray, scale: np.ndarray):
-    """Root mean square of ``v / scale`` over the last axis: one value for a state, one per row for rows.
+    """Root mean square of ``v / scale`` over the last axis: one value per row.
 
-    The same bits as ``np.sqrt(np.mean((v / scale) ** 2, axis=-1))``, at a third of its call cost.
+    The same bits as ``np.sqrt(np.mean((v / scale) ** 2, axis=-1))``, at a
+    third of its call cost.  Finite components far beyond their scale
+    overflow it to inf, which the step control reads as a rejected step.
     """
     q = v / scale
     return np.sqrt(np.add.reduce(q * q, axis=-1) / v.shape[-1])
 
 
 def _error_norm(err: np.ndarray, z_old: np.ndarray, z_new: np.ndarray, cfg: IntegrationConfig):
-    return _rms(err, _scale(cfg, np.maximum(np.abs(z_old), np.abs(z_new))))
+    # tolerances near the float limit overflow the scale to inf, and the error then counts as zero
+    return _rms(err, cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z_old), np.abs(z_new)))
 
 
 def _first_guess(d0: float, d1: float, t_final: float) -> float:
     # standard two-evaluation heuristic, with a defensive fallback when the
-    # problem starts at an equilibrium (f0 == 0)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    # problem starts at an equilibrium (f0 == 0) or the norm of f0 overflowed
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 or d1 == math.inf else 0.01 * d0 / d1
     return min(h0, t_final)
 
 
 def _second_guess(h0: float, d1: float, df: float, t_final: float) -> float:
-    """The initial step from the first guess ``h0`` and ``df``, the scaled norm of f(z0 + h0 f0) - f0."""
-    d2 = df / h0
-    if max(d1, d2) <= 1e-15:
+    """The initial step from the first guess ``h0`` and ``df``, the scaled norm of f(z0 + h0 f0) - f0.
+
+    A norm that overflowed rejects the trial step ``h0`` as the step control
+    would reject it, by the smallest factor, 0.1.
+    """
+    d = max(d1, df / h0)
+    if d <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
+    elif d == math.inf:
+        h1 = 0.1 * h0
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / _ORDER)
+        h1 = (0.01 / d) ** (1.0 / _ORDER)
     return min(100.0 * h0, h1, t_final)
-
-
-def _initial_step(fun, t_final: float, z0: np.ndarray, f0: np.ndarray, cfg: IntegrationConfig) -> float:
-    scale = _scale(cfg, np.abs(z0))
-    d1 = float(_rms(f0, scale))
-    h0 = _first_guess(float(_rms(z0, scale)), d1, t_final)
-    f1 = fun(z0 + h0 * f0)
-    return _second_guess(h0, d1, float(_rms(f1 - f0, scale)), t_final)
 
 
 def _control(h: float, err: float, err_prev: float) -> tuple[float, float]:
@@ -239,155 +222,156 @@ def _combine(coeffs: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray
     return np.add.accumulate(terms[:s + 1], axis=0)[s]
 
 
-def _dopri5(fun, z0: np.ndarray, t_final: float, cfg: IntegrationConfig,
-            direction=None) -> tuple[list[float], list[np.ndarray], StepStats]:
-    """Integrate dz/dt = fun(z) from 0 to t_final, recording accepted steps.
-
-    First same as last: the last stage of an accepted step is evaluated at the
-    new state, so it is the next step's first stage, and a rejected step keeps
-    its first stage.  That costs 6 rhs evaluations per attempted step, plus
-    f(z0) and, without ``initial_step``, one more for the step-size guess.
-    """
-    t = 0.0
-    z = np.asarray(z0, dtype=float).copy()
-    times = [0.0]
-    states = [z.copy()]
-    k = np.empty((7, z.size))
-    k[0] = fun(z)
-    if not np.isfinite(k[0]).all():  # the step-size guess would divide by zero
-        raise IntegrationError("non-finite state derivative at t = 0", time=0.0, direction=direction)
-    evals = 1
-    if cfg.initial_step is not None:
-        h = min(cfg.initial_step, t_final)
-    else:
-        h = _initial_step(fun, t_final, z, k[0], cfg)
-        evals += 1
-    accepted = 0
-    rejected = 0
-    err_prev = 1.0
-    terms = np.zeros((8, z.size))
-    while t < t_final:
-        if accepted + rejected >= cfg.max_steps:
-            raise IntegrationError(
-                f"step limit {cfg.max_steps} exceeded at t = {t:.6g}", time=t, direction=direction)
-        last = h >= t_final - t
-        if last:
-            h = t_final - t
-        if h < cfg.min_step:
-            raise IntegrationError(
-                f"step size underflow ({h:.3e}) at t = {t:.6g}", time=t, direction=direction)
-        for s in range(1, 7):
-            k[s] = fun(z + h * _combine(_A[s], k, terms))
-        evals += 6
-        z_new = z + h * _combine(_B5, k, terms)
-        err_vec = h * _combine(_E, k, terms)
-        err = float(_error_norm(err_vec, z, z_new, cfg))
-        if not math.isfinite(err):
-            raise IntegrationError(f"non-finite state at t = {t:.6g}", time=t, direction=direction)
-        if err <= 1.0:
-            # land exactly on t_final: t + (t_final - t) can round past it
-            t = t_final if last else t + h
-            z = z_new
-            times.append(t)
-            states.append(z.copy())
-            accepted += 1
-            # the last stage was evaluated at z_new (its row of _A is _B5)
-            k[0] = k[6]
-        else:
-            rejected += 1
-        h, err_prev = _control(h, err, err_prev)
-    return times, states, StepStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
-
-
-def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig) -> tuple[np.ndarray, list[StepStats]]:
+def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, record: bool = False):
     """Integrate dz/dt = fun(z) from 0 to t_final for every row of ``Z0`` in lockstep.
 
-    ``fun`` maps an (M, n) array of states to their derivatives.  Each row
-    keeps its own t, h, error history and accept/reject decision, and takes
-    the steps :func:`_dopri5` would take from that row alone, bit for bit:
-    the stage arithmetic is elementwise and the step control is the same
-    scalar code.  The rhs sees only the rows still running; a row leaves the
-    batch when it reaches t_final.  Only the final states are kept.  Returns
-    them, shape (N, n), and each row's :class:`StepStats`.  A failure names
-    the lowest-index row that fails in its iteration (``IntegrationError.row``).
+    ``fun`` maps an (M, n) array of states to their derivatives, row by row.
+    The stage arithmetic is elementwise and the step control is scalar code
+    per row.  The rhs sees only the rows still running; a row leaves the
+    batch when it reaches t_final or fails.  A row costs 6 rhs evaluations
+    per attempted step, plus f(z0) and, without ``initial_step``, one more
+    for the step-size guess.  A row fails on a non-finite derivative at
+    t = 0, a non-finite state or error-estimate component, the step limit or
+    a step below ``min_step``; an error norm that overflows from finite
+    components only rejects the step.  Overflow in the loop is quiet.
+
+    Returns ``(final, stats, errors, trajectories)``: the final states, shape
+    (N, n); per row its :class:`StepStats` and its :class:`IntegrationError`
+    (``row`` set), one of them None; and with ``record``, per row its
+    accepted ``(times, states)`` from t = 0, else None.
     """
     final = np.array(Z0, dtype=float)
     N, n = final.shape
-    rows = np.arange(N)  # original index of each running row
-    z = final.copy()
-    k = np.empty((7, N, n))
-    k[0] = fun(z)
-    bad = ~np.isfinite(k[0]).all(axis=1)
-    if bad.any():  # the step-size guess would divide by zero
-        raise IntegrationError("non-finite state derivative at t = 0", time=0.0, row=int(np.argmax(bad)))
-    setup = 1
-    if cfg.initial_step is not None:
-        h = np.full(N, min(cfg.initial_step, t_final))
-    else:
-        scale = _scale(cfg, np.abs(z))
-        d1 = _rms(k[0], scale).tolist()
-        h0 = [_first_guess(a, b, t_final) for a, b in zip(_rms(z, scale).tolist(), d1)]
-        df = _rms(fun(z + np.array(h0)[:, None] * k[0]) - k[0], scale).tolist()
-        h = np.array([_second_guess(*guess, t_final) for guess in zip(h0, d1, df)])
-        setup += 1
-    # per running row; elementwise numpy arithmetic rounds as the scalar loop's
-    t = np.zeros(N)
-    err_prev = [1.0] * N
-    accepted = np.zeros(N, dtype=int)
-    rejected = np.zeros(N, dtype=int)
     stats: list = [None] * N
-    terms = np.zeros((8, N * n))
-    while rows.size:
-        m = rows.size
-        over = accepted + rejected >= cfg.max_steps
-        last = h >= t_final - t
-        h = np.where(last, t_final - t, h)
-        under = h < cfg.min_step
-        if over.any() or under.any():
-            i = int(np.argmax(over | under))
-            message = (f"step limit {cfg.max_steps} exceeded" if over[i]
-                       else f"step size underflow ({h[i]:.3e})")
-            raise IntegrationError(f"{message} at t = {t[i]:.6g}", time=float(t[i]), row=int(rows[i]))
-        hs = h[:, None]
-        # the stage sums run on the flattened (7, m * n) view, as in _dopri5
-        flat = k.reshape(7, m * n)
-        for s in range(1, 7):
-            k[s] = fun(z + hs * _combine(_A[s], flat, terms).reshape(m, n))
-        z_new = z + hs * _combine(_B5, flat, terms).reshape(m, n)
-        err = _error_norm(hs * _combine(_E, flat, terms).reshape(m, n), z, z_new, cfg)
-        if not np.isfinite(err).all():
-            i = int(np.argmin(np.isfinite(err)))
-            raise IntegrationError(f"non-finite state at t = {t[i]:.6g}", time=float(t[i]), row=int(rows[i]))
-        ok = err <= 1.0
-        # land exactly on t_final: t + (t_final - t) can round past it
-        t = np.where(ok, np.where(last, t_final, t + h), t)
-        accepted += ok
-        rejected += ~ok
-        z[ok] = z_new[ok]
-        k[0, ok] = k[6, ok]
-        h, err_prev = zip(*map(_control, h.tolist(), err.tolist(), err_prev))
-        h = np.array(h)
-        done = t >= t_final  # the one-row loop's exit test
-        if done.any():
-            final[rows[done]] = z[done]
-            for i in np.flatnonzero(done).tolist():
-                a, r = int(accepted[i]), int(rejected[i])
-                stats[rows[i]] = StepStats(accepted=a, rejected=r, rhs_evals=setup + 6 * (a + r))
-            keep = ~done
-            # contiguous, so that the flat view above is a view
-            rows, z, k = rows[keep], z[keep], np.ascontiguousarray(k[:, keep])
-            t, h, accepted, rejected = t[keep], h[keep], accepted[keep], rejected[keep]
-            err_prev = [e for e, d in zip(err_prev, done.tolist()) if not d]
-            terms = np.zeros((8, rows.size * n))
-    return final, stats
+    errors: list = [None] * N
+    log = []  # with record: (rows, t, z, accepted) at t = 0 and after each iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = fun(final)
+        good = np.isfinite(f0).all(axis=1)
+        for i in np.flatnonzero(~good).tolist():  # the step-size guess would divide by zero
+            errors[i] = IntegrationError("non-finite state derivative at t = 0", time=0.0, row=i)
+        rows = np.flatnonzero(good)  # original index of each running row
+        z, f0 = final[rows], f0[rows]
+        setup = 1
+        if cfg.initial_step is not None:
+            h = np.full(rows.size, min(cfg.initial_step, t_final))
+        else:
+            scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
+            d1 = _rms(f0, scale).tolist()
+            h0 = [_first_guess(a, b, t_final) for a, b in zip(_rms(z, scale).tolist(), d1)]
+            df = _rms(fun(z + np.array(h0).reshape(-1, 1) * f0) - f0, scale).tolist()
+            h = np.array([_second_guess(*guess, t_final) for guess in zip(h0, d1, df)])
+            setup += 1
+        # per running row; elementwise numpy arithmetic rounds as scalar arithmetic does
+        t = np.zeros(rows.size)
+        err_prev = np.ones(rows.size)
+        steps = 0  # attempted steps, the same for every running row
+        accepted = np.zeros(rows.size, dtype=int)
+        k = np.empty((7, rows.size, n))
+        k[0] = f0
+        bad = False  # rows whose last step went non-finite
+        terms = np.zeros((8, rows.size * n))
+        if record:
+            log.append((rows, t, z, np.ones(rows.size, dtype=bool)))
+        while rows.size:
+            rest = t_final - t
+            last = h >= rest
+            h = np.where(last, rest, h)
+            # a finished row (t >= t_final) has h = 0 here
+            stop = bad | (h < cfg.min_step) | (steps >= cfg.max_steps)
+            if stop.any():  # rows leave the batch, finished or failed
+                for i in np.flatnonzero(stop).tolist():
+                    row = int(rows[i])
+                    if rest[i] <= 0.0:
+                        final[row] = z[i]
+                        a, r = int(accepted[i]), steps - int(accepted[i])
+                        stats[row] = StepStats(accepted=a, rejected=r, rhs_evals=setup + 6 * (a + r))
+                    elif errors[row] is None:
+                        message = (f"step limit {cfg.max_steps} exceeded" if steps >= cfg.max_steps
+                                   else f"step size underflow ({h[i]:.3e})")
+                        errors[row] = IntegrationError(f"{message} at t = {t[i]:.6g}", time=float(t[i]), row=row)
+                keep = ~stop
+                rows, z, t, h, last, err_prev, accepted = (
+                    x[keep] for x in (rows, z, t, h, last, err_prev, accepted))
+                # contiguous, so that the flat view below is a view
+                k = np.ascontiguousarray(k[:, keep])
+                terms = np.zeros((8, rows.size * n))
+                if not rows.size:
+                    break
+            m = rows.size
+            hs = h.reshape(-1, 1)
+            # the stage sums run on the flattened (7, m * n) view: one buffer for all rows
+            flat = k.reshape(7, m * n)
+            for s in range(1, 7):
+                k[s] = fun(z + hs * _combine(_A[s], flat, terms).reshape(m, n))
+            z_new = z + hs * _combine(_B5, flat, terms).reshape(m, n)
+            err_vec = hs * _combine(_E, flat, terms).reshape(m, n)
+            err = _error_norm(err_vec, z, z_new, cfg)
+            ok = err <= 1.0
+            bad = False
+            # a cheap test first: the sum is non-finite with any non-finite component (and rarely without)
+            if not np.isfinite(z_new + err_vec).all():
+                bad = ~(np.isfinite(z_new).all(axis=1) & np.isfinite(err_vec).all(axis=1))
+                for i in np.flatnonzero(bad).tolist():
+                    errors[rows[i]] = IntegrationError(f"non-finite state at t = {t[i]:.6g}", time=float(t[i]),
+                                                       row=int(rows[i]))
+                ok &= ~bad
+            # land exactly on t_final: t + (t_final - t) can round past it
+            t = np.where(ok, np.where(last, t_final, t + h), t)
+            steps += 1
+            accepted += ok
+            accept = ok.reshape(-1, 1)
+            z = np.where(accept, z_new, z)  # a new array, so the log below needs no copy
+            np.copyto(k[0], k[6], where=accept)  # the last stage was evaluated at z_new (its row of _A is _B5)
+            if record:
+                log.append((rows, t, z, ok))
+            h, err_prev = np.array(list(map(_control, h.tolist(), err.tolist(), err_prev.tolist()))).T
+    trajectories = None
+    if record:
+        index, times, states, accept = (np.concatenate(part) for part in zip(*log))
+        index, times, states = index[accept], times[accept], states[accept]
+        order = np.argsort(index, kind="stable")
+        cuts = np.cumsum(np.bincount(index, minlength=N))[:-1]
+        trajectories = list(zip(np.split(times[order], cuts), np.split(states[order], cuts)))
+    return final, stats, errors, trajectories
 
 
 def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
     """Integrate the state system alone; returns (times, states, stats)."""
-    p = np.asarray(p, dtype=float)
+    x0 = np.asarray(problem.init.value(np.asarray(p, dtype=float)), dtype=float)
+    _, stats, errors, trajectories = _dopri5_rows(
+        problem.rhs.value_rows, x0.reshape(1, -1), problem.t_final, config, record=True)
+    if errors[0] is not None:
+        raise errors[0]
+    times, states = trajectories[0]
+    return times, states, stats[0]
+
+
+def _coupled_rows(problem: OdeProblem, p: np.ndarray, directions: list, config: IntegrationConfig) -> list:
+    """One lockstep integration of the coupled state/tangent system, one row per direction.
+
+    Returns per direction, in order, its :class:`SensitivityTrajectory` or
+    the :class:`IntegrationError` naming that direction.
+    """
+    n = problem.n_state
     x0 = np.asarray(problem.init.value(p), dtype=float)
-    times, states, stats = _dopri5(problem.rhs.value, x0, problem.t_final, config)
-    return np.array(times), np.array(states), stats
+    Z0 = np.array([np.concatenate([x0, np.asarray(problem.init.dir_deriv(p, d), dtype=float)]) for d in directions])
+    fused = problem.rhs.value_and_dir_deriv
+    _, stats, errors, trajectories = _dopri5_rows(
+        lambda Z: np.array([fused(z[:n], z[n:]) for z in Z]).reshape(len(Z), 2 * n),
+        Z0, problem.t_final, config, record=True)
+    return [
+        IntegrationError(str(error), time=error.time, direction=d) if error is not None else
+        SensitivityTrajectory(times=times, states=zs[:, :n], sensitivities=zs[:, n:], direction=d.copy(),
+                              stats=row_stats)
+        for d, row_stats, error, (times, zs) in zip(directions, stats, errors, trajectories)
+    ]
+
+
+def _trajectory(outcome) -> SensitivityTrajectory:
+    if isinstance(outcome, IntegrationError):
+        raise outcome
+    return outcome
 
 
 def integrate_coupled(problem: OdeProblem, p, d,
@@ -397,21 +381,7 @@ def integrate_coupled(problem: OdeProblem, p, d,
     d = np.asarray(d, dtype=float)
     if p.size != 2 or d.size != 2:
         raise InputError("the parameter space is two-dimensional")
-    n = problem.n_state
-    x0 = np.asarray(problem.init.value(p), dtype=float)
-    y0 = np.asarray(problem.init.dir_deriv(p, d), dtype=float)
-
-    fused = problem.rhs.value_and_dir_deriv
-    times, states, stats = _dopri5(lambda z: fused(z[:n], z[n:]), np.concatenate([x0, y0]),
-                                   problem.t_final, config, direction=d)
-    zs = np.array(states)
-    return SensitivityTrajectory(
-        times=np.array(times),
-        states=zs[:, :n],
-        sensitivities=zs[:, n:],
-        direction=d.copy(),
-        stats=stats,
-    )
+    return _trajectory(_coupled_rows(problem, p, [d], config)[0])
 
 
 def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
@@ -420,25 +390,25 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
     ``p`` is one point of shape (2,), which returns a float, or a batch of
     shape (N, 2), which returns shape (N,) from one lockstep integration of
     all rows (:func:`_dopri5_rows`); row i equals ``ode_cost_value(problem,
-    p[i])`` bit for bit.  A failing row's point is named in the error.
+    p[i])`` bit for bit.  The error of the lowest-index failing row is
+    raised, naming its point.
     """
     try:
         p = np.asarray(p, dtype=float)
     except ValueError:
         p = None
-    if p is not None and p.shape == (2,):
-        times, states, _ = integrate_state(problem, p, config)
-        return float(problem.cost.value(np.concatenate([p, states[-1]])))
-    if p is None or p.ndim != 2 or p.shape[1] != 2:
+    if p is None or p.ndim not in (1, 2) or p.shape[-1:] != (2,):
         raise InputError("parameter points must be numbers of shape (2,) or (N, 2)")
-    if not len(p):
+    P = p.reshape(-1, 2)
+    if not len(P):
         return np.empty(0)
-    try:
-        final, _ = _dopri5_rows(problem.rhs.value_rows, problem.init.value_rows(p), problem.t_final, config)
-    except IntegrationError as err:
-        a, b = p[err.row].tolist()
-        raise IntegrationError(f"{err} for p = ({a:.17g}, {b:.17g})", time=err.time, row=err.row) from None
-    return np.array([float(problem.cost.value(np.concatenate([q, x]))) for q, x in zip(p, final)])
+    final, _, errors, _ = _dopri5_rows(problem.rhs.value_rows, problem.init.value_rows(P), problem.t_final, config)
+    err = next((e for e in errors if e is not None), None)
+    if err is not None:
+        a, b = P[err.row].tolist()
+        raise IntegrationError(f"{err} for p = ({a:.17g}, {b:.17g})", time=err.time, row=err.row)
+    costs = [float(problem.cost.value(np.concatenate([q, x]))) for q, x in zip(P, final)]
+    return np.array(costs) if p.ndim == 2 else costs[0]
 
 
 def _cost_dirderiv(problem: OdeProblem, p: np.ndarray, traj: SensitivityTrajectory) -> float:
@@ -456,24 +426,33 @@ def ode_cost_dirderiv(problem: OdeProblem, p, d,
 
 def _subgradient_and_trajectories(problem: OdeProblem, p, config: IntegrationConfig
                                   ) -> tuple[CompassResult, list[SensitivityTrajectory]]:
-    """:func:`ode_subgradient` plus the coupled integrations behind its probes, in probe order."""
+    """:func:`ode_subgradient` plus the coupled integrations behind its probes, in probe order.
+
+    The four probes are four rows of one lockstep integration.  psi(d) then
+    returns its row's value or raises its row's error, so errors come in
+    probe order, as from four integrations one after another.
+    """
     p = np.asarray(p, dtype=float)
     if p.size != 2:
         raise InputError("the parameter space is two-dimensional")
+    basis = np.eye(2)
+    directions = probe_directions(basis)
+    outcomes = {d.tobytes(): o for d, o in zip(directions, _coupled_rows(problem, p, directions, config))}
     trajectories: list[SensitivityTrajectory] = []
 
     def psi(d: np.ndarray) -> float:
-        trajectories.append(integrate_coupled(problem, p, d, config))
+        trajectories.append(_trajectory(outcomes[d.tobytes()]))
         return _cost_dirderiv(problem, p, trajectories[-1])
 
-    return probe(psi, np.eye(2)), trajectories
+    return probe(psi, basis), trajectories
 
 
 def ode_subgradient(problem: OdeProblem, p,
                     config: IntegrationConfig = IntegrationConfig()) -> CompassResult:
     """Guaranteed subgradient of phi at ``p``: compass difference of psi.
 
-    Four coupled integrations, one per compass direction.
+    Four coupled integrations, one per compass direction, as four rows of
+    one lockstep integration.
     """
     return _subgradient_and_trajectories(problem, p, config)[0]
 

@@ -2,6 +2,11 @@ import numpy as np
 
 from compassdiff import expr as ex
 
+# ODE problem whose state overflows: dx/dt = x, x0 = 1e300 p1 + 1e308 p2.  At
+# p = 0 the tangent along e2 overflows at once, along e1 only at t = 16.56.
+OVERFLOW_PROBLEM = {"n_state": 1, "rhs_expr": ["(var 0)"], "cost_expr": "(var 2)", "t_final": 30.0,
+                    "init_expr": ["(add (scale 1e300 (var 0)) (scale 1e308 (var 1)))"]}
+
 
 def random_expr(rng: np.random.Generator, dim: int, depth: int) -> ex.NonsmoothExpr:
     """Random expression tree over ``dim`` variables, depth-bounded."""

@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import OVERFLOW_PROBLEM
 from compassdiff import jsonio
 from compassdiff.cli import main
+from compassdiff.demos import paper_fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +238,42 @@ def test_cli_surface_failure_names_the_grid_point(capsys, tmp_path):
     assert err.startswith("numerical failure: ") and err.endswith(" at t = 0.5 for p = (2, -2)\n"), err
 
 
+def test_cli_surface_failure_names_the_lowest_failing_row(capsys, tmp_path):
+    # p1 = 2 blows up at t = 0.5, in an earlier lockstep iteration than
+    # p1 = 1.25 at t = 0.8; the lower-index point is named all the same
+    blowup = tmp_path / "blowup.json"
+    blowup.write_text(json.dumps({
+        "n_state": 1,
+        "rhs_expr": ["(mul (var 0) (var 0))"],
+        "init_expr": ["(var 0)"],
+        "cost_expr": "(var 2)",
+        "t_final": 1.0,
+    }))
+    code, out, err = run_cli(capsys, "ode", "--problem", str(blowup), "--at", "0,0",
+                             "--surface=1.25:2:2", "--out", str(tmp_path))
+    assert code == 4 and out == ""
+    assert err.startswith("numerical failure: ") and err.endswith(" at t = 0.8 for p = (1.25, 1.25)\n"), err
+
+
+def test_cli_probe_failure_comes_in_probe_order(capsys, tmp_path):
+    # the tangent along e2 overflows first, but e1 is probed first, so it is named
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(OVERFLOW_PROBLEM))
+    code, out, err = run_cli(capsys, "ode", "--problem", str(overflow), "--at", "0,0")
+    assert (code, out) == (4, "")
+    assert err == "numerical failure: non-finite state at t = 16.5561 while probing direction [1.0, 0.0]\n"
+
+
+def test_cli_ode_tiny_tolerances_fail_truthfully(capsys):
+    # the scaled error of a finite state overflows its norm: every step is
+    # rejected until the step size underflows, without numpy warnings
+    code, out, err = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0.3,0.2",
+                             "--abstol", "1e-300", "--reltol", "1e-300")
+    assert (code, out) == (4, "")
+    assert err.startswith("numerical failure: step size underflow (") and "non-finite" not in err, err
+    assert err.endswith(" at t = 0 while probing direction [1.0, 0.0]\n"), err
+
+
 @pytest.mark.parametrize("extra", [[], ["--surface=-1:1:3"]])
 def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
     # abs_tol + rel_tol * |x| overflows to inf; the step control reads that
@@ -248,21 +287,31 @@ def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
 def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     from compassdiff import odesens
 
-    integrations = []  # directions of the coupled state/tangent integrations
-    dopri5 = odesens._dopri5
+    recorded = []  # (initial rows, trajectories) of each integration that records its steps
+    dopri5_rows = odesens._dopri5_rows
 
-    def counting(*args, direction=None, **kwargs):
-        if direction is not None:
-            integrations.append(direction)
-        return dopri5(*args, direction=direction, **kwargs)
+    def recording(fun, Z0, t_final, cfg, record=False):
+        result = dopri5_rows(fun, Z0, t_final, cfg, record)
+        if record:
+            recorded.append((Z0, result[3]))
+        return result
 
-    monkeypatch.setattr(odesens, "_dopri5", counting)
+    monkeypatch.setattr(odesens, "_dopri5_rows", recording)
     # '=' form needed for a grid starting at a negative bound
     code, out, _ = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0,0",
                            "--traj", "--surface=-1:1:5", "--out", str(tmp_path))
     assert code == 0
-    # the trajectories written are the subgradient's own four probes
-    assert [d.tolist() for d in integrations] == [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
+    # the trajectories written are the subgradient's own four probes, in probe
+    # order: one coupled integration whose rows start at x0 and init'(p; d)
+    problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
+    directions = [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
+    (Z0, trajectories), = recorded
+    assert Z0.tolist() == [[0.0] * 3 + problem.init.dir_deriv(np.zeros(2), np.array(d)).tolist()
+                           for d in directions]
+    for label, (times, states) in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
+        rows = (tmp_path / f"traj_{label}.csv").read_text().strip().split("\n")[1:]
+        assert [float(row.split(",")[0]) for row in rows] == times.tolist()
+        assert [[float(v) for v in row.split(",")[1:]] for row in rows] == states.tolist()
     payload = last_json(out)
     assert len(payload["files"]) == 5
     surface = (tmp_path / "surface.csv").read_text().strip().split("\n")

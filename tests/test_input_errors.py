@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import compassdiff
+from conftest import OVERFLOW_PROBLEM
 from compassdiff import cli, expr as ex, oracle
 from compassdiff.compass import basis_compass_difference, compass_difference, finite_difference_probes
 from compassdiff.danskin import (
@@ -55,6 +56,7 @@ LIBRARY_CASES = {
     "box nan": lambda: Box(lower=[0.0, math.nan], upper=[1.0, 1.0]),
     "box inf": lambda: Box(lower=[0.0, 0.0], upper=[1.0, math.inf]),
     "refine_steps above cap": lambda: Box(lower=[0.0], upper=[1.0], refine_steps=MAX_REFINE_STEPS + 1),
+    "box width overflows": lambda: Box(lower=[-1e308], upper=[1e308]),
     "constant inf": lambda: Constant(gamma=math.inf),
     "constant -1": lambda: Constant(gamma=-1.0),
     "diminishing nan": lambda: Diminishing(gamma0=math.nan),
@@ -128,17 +130,25 @@ ACCEPTANCE_ARGV = [
     ["hull", "--polytope=triangle.json", "--point=1,2,3"],
     ["danskin", "--problem=danskin_circle.json", "--at=1,2,3"],
     ["danskin", "--problem=refine_above_cap.json", "--at=0.3,0"],
+    ["danskin", "--problem=wide_box.json", "--at=0.3,0"],
 ]
 
 # problem files of the table, written to the working directory
-_REFINE_ABOVE_CAP = {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
-                     "feasible": {"box": {"lower": [0], "upper": [1], "grid": 2, "refine_steps": 100000000}}}
+_TABLE_FILES = {
+    "refine_above_cap.json": {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                              "feasible": {"box": {"lower": [0], "upper": [1], "grid": 2,
+                                                   "refine_steps": 100000000}}},
+    # finite bounds whose width overflows
+    "wide_box.json": {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                      "feasible": {"box": {"lower": [-1e308], "upper": [1e308]}}},
+}
 
 
 @pytest.mark.parametrize("argv", ACCEPTANCE_ARGV, ids=[" ".join(a)[:60] for a in ACCEPTANCE_ARGV])
 def test_cli_input_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "refine_above_cap.json").write_text(json.dumps(_REFINE_ABOVE_CAP))
+    for name, data in _TABLE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
     code, out, err = _run(capsys, argv)
     assert code == 2, err
     assert out == ""
@@ -207,7 +217,7 @@ def test_surface_count_is_capped():
 
 # (valid, hostile) pools; three draws in four are valid, so every subcommand
 # also reaches its evaluation and its output
-_NUMBERS = (["1e-3", "0.5", "2"], ["nan", "inf", "-1", "0", "1e308", ""])
+_NUMBERS = (["1e-3", "0.5", "2"], ["nan", "inf", "-1", "0", "1e308", "1e-300", ""])
 _POINTS = (["0,0", "0.3,0.2", "1,-2", "3,4"], ["0", "1,2,3", "", "nan,1", "inf,0", "1e308,1e308", "a,b"])
 _MATRICES = (["1,0;0,1", "0,-1;1,0", "2,1;1,1"],
              ["1,1;1,1", "1,0;0", "nan,0;0,1", "1,0,0;0,1,0;0,0,1", ";"])
@@ -241,7 +251,8 @@ def _argv(draw):
         argv += (["--midpoint"] if draw(st.booleans()) else []) + _opt(draw, "point", _POINTS)
         argv += _opt(draw, "tol", _NUMBERS)
     elif command == "ode":
-        argv += [f"--problem={_pick(draw, (['example46.json'], ['triangle.json']))}", f"--at={_pick(draw, _POINTS)}"]
+        argv += [f"--problem={_pick(draw, (['example46.json'], ['triangle.json', 'overflow.json']))}",
+                 f"--at={_pick(draw, _POINTS)}"]
         argv += _opt(draw, "abstol", _NUMBERS) + _opt(draw, "reltol", _NUMBERS) + _opt(draw, "surface", _GRIDS)
         argv += ["--traj"] if draw(st.booleans()) else []
     elif command == "danskin":
@@ -271,8 +282,12 @@ def _ends_in_json(out: str) -> bool:
 @settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argv())
+@example(["ode", "--problem=overflow.json", "--at=0,0"])
+@example(["ode", "--problem=example46.json", "--at=0.3,0.2", "--abstol=1e-300", "--reltol=1e-300"])
 def test_cli_exits_only_with_documented_codes(capsys, tmp_path, monkeypatch, argv):
+    # a numpy warning escapes cli.main as an exception (pyproject's filterwarnings)
     monkeypatch.chdir(tmp_path)  # --traj and --surface write into the working directory
+    (tmp_path / "overflow.json").write_text(json.dumps(OVERFLOW_PROBLEM))
     code, out, err = _run(capsys, argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, argv

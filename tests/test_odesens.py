@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import OVERFLOW_PROBLEM
 from compassdiff import expr as ex
 from compassdiff.compass import verify_subgradient_inequality
 from compassdiff.demos import paper_fixture_path
@@ -18,9 +19,15 @@ from compassdiff.odesens import (
     _B5,
     _E,
     _combine,
-    _dopri5,
+    _control,
     _dopri5_rows,
+    _error_norm,
+    _first_guess,
+    _rms,
+    _second_guess,
+    _subgradient_and_trajectories,
     integrate_coupled,
+    integrate_state,
     ode_cost_dirderiv,
     ode_cost_value,
     ode_subgradient,
@@ -241,6 +248,60 @@ def test_stage_sums_keep_the_builtin_sum_order():
 # ---------------------------------------------------------------------------
 # lockstep rows: each row is its own one-row integration, bit for bit
 
+def _dopri5(fun, z0, t_final, cfg):
+    """Reference: one system at a time, the plain FSAL Dormand-Prince loop on a 1-D state.
+
+    Shares the step control, error norm, initial-step guess and stage sums
+    with the lockstep loop; returns (times, states, stats) of the accepted steps.
+    """
+    t = 0.0
+    z = np.asarray(z0, dtype=float).copy()
+    times = [0.0]
+    states = [z.copy()]
+    k = np.empty((7, z.size))
+    k[0] = fun(z)
+    if not np.isfinite(k[0]).all():
+        raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
+    evals = 1
+    if cfg.initial_step is not None:
+        h = min(cfg.initial_step, t_final)
+    else:
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
+        d1 = float(_rms(k[0], scale))
+        h0 = _first_guess(float(_rms(z, scale)), d1, t_final)
+        h = _second_guess(h0, d1, float(_rms(fun(z + h0 * k[0]) - k[0], scale)), t_final)
+        evals += 1
+    accepted = rejected = 0
+    err_prev = 1.0
+    terms = np.zeros((8, z.size))
+    while t < t_final:
+        if accepted + rejected >= cfg.max_steps:
+            raise IntegrationError(f"step limit {cfg.max_steps} exceeded at t = {t:.6g}", time=t)
+        last = h >= t_final - t
+        if last:
+            h = t_final - t
+        if h < cfg.min_step:
+            raise IntegrationError(f"step size underflow ({h:.3e}) at t = {t:.6g}", time=t)
+        for s in range(1, 7):
+            k[s] = fun(z + h * _combine(_A[s], k, terms))
+        evals += 6
+        z_new = z + h * _combine(_B5, k, terms)
+        err = float(_error_norm(h * _combine(_E, k, terms), z, z_new, cfg))
+        if not math.isfinite(err):
+            raise IntegrationError(f"non-finite state at t = {t:.6g}", time=t)
+        if err <= 1.0:
+            t = t_final if last else t + h
+            z = z_new
+            times.append(t)
+            states.append(z.copy())
+            accepted += 1
+            k[0] = k[6]
+        else:
+            rejected += 1
+        h, err_prev = _control(h, err, err_prev)
+    return times, states, StepStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
+
+
 _ROW_PROBLEMS = {
     "example46": problem_from_json(paper_fixture_path("example46.json")),
     # compiled pass on one row, numpy walk on more
@@ -265,7 +326,8 @@ def test_lockstep_rows_match_one_row_integrations(name, points, config):
     problem = _ROW_PROBLEMS[name]
     P = np.array(points)
     Z0 = problem.init.value_rows(P)
-    final, stats = _dopri5_rows(problem.rhs.value_rows, Z0, problem.t_final, config)
+    final, stats, errors, _ = _dopri5_rows(problem.rhs.value_rows, Z0, problem.t_final, config)
+    assert errors == [None] * len(points)
     assert final.shape == Z0.shape and len(stats) == len(points)
     for q, z0, z, row_stats in zip(P, Z0, final, stats):
         x0 = problem.init.value(q)
@@ -275,6 +337,27 @@ def test_lockstep_rows_match_one_row_integrations(name, points, config):
         assert row_stats == one_row
     costs = ode_cost_value(problem, P, config)
     assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
+    # a single integration is a batch of one row, with its trajectory
+    times, states, one_row = _dopri5(problem.rhs.value, Z0[0], problem.t_final, config)
+    got = integrate_state(problem, P[0], config)
+    assert got[0].tobytes() == np.array(times).tobytes() and got[1].tobytes() == np.array(states).tobytes()
+    assert got[2] == one_row
+    # the four compass probes at P[0]: four coupled rows of one integration
+    p, n, fused = P[0], problem.n_state, problem.rhs.value_and_dir_deriv
+    result, trajectories = _subgradient_and_trajectories(problem, p, config)
+    assert len(trajectories) == 4
+    for pr, traj in zip(result.probes, trajectories):
+        z0 = np.concatenate([problem.init.value(p), problem.init.dir_deriv(p, pr.direction)])
+        times, states, stats = _dopri5(lambda z: fused(z[:n], z[n:]), z0, problem.t_final, config)
+        times, states = np.array(times), np.array(states)
+        for got in (traj, integrate_coupled(problem, p, pr.direction, config)):
+            assert got.direction.tobytes() == pr.direction.tobytes()
+            assert got.times.tobytes() == times.tobytes()
+            assert got.states.tobytes() == states[:, :n].tobytes()
+            assert got.sensitivities.tobytes() == states[:, n:].tobytes()
+            assert got.stats == stats
+        x, y = states[-1, :n], states[-1, n:]
+        assert pr.value == problem.cost.dir_deriv(np.concatenate([p, x]), np.concatenate([pr.direction, y]))
 
 
 def test_ode_cost_value_shapes(bundled_problem):
@@ -323,6 +406,66 @@ def test_blowup_reports_failure_time():
     with pytest.raises(IntegrationError) as err:
         ode_cost_value(problem, [0.0, 0.0])
     assert 0.9 <= err.value.time <= 2.0
+
+
+_BLOWUP = problem_from_json({"n_state": 1, "rhs_expr": ["(mul (var 0) (var 0))"], "init_expr": ["(var 0)"],
+                             "cost_expr": "(var 2)", "t_final": 1.0})
+
+
+@pytest.mark.parametrize("config", [IntegrationConfig(), IntegrationConfig(max_steps=25)])
+def test_failing_rows_fail_as_they_would_alone(config):
+    # dx/dt = x^2 from x0 = p1 blows up at t = 1 / p1; 1e200 has a non-finite
+    # derivative at t = 0; max_steps=25 stops the slower rows
+    P = np.array([[0.0, 0.0], [1.25, 0.0], [2.0, 0.0], [0.5, 0.0], [1e200, 0.0], [-3.0, 0.0]])
+    final, stats, errors, _ = _dopri5_rows(_BLOWUP.rhs.value_rows, _BLOWUP.init.value_rows(P), 1.0, config)
+    failed = 0
+    for i, q in enumerate(P):
+        try:
+            _, states, one_row = _dopri5(_BLOWUP.rhs.value, _BLOWUP.init.value(q), 1.0, config)
+        except IntegrationError as alone:
+            failed += 1
+            assert (str(errors[i]), errors[i].time, errors[i].row, stats[i]) == (str(alone), alone.time, i, None)
+        else:
+            assert errors[i] is None and stats[i] == one_row and final[i].tobytes() == states[-1].tobytes()
+    assert failed >= 3
+
+
+def test_batch_failure_names_the_lowest_failing_row():
+    # p1 = 2 fails in an earlier lockstep iteration than p1 = 1.25
+    P = [[0.0, 0.0], [1.25, 0.0], [2.0, 0.0]]
+    with pytest.raises(IntegrationError) as batch:
+        ode_cost_value(_BLOWUP, P)
+    with pytest.raises(IntegrationError) as alone:
+        ode_cost_value(_BLOWUP, P[1])
+    assert batch.value.row == 1 and batch.value.time == alone.value.time
+    assert str(batch.value) == str(alone.value) and str(alone.value).endswith("for p = (1.25, 0)")
+
+
+def test_probe_errors_come_in_probe_order():
+    # along e2 the tangent overflows first, but e1 is probed first
+    problem = problem_from_json(OVERFLOW_PROBLEM)
+    with pytest.raises(IntegrationError) as first:
+        ode_subgradient(problem, [0.0, 0.0])
+    assert first.value.direction.tolist() == [1.0, 0.0]
+    assert str(first.value) == "non-finite state at t = 16.5561"
+    with pytest.raises(IntegrationError) as alone:
+        integrate_coupled(problem, [0.0, 0.0], [0.0, 1.0])
+    assert alone.value.time < first.value.time
+
+
+def test_an_overflowing_error_norm_rejects_the_step():
+    # finite states whose scaled error overflows the norm: no warning, no
+    # "non-finite state", the step shrinks until it underflows
+    problem = problem_from_json(paper_fixture_path("example46.json"))
+    tiny = IntegrationConfig(abs_tol=1e-300, rel_tol=1e-300)
+    with pytest.raises(IntegrationError, match=r"^step size underflow \(1\.000e-14\) at t = 0$"):
+        integrate_coupled(problem, [0.3, 0.2], [1.0, 0.0], tiny)
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        ode_cost_value(problem, [[0.3, 0.2], [0.0, 0.0]], tiny)
+    # the initial-step guess: an overflowed norm rejects the trial step by the smallest factor
+    assert _first_guess(math.inf, math.inf, 1.0) == 1e-6
+    assert _second_guess(1e-6, math.inf, math.inf, 1.0) == 1e-7
+    assert _second_guess(1e-6, 1.0, math.inf, 1.0) == 1e-7
 
 
 def test_config_validation():
