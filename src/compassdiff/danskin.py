@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
 from .compass import probe
-from .oracle import CompassResult, InputError, require_positive
+from .oracle import UNGUARANTEED, CompassResult, InputError, require_positive
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,19 @@ def psi(problem: OptimalValueProblem, x_hat, active: ActiveSet, d) -> float:
 
 
 def _subgradient_from_active(problem: OptimalValueProblem, x_hat: np.ndarray, active: ActiveSet) -> CompassResult:
-    return probe(lambda d: psi(problem, x_hat, active, d), np.eye(2))
+    result = probe(lambda d: psi(problem, x_hat, active, d), np.eye(2))
+    if isinstance(problem.feasible, Box):  # a grid plus coordinate descent can miss the global minimum
+        result = replace(result, guarantee=UNGUARANTEED)
+    return result
 
 
 def danskin_subgradient(problem: OptimalValueProblem, x_hat,
                         eps_active: Optional[float] = None) -> CompassResult:
-    """Guaranteed subgradient of the optimal-value function at ``x_hat``.
+    """Subgradient of the optimal-value function at ``x_hat``.
 
     One inner solve, then the compass difference of psi (four evaluations).
+    Guaranteed over a point cloud, which is enumerated exactly; over a box
+    the inner minimum is a numerical estimate, so the result is unguaranteed.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     return _subgradient_from_active(problem, x_hat, solve_inner(problem, x_hat, eps_active))

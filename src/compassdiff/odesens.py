@@ -17,8 +17,8 @@ loop, :func:`_dopri5_rows`, runs every integration: it integrates the rows of
 an (N, n) array in lockstep, each row with its own t, h, error history and
 accept/reject decision, so a row takes the steps it would take alone, bit for
 bit.  The four compass probes are four coupled state/tangent rows of one
-integration, whose right-hand side is ``rhs.value_and_dir_deriv`` row by row
-(for expression problems one compiled pass per component, see
+integration, whose right-hand side is ``rhs.tangent_rows`` (for expression
+problems one compiled pass per component and row, see
 :func:`compassdiff.expr.compile_expr`).  ``ode --surface`` is one state-only
 batch through ``rhs.value_rows``.  A single integration is a batch of one.
 The loop is first-same-as-last: the seventh stage of an accepted step is
@@ -338,9 +338,8 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
 
 def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
     """Integrate the state system alone; returns (times, states, stats)."""
-    x0 = np.asarray(problem.init.value(np.asarray(p, dtype=float)), dtype=float)
-    _, stats, errors, trajectories = _dopri5_rows(
-        problem.rhs.value_rows, x0.reshape(1, -1), problem.t_final, config, record=True)
+    x0 = problem.init.value_rows(np.asarray(p, dtype=float).reshape(1, -1))
+    _, stats, errors, trajectories = _dopri5_rows(problem.rhs.value_rows, x0, problem.t_final, config, record=True)
     if errors[0] is not None:
         raise errors[0]
     times, states = trajectories[0]
@@ -354,12 +353,8 @@ def _coupled_rows(problem: OdeProblem, p: np.ndarray, directions: list, config: 
     the :class:`IntegrationError` naming that direction.
     """
     n = problem.n_state
-    x0 = np.asarray(problem.init.value(p), dtype=float)
-    Z0 = np.array([np.concatenate([x0, np.asarray(problem.init.dir_deriv(p, d), dtype=float)]) for d in directions])
-    fused = problem.rhs.value_and_dir_deriv
-    _, stats, errors, trajectories = _dopri5_rows(
-        lambda Z: np.array([fused(z[:n], z[n:]) for z in Z]).reshape(len(Z), 2 * n),
-        Z0, problem.t_final, config, record=True)
+    Z0 = problem.init.tangent_rows(np.array([np.concatenate([p, d]) for d in directions]))
+    _, stats, errors, trajectories = _dopri5_rows(problem.rhs.tangent_rows, Z0, problem.t_final, config, record=True)
     return [
         IntegrationError(str(error), time=error.time, direction=d) if error is not None else
         SensitivityTrajectory(times=times, states=zs[:, :n], sensitivities=zs[:, n:], direction=d.copy(),
@@ -474,21 +469,14 @@ def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> Vec
             out[:, j] = ex.eval_value(e, X)
         return out
 
-    def value(x):
-        xs = np.asarray(x, dtype=float).tolist()
-        return np.array([f(xs, xs)[0] for f in forwards])
+    def tangent_rows(Z):
+        out = []
+        for z in np.asarray(Z, dtype=float).tolist():  # the forwards read x = z[:dim_in] from z itself
+            pairs = [f(z, z[dim_in:]) for f in forwards]
+            out.append([v for v, _ in pairs] + [t for _, t in pairs])
+        return np.array(out).reshape(-1, 2 * len(forwards))
 
-    def dir_deriv(x, d):
-        return value_and_dir_deriv(x, d)[len(forwards):]
-
-    def value_and_dir_deriv(x, d):
-        xs = np.asarray(x, dtype=float).tolist()
-        ds = np.asarray(d, dtype=float).tolist()
-        pairs = [f(xs, ds) for f in forwards]
-        return np.array([v for v, _ in pairs] + [t for _, t in pairs])
-
-    return VectorOracle(value=value, dir_deriv=dir_deriv, dim_in=dim_in, dim_out=len(exprs),
-                        value_and_dir_deriv=value_and_dir_deriv, value_rows=value_rows)
+    return VectorOracle(value_rows=value_rows, tangent_rows=tangent_rows, dim_in=dim_in, dim_out=len(exprs))
 
 
 def problem_from_json(source) -> OdeProblem:

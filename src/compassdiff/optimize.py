@@ -14,7 +14,6 @@ from typing import Union
 
 import numpy as np
 
-from .catalog import CatalogEntry, catalog
 from .compass import compass_difference
 from .oracle import DirectionalOracle, InputError, OracleError, require_positive
 
@@ -131,40 +130,3 @@ def subgradient_method(oracle: DirectionalOracle, x0, rule: StepRule,
         x = x - step * g
     trace.record(Iterate(x=x.copy(), value=f, subgradient=g, step=0.0))
     return trace
-
-
-@dataclass(frozen=True)
-class BenchmarkRow:
-    function: str
-    rule: str
-    best_value: float
-
-
-_BENCHMARK_START = np.array([3.0, 4.0])
-
-
-def benchmark_entries() -> list[CatalogEntry]:
-    """Convex bivariate catalog entries with a known optimal value."""
-    return [e for e in catalog() if e.convex and e.dim == 2 and e.f_star is not None]
-
-
-def benchmark_suite(rules: list[StepRule], budget: int,
-                    entries: list[CatalogEntry] | None = None) -> list[BenchmarkRow]:
-    """Best value reached per (function, rule) from the fixed start (3, 4)."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if entries is None:
-        entries = benchmark_entries()
-    rows: list[BenchmarkRow] = []
-    for entry in entries:
-        for rule in rules:
-            trace = subgradient_method(entry.oracle, _BENCHMARK_START, rule, max_iters=budget)
-            rows.append(BenchmarkRow(function=entry.name, rule=rule_label(rule), best_value=trace.best_value))
-    return rows
-
-
-def benchmark_csv(rows: list[BenchmarkRow]) -> str:
-    lines = ["function,rule,best_value"]
-    for r in rows:
-        lines.append(f"{r.function},{r.rule},{format(r.best_value, '.17g')}")
-    return "\n".join(lines) + "\n"

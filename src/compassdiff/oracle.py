@@ -14,7 +14,7 @@ read-only use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,46 +78,23 @@ class DirectionalOracle:
 
 @dataclass(frozen=True)
 class VectorOracle:
-    """Vector-valued analogue of :class:`DirectionalOracle`.
+    """Vector-valued analogue of :class:`DirectionalOracle`, as two row maps.
 
     Used for ODE right-hand sides f: R^n -> R^n and initial-condition maps
-    x0: R^2 -> R^n; ``dir_deriv(x, d)`` returns the componentwise one-sided
-    directional derivative.  ``value_and_dir_deriv(x, d)`` returns both,
-    stacked into one array of length ``2 * dim_out`` (the right-hand side of
-    the coupled state/tangent system), from one pass where the oracle has
-    one; by default it calls ``value`` and then ``dir_deriv``.
-    ``value_rows(X)`` maps an (N, dim_in) batch to its (N, dim_out) values,
-    each row equal to ``value`` of that row; by default it calls ``value``
-    once per row.
+    x0: R^2 -> R^n.  ``value_rows(X)`` maps an (M, dim_in) batch of points to
+    their (M, dim_out) values.  ``tangent_rows(Z)`` maps rows ``[x | d]`` of
+    shape (M, 2 * dim_in) to rows ``[f(x) | f'(x; d)]`` of shape
+    (M, 2 * dim_out), with the componentwise one-sided directional
+    derivative; for a right-hand side that is the coupled state/tangent
+    system.  Both must be row maps: row i of any batch equals the one-row
+    batch of row i, bit for bit, which lets lockstep integration match
+    one integration per row.
     """
 
-    value: Callable[[np.ndarray], np.ndarray]
-    dir_deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value_rows: Callable[[np.ndarray], np.ndarray]
+    tangent_rows: Callable[[np.ndarray], np.ndarray]
     dim_in: int
     dim_out: int
-    value_and_dir_deriv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
-        default=None, compare=False)
-    value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.value_rows is None:
-            value, dim_out = self.value, self.dim_out
-
-            def value_rows(X):
-                X = np.asarray(X, dtype=float)
-                return np.array([value(x) for x in X], dtype=float).reshape(len(X), dim_out)
-
-            object.__setattr__(self, "value_rows", value_rows)
-        if self.value_and_dir_deriv is None:
-            value, dir_deriv = self.value, self.dir_deriv
-
-            def value_and_dir_deriv(x, d):
-                return np.concatenate([
-                    np.asarray(value(x), dtype=float),
-                    np.asarray(dir_deriv(x, d), dtype=float),
-                ])
-
-            object.__setattr__(self, "value_and_dir_deriv", value_and_dir_deriv)
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,7 @@ def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
     directions = [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
     (Z0, trajectories), = recorded
-    assert Z0.tolist() == [[0.0] * 3 + problem.init.dir_deriv(np.zeros(2), np.array(d)).tolist()
+    assert Z0.tolist() == [[0.0] * 3 + problem.init.tangent_rows(np.array([[0.0, 0.0, *d]]))[0, 3:].tolist()
                            for d in directions]
     for label, (times, states) in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
         rows = (tmp_path / f"traj_{label}.csv").read_text().strip().split("\n")[1:]
@@ -357,6 +357,23 @@ def test_cli_danskin_offset_point(capsys):
     code, out, _ = run_cli(capsys, "danskin", "--problem", "danskin_circle.json", "--at", "1,0")
     assert code == 0
     assert last_json(out)["subgradient"] == pytest.approx([-1.0, 0.0], abs=1e-3)
+    assert last_json(out)["guarantee"] == "guaranteed"
+
+
+def test_cli_danskin_box_is_unguaranteed(capsys, tmp_path):
+    # the grid and coordinate descent stop in the wide basin at y = -1 (value
+    # 0.2); the true minimum is 0.015 in the narrow well at y = 0.05, so the
+    # gradient is (0.05, 0), not the reported (-1, 0)
+    well = tmp_path / "well.json"
+    well.write_text(json.dumps({
+        "objective": "(add (mul (var 0) (var 2)) (min (const 0.5) (scale 50 (abs (sub (var 2) (const 0.05))))))",
+        "grad_x": ["(var 2)", "(const 0)"],
+        "feasible": {"box": {"lower": [-1], "upper": [1], "grid": 21, "refine_steps": 30}}}))
+    code, out, _ = run_cli(capsys, "danskin", "--problem", str(well), "--at", "0.3,0")
+    assert code == 0
+    payload = last_json(out)
+    assert payload["guarantee"] == "unguaranteed"
+    assert payload["subgradient"] == [-1.0, 0.0] and payload["optimal_value"] == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------

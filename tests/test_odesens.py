@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import OVERFLOW_PROBLEM
+from conftest import OVERFLOW_PROBLEM, random_expr
 from compassdiff import expr as ex
 from compassdiff.compass import verify_subgradient_inequality
 from compassdiff.demos import paper_fixture_path
@@ -26,6 +26,7 @@ from compassdiff.odesens import (
     _rms,
     _second_guess,
     _subgradient_and_trajectories,
+    _vector_oracle_from_exprs,
     integrate_coupled,
     integrate_state,
     ode_cost_dirderiv,
@@ -50,8 +51,12 @@ def _linear_problem(A, c):
     """Classical smooth benchmark: dx/dt = A x, x0(p) = p, cost <c, x(T)>."""
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
-    rhs = VectorOracle(value=lambda x: A @ x, dir_deriv=lambda x, y: A @ y, dim_in=2, dim_out=2)
-    init = VectorOracle(value=lambda p: p.copy(), dir_deriv=lambda p, d: d.copy(), dim_in=2, dim_out=2)
+    # one product per row: ``X @ A.T`` over a batch can differ from ``A @ x`` in the last bit
+    rhs = VectorOracle(value_rows=lambda X: np.array([A @ x for x in X]).reshape(-1, 2),
+                       tangent_rows=lambda Z: np.array([[*A @ z[:2], *A @ z[2:]] for z in Z]).reshape(-1, 4),
+                       dim_in=2, dim_out=2)
+    init = VectorOracle(value_rows=lambda P: np.array(P, dtype=float), tangent_rows=lambda Z: np.array(Z, dtype=float),
+                        dim_in=2, dim_out=2)
     cost = DirectionalOracle(
         value=lambda z: float(c @ z[2:]),
         dir_deriv=lambda z, t: float(c @ t[2:]),
@@ -191,10 +196,35 @@ def test_nine_branch_tangent_table(bundled_problem):
         if i % 5 == 0:
             x[1] = 0.0
         y = rng.uniform(-2, 2, 3)
-        got = bundled_problem.rhs.dir_deriv(x, y)
+        got = bundled_problem.rhs.tangent_rows(np.concatenate([x, y])[np.newaxis])[0, 3:]
         assert got[0] == table_dy1(x, y)
         assert got[1] == table_dy2(x, y)
         assert got[2] == y[2]
+
+
+# coordinates on kinks and ties (small integers and both zeros; the
+# expressions' constants are integers too) and non-finite entries
+_ROW_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, math.inf, -math.inf, math.nan]),
+                       st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), width=st.integers(1, 3), data=st.data())
+def test_expression_row_maps_keep_the_row_contract(seed, dim, width, data):
+    rng = np.random.default_rng(seed)
+    exprs = [random_expr(rng, dim, 3) for _ in range(width)]
+    oracle = _vector_oracle_from_exprs(exprs, dim)
+    Z = np.array(data.draw(st.lists(st.lists(_ROW_ENTRY, min_size=2 * dim, max_size=2 * dim),
+                                    min_size=1, max_size=6)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = oracle.tangent_rows(Z)
+        values = oracle.value_rows(Z[:, :dim])
+    assert T.shape == (len(Z), 2 * width)
+    assert T[:, :width].tobytes() == values.tobytes()
+    for i, z in enumerate(Z):
+        assert T[i].tobytes() == oracle.tangent_rows(Z[i:i + 1]).tobytes()
+        tangents = [ex.eval_dir_deriv(e, z[:dim], z[dim:]) for e in exprs]
+        assert T[i, width:].tobytes() == np.array(tangents).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +277,11 @@ def test_stage_sums_keep_the_builtin_sum_order():
 
 # ---------------------------------------------------------------------------
 # lockstep rows: each row is its own one-row integration, bit for bit
+
+def _one_row(rows):
+    """A row map applied to one point, as the one-row batch."""
+    return lambda z: rows(z[np.newaxis])[0]
+
 
 def _dopri5(fun, z0, t_final, cfg):
     """Reference: one system at a time, the plain FSAL Dormand-Prince loop on a 1-D state.
@@ -304,13 +339,13 @@ def _dopri5(fun, z0, t_final, cfg):
 
 _ROW_PROBLEMS = {
     "example46": problem_from_json(paper_fixture_path("example46.json")),
-    # compiled pass on one row, numpy walk on more
+    # values by the numpy walk, tangents by the compiled pass
     "linear, expressions": problem_from_json({
         "n_state": 2,
         "rhs_expr": ["(add (scale 0.3 (var 0)) (scale -1.2 (var 1)))",
                      "(add (scale 0.7 (var 0)) (scale -0.5 (var 1)))"],
         "init_expr": ["(var 0)", "(var 1)"], "cost_expr": "(var 2)", "t_final": 1.0}),
-    # the default value_rows: one value call per row
+    # hand-written row maps
     "linear, hand-written": _linear_problem([[0.3, -1.2], [0.7, -0.5]], [1.0, 0.0]),
 }
 
@@ -324,31 +359,33 @@ _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5, allow_nan=
        config=st.sampled_from([IntegrationConfig(), IntegrationConfig(initial_step=0.9)]))
 def test_lockstep_rows_match_one_row_integrations(name, points, config):
     problem = _ROW_PROBLEMS[name]
+    value = _one_row(problem.rhs.value_rows)
     P = np.array(points)
     Z0 = problem.init.value_rows(P)
     final, stats, errors, _ = _dopri5_rows(problem.rhs.value_rows, Z0, problem.t_final, config)
     assert errors == [None] * len(points)
     assert final.shape == Z0.shape and len(stats) == len(points)
     for q, z0, z, row_stats in zip(P, Z0, final, stats):
-        x0 = problem.init.value(q)
+        x0 = _one_row(problem.init.value_rows)(q)
         assert z0.tobytes() == x0.tobytes()
-        _, states, one_row = _dopri5(problem.rhs.value, x0, problem.t_final, config)
+        _, states, one_row = _dopri5(value, x0, problem.t_final, config)
         assert z.tobytes() == states[-1].tobytes()
         assert row_stats == one_row
     costs = ode_cost_value(problem, P, config)
     assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
     # a single integration is a batch of one row, with its trajectory
-    times, states, one_row = _dopri5(problem.rhs.value, Z0[0], problem.t_final, config)
+    times, states, one_row = _dopri5(value, Z0[0], problem.t_final, config)
     got = integrate_state(problem, P[0], config)
     assert got[0].tobytes() == np.array(times).tobytes() and got[1].tobytes() == np.array(states).tobytes()
     assert got[2] == one_row
     # the four compass probes at P[0]: four coupled rows of one integration
-    p, n, fused = P[0], problem.n_state, problem.rhs.value_and_dir_deriv
+    p, n = P[0], problem.n_state
     result, trajectories = _subgradient_and_trajectories(problem, p, config)
     assert len(trajectories) == 4
     for pr, traj in zip(result.probes, trajectories):
-        z0 = np.concatenate([problem.init.value(p), problem.init.dir_deriv(p, pr.direction)])
-        times, states, stats = _dopri5(lambda z: fused(z[:n], z[n:]), z0, problem.t_final, config)
+        tangent = _one_row(problem.init.tangent_rows)(np.concatenate([p, pr.direction]))[n:]
+        z0 = np.concatenate([Z0[0], tangent])
+        times, states, stats = _dopri5(_one_row(problem.rhs.tangent_rows), z0, problem.t_final, config)
         times, states = np.array(times), np.array(states)
         for got in (traj, integrate_coupled(problem, p, pr.direction, config)):
             assert got.direction.tobytes() == pr.direction.tobytes()
@@ -372,19 +409,6 @@ def test_ode_cost_value_shapes(bundled_problem):
             ode_cost_value(bundled_problem, bad)
 
 
-def test_hand_written_rhs_gets_the_default_fused_pass():
-    calls = []
-    rhs = VectorOracle(value=lambda x: calls.append("value") or -x,
-                       dir_deriv=lambda x, y: calls.append("dir_deriv") or -y, dim_in=1, dim_out=1)
-    init = VectorOracle(value=lambda p: p[:1].copy(), dir_deriv=lambda p, d: d[:1].copy(), dim_in=2, dim_out=1)
-    cost = DirectionalOracle(value=lambda z: float(z[2]), dir_deriv=lambda z, t: float(t[2]), dim=3)
-    problem = OdeProblem(n_state=1, rhs=rhs, init=init, cost=cost, t_final=1.0)
-    traj = integrate_coupled(problem, [1.0, 0.0], [1.0, 0.0])
-    assert calls[:4] == ["value", "dir_deriv", "value", "dir_deriv"]
-    assert len(calls) == 2 * traj.stats.rhs_evals
-    assert traj.sensitivities[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # failure modes and plumbing
 
@@ -398,9 +422,11 @@ def test_integration_error_carries_time_and_direction(bundled_problem):
 
 def test_blowup_reports_failure_time():
     # dx/dt = x^2 from x(0) = 1 blows up at t = 1
-    rhs = VectorOracle(value=lambda x: x * x, dir_deriv=lambda x, y: 2 * x * y, dim_in=1, dim_out=1)
-    init = VectorOracle(value=lambda p: np.array([1.0]), dir_deriv=lambda p, d: np.array([0.0]),
-                        dim_in=2, dim_out=1)
+    rhs = VectorOracle(value_rows=lambda X: X * X,
+                       tangent_rows=lambda Z: np.column_stack([Z[:, 0] * Z[:, 0], 2 * Z[:, 0] * Z[:, 1]]),
+                       dim_in=1, dim_out=1)
+    init = VectorOracle(value_rows=lambda P: np.ones((len(P), 1)),
+                        tangent_rows=lambda Z: np.tile([1.0, 0.0], (len(Z), 1)), dim_in=2, dim_out=1)
     cost = DirectionalOracle(value=lambda z: float(z[2]), dir_deriv=lambda z, t: float(t[2]), dim=3)
     problem = OdeProblem(n_state=1, rhs=rhs, init=init, cost=cost, t_final=2.0)
     with pytest.raises(IntegrationError) as err:
@@ -421,7 +447,8 @@ def test_failing_rows_fail_as_they_would_alone(config):
     failed = 0
     for i, q in enumerate(P):
         try:
-            _, states, one_row = _dopri5(_BLOWUP.rhs.value, _BLOWUP.init.value(q), 1.0, config)
+            _, states, one_row = _dopri5(_one_row(_BLOWUP.rhs.value_rows), _one_row(_BLOWUP.init.value_rows)(q),
+                                         1.0, config)
         except IntegrationError as alone:
             failed += 1
             assert (str(errors[i]), errors[i].time, errors[i].row, stats[i]) == (str(alone), alone.time, i, None)
