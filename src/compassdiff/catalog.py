@@ -81,22 +81,21 @@ def clarke_membership_check(s, hull: GradientHull, tol: float = 1e-9) -> bool:
     return separation(s, hull.generators)[0] <= tol
 
 
-def sample_limiting_gradients(entry_or_expr, x, radius: float = 1e-3, count: int = 64,
-                              dedup_tol: float = 1e-6) -> np.ndarray:
+def sample_limiting_gradients(entry_or_expr, x) -> np.ndarray:
     """Brute-force essentially-active gradients near ``x``, by perturbed probing.
 
-    Samples points on a small sphere around ``x``, keeps those where the
-    function is (numerically) differentiable, reads the gradient off the
-    coordinate directional derivatives, and deduplicates.  For piecewise
-    functions the result spans the Clarke generalized gradient at ``x`` and is
-    independent of any hand-derived formula.
+    Samples 64 points on the sphere of radius 1e-3 around ``x``, keeps those
+    where the function is (numerically) differentiable, reads the gradient
+    off the coordinate directional derivatives, and drops repeats within 1e-6
+    (max norm).  For piecewise functions the result spans the Clarke
+    generalized gradient at ``x`` and is independent of any hand-derived formula.
     """
     e = entry_or_expr.expr if isinstance(entry_or_expr, CatalogEntry) else entry_or_expr
     x = np.asarray(x, dtype=float)
     n = x.size
     grads: list[np.ndarray] = []
-    for u in unit_directions(count, n):
-        p = x + radius * u
+    for u in unit_directions(64, n):
+        p = x + 1e-3 * u
         g = np.empty(n)
         smooth = True
         for i in range(n):
@@ -110,7 +109,7 @@ def sample_limiting_gradients(entry_or_expr, x, radius: float = 1e-3, count: int
             g[i] = plus
         if not smooth:
             continue
-        if all(np.max(np.abs(g - h)) > dedup_tol for h in grads):
+        if all(np.max(np.abs(g - h)) > 1e-6 for h in grads):
             grads.append(g)
     return np.array(grads)
 

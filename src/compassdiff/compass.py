@@ -38,7 +38,7 @@ from .sampling import halton_in_box, unit_directions
 
 #: Bases with |det| below this are rejected as numerically singular; the
 #: conditioning of the transposed-inverse solve dominates the error.
-DEFAULT_DET_TOL = 1e-12
+DET_TOL = 1e-12
 
 
 def _pair_subgradient(probes, basis: np.ndarray | None) -> np.ndarray:
@@ -109,7 +109,7 @@ def compass_difference(oracle: DirectionalOracle, x) -> CompassResult:
     return probe(_oracle_psi(oracle, x), np.eye(n))
 
 
-def basis_compass_difference(oracle: DirectionalOracle, x, V, det_tol: float = DEFAULT_DET_TOL) -> CompassResult:
+def basis_compass_difference(oracle: DirectionalOracle, x, V) -> CompassResult:
     """Compass difference probed along the columns of ``V`` instead of +-e_i.
 
     Returns (V^T)^{-1} * [ (f'(x; v_i) - f'(x; -v_i)) / 2 ]_i, which is again
@@ -118,7 +118,8 @@ def basis_compass_difference(oracle: DirectionalOracle, x, V, det_tol: float = D
     reproduces :func:`compass_difference` bit for bit.
 
     Directional derivatives are positively homogeneous in the direction, so
-    the columns of ``V`` need not be normalised.
+    the columns of ``V`` need not be normalised.  A basis with |det V|
+    below :data:`DET_TOL` is rejected as singular.
     """
     x = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -126,8 +127,8 @@ def basis_compass_difference(oracle: DirectionalOracle, x, V, det_tol: float = D
     if x.size != n or V.shape != (n, n):
         raise InputError(f"point of size {x.size} and basis of shape {V.shape} do not fit dimension {n}")
     det = float(np.linalg.det(V))
-    if abs(det) < det_tol:
-        raise ValueError(f"basis not invertible: |det| = {abs(det):.3e} below threshold {det_tol:.0e}")
+    if abs(det) < DET_TOL:
+        raise ValueError(f"basis not invertible: |det| = {abs(det):.3e} below threshold {DET_TOL:.0e}")
     return probe(_oracle_psi(oracle, x), V.copy())
 
 
@@ -212,13 +213,14 @@ def verify_subgradient_inequality(value_fn, x, s, samples, slack: float) -> Veri
     ``value_fn`` may accept a batch of shape (N, n) for vectorised
     evaluation; otherwise it is called one point at a time.
     """
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
+    require_positive("slack", slack, zero_ok=True)
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] == 0:
-        raise ValueError("sample list must not be empty")
+        raise InputError("sample list must not be empty")
+    if s.size != x.size or samples.ndim != 2 or samples.shape[1] != x.size:
+        raise InputError(f"sizes of x {x.size}, s {s.size} and samples {samples.shape} do not match")
     f_x = float(value_fn(x))
     values = _sample_values(value_fn, samples)
     violations = f_x + (samples - x) @ s - values
@@ -234,7 +236,7 @@ def verify_subgradient_inequality(value_fn, x, s, samples, slack: float) -> Veri
     )
 
 
-def verification_points(x, lower, upper, count: int, seed: int = 0) -> np.ndarray:
+def verification_points(x, lower, upper, count: int) -> np.ndarray:
     """Standard sample set for :func:`verify_subgradient_inequality`.
 
     Low-discrepancy points in the box [lower, upper], plus the 2n axis points
@@ -243,17 +245,17 @@ def verification_points(x, lower, upper, count: int, seed: int = 0) -> np.ndarra
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    box = halton_in_box(count, lower, upper, start=1 + max(seed, 0))
+    box = halton_in_box(count, lower, upper)
     axis = np.vstack([x + e for e in np.eye(n)] + [x - e for e in np.eye(n)])
-    ring = x + 1e-3 * unit_directions(64, n, seed=seed)
+    ring = x + 1e-3 * unit_directions(64, n)
     return np.vstack([box, axis, ring])
 
 
-def compass_from_psi(psi_fn, dim: int = 2) -> CompassResult:
-    """Assemble a compass difference from a directional map d -> psi(d).
+def compass_from_psi(psi_fn) -> CompassResult:
+    """Assemble a planar compass difference from a directional map d -> psi(d).
 
     Used when psi is itself the directional derivative of some function
     (an ODE cost, an optimal-value function): the compass difference of psi
     at the origin is then a subgradient of that function.
     """
-    return probe(psi_fn, np.eye(dim))
+    return probe(psi_fn, np.eye(2))

@@ -13,15 +13,14 @@ activation tolerance; :func:`stability_probe` reports psi under eps and
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
+from . import jsonio
 from .compass import probe
 from .oracle import UNGUARANTEED, CompassResult, InputError, require_positive
 
@@ -99,11 +98,15 @@ class OptimalValueProblem:
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible: FeasibleSet
-    m: int
 
     def __post_init__(self):
         if self.m < 1:
             raise InputError("inner dimension must be positive")
+
+    @property
+    def m(self) -> int:  # the inner dimension
+        feas = self.feasible
+        return feas.points.shape[1] if isinstance(feas, FinitePointCloud) else feas.lower.size
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,12 @@ def _rows(what: str, values, ys: np.ndarray, width: Optional[int] = None) -> np.
     return values
 
 
-def _evaluate(problem: OptimalValueProblem, x_hat: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return _rows("objective value", problem.objective(x_hat, ys), ys)
+def _active(problem: OptimalValueProblem, x_hat: np.ndarray, ys: np.ndarray, eps_active: Optional[float]) -> ActiveSet:
+    """The points of ``ys`` within the activation tolerance of their least objective value."""
+    vals = _rows("objective value", problem.objective(x_hat, ys), ys)
+    opt = float(np.min(vals))
+    eps = eps_active if eps_active is not None else _default_eps(opt)
+    return ActiveSet(minimizers=ys[vals <= opt + eps], optimal_value=opt, epsilon=eps)
 
 
 def _refine_in_box(problem: OptimalValueProblem, x_hat: np.ndarray, y: np.ndarray, box: Box,
@@ -184,27 +191,14 @@ def solve_inner(problem: OptimalValueProblem, x_hat, eps_active: Optional[float]
         require_positive("eps_active", eps_active)
     feas = problem.feasible
     if isinstance(feas, FinitePointCloud):
-        ys = feas.points
-        vals = _evaluate(problem, x_hat, ys)
-        opt = float(np.min(vals))
-        eps = eps_active if eps_active is not None else _default_eps(opt)
-        keep = ys[vals <= opt + eps]
-        return ActiveSet(minimizers=keep, optimal_value=opt, epsilon=eps)
+        return _active(problem, x_hat, feas.points, eps_active)
 
     axes = [np.linspace(feas.lower[j], feas.upper[j], feas.grid) for j in range(problem.m)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, problem.m)
-    vals = _evaluate(problem, x_hat, mesh)
-    grid_opt = float(np.min(vals))
-    eps = eps_active if eps_active is not None else _default_eps(grid_opt)
-    candidates = mesh[vals <= grid_opt + eps]
+    candidates = _active(problem, x_hat, mesh, eps_active).minimizers
     spacing = (feas.upper - feas.lower) / (feas.grid - 1)
-    refined = np.array([_refine_in_box(problem, x_hat, y, feas, spacing) for y in candidates])
-    refined = _dedup(refined)
-    vals = _evaluate(problem, x_hat, refined)
-    opt = float(np.min(vals))
-    eps = eps_active if eps_active is not None else _default_eps(opt)
-    keep = refined[vals <= opt + eps]
-    return ActiveSet(minimizers=keep, optimal_value=opt, epsilon=eps)
+    refined = _dedup(np.array([_refine_in_box(problem, x_hat, y, feas, spacing) for y in candidates]))
+    return _active(problem, x_hat, refined, eps_active)
 
 
 def optimal_value(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> float:
@@ -286,11 +280,7 @@ def problem_from_json(source) -> OptimalValueProblem:
     The feasible set is either ``{"cloud": [[...], ...]}`` or
     ``{"box": {"lower": [...], "upper": [...], "grid": k, "refine_steps": r}}``.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = jsonio.load(source)
     for key in ("objective", "grad_x", "feasible"):
         if key not in data:
             raise InputError(f"optimal-value problem JSON is missing {key!r}")
@@ -330,4 +320,4 @@ def problem_from_json(source) -> OptimalValueProblem:
         z = _stack(x, ys)
         return np.column_stack([ex.eval_value(g, z) for g in grad_exprs])
 
-    return OptimalValueProblem(objective=objective, grad_x=grad_x, feasible=feasible, m=m)
+    return OptimalValueProblem(objective=objective, grad_x=grad_x, feasible=feasible)

@@ -66,8 +66,8 @@ def demo_example41() -> dict:
     return _report("example41", checks, compass=result.to_json_dict())
 
 
-def demo_example42(angles_deg=(90.0, 210.0, 330.0)) -> dict:
-    theta = np.deg2rad(np.asarray(angles_deg, dtype=float))
+def demo_example42() -> dict:
+    theta = np.deg2rad(np.array([90.0, 210.0, 330.0]))
     probes = np.column_stack([np.cos(theta), np.sin(theta)])
     cert = three_probe_ambiguity(*probes)
     checks: list = []

@@ -366,14 +366,12 @@ def eval_dir_deriv(expr: NonsmoothExpr, x, d) -> float:
     return compiled.forward(x.tolist(), d.tolist())[1]
 
 
-def as_oracle(expr: NonsmoothExpr, dim: int | None = None) -> DirectionalOracle:
+def as_oracle(expr: NonsmoothExpr, dim: int) -> DirectionalOracle:
     """Wrap an expression as a :class:`DirectionalOracle` of dimension ``dim``.
 
     The expression is compiled here, once.
     """
     need = dimension(expr)
-    if dim is None:
-        dim = need
     if dim < need:
         raise InputError(f"expression uses variable indices up to {need - 1}, beyond dimension {dim}")
 

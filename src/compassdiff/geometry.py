@@ -13,18 +13,20 @@ known through sigma alone, such as the ball, is tested on sampled directions.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import jsonio
 from .compass import probe
 from .hulls import separation
 from .oracle import GUARANTEED, UNGUARANTEED, InputError, require_positive
 from .sampling import unit_directions
+
+#: Unit directions an oracle known through sigma alone is tested on.
+SAMPLED_DIRECTIONS = 360
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,7 @@ def ball_support(radius: float = 1.0, dim: int = 2) -> SupportOracle:
 
 def load_polytope_json(source) -> SupportOracle:
     """Load a polytope oracle from ``{"dim": n, "vertices": [[...], ...]}``."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = jsonio.load(source)
     if "vertices" not in data:
         raise InputError("polytope JSON needs a 'vertices' field")
     vertices = np.asarray(data["vertices"], dtype=float)
@@ -177,29 +175,27 @@ def interval_hull(oracle: SupportOracle) -> IntervalHull:
     return _probe_support(oracle)[0]
 
 
-def midpoint_element(oracle: SupportOracle, compact_convex: bool = True) -> MidpointResult:
+def midpoint_element(oracle: SupportOracle) -> MidpointResult:
     """Midpoint of the interval hull, with its membership guarantee flag.
 
     For a compact convex set in the plane the midpoint always belongs to the
     set; in other dimensions it is returned but flagged unguaranteed (the
-    bundled three-dimensional demo refutes it).  Compactness and convexity
-    are the caller's assertion; a support oracle cannot verify them.
+    bundled three-dimensional demo refutes it).  A set that is not closed
+    shares its closure's support function, and may miss it (``example44``).
     """
     hull, point = _probe_support(oracle)
-    guaranteed = oracle.dim == 2 and compact_convex
     return MidpointResult(
         point=point,
-        guarantee=GUARANTEED if guaranteed else UNGUARANTEED,
+        guarantee=GUARANTEED if oracle.dim == 2 else UNGUARANTEED,
         hull=hull,
     )
 
 
-def membership_check(oracle: SupportOracle, p, directions: int = 360, tol: float = 1e-9,
-                     seed: int = 0) -> MembershipReport:
+def membership_check(oracle: SupportOracle, p, tol: float = 1e-9) -> MembershipReport:
     """Separation test: is <d, p> <= sigma(d) + tol for all unit d?
 
     With a vertex list the verdict is exact (:func:`hulls.separation`, no
-    sigma call).  Otherwise ``directions`` sampled unit vectors are tested: a
+    sigma call).  Otherwise SAMPLED_DIRECTIONS fixed unit vectors are tested: a
     separating witness is still a certificate, but ``member=True`` only
     reports that no sampled direction separates.
     """
@@ -209,16 +205,14 @@ def membership_check(oracle: SupportOracle, p, directions: int = 360, tol: float
         max_gap, witness = separation(p, oracle.vertices)
         n_directions = None
     else:
-        if directions < 8:
-            raise ValueError("need at least 8 sample directions")
         max_gap = -math.inf
         witness = None
-        for d in unit_directions(directions, oracle.dim, seed=seed):
+        for d in unit_directions(SAMPLED_DIRECTIONS, oracle.dim):
             gap = float(p @ d) - float(oracle.sigma(d))
             if gap > max_gap:
                 max_gap = gap
                 witness = d
-        n_directions = directions
+        n_directions = SAMPLED_DIRECTIONS
     member = max_gap <= tol
     return MembershipReport(
         member=member,

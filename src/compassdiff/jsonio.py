@@ -2,14 +2,15 @@
 
 Repeated runs on identical inputs must produce byte-identical output, so the
 serializer is a small explicit walker rather than ``json.dumps`` (whose float
-formatting is not pinned by contract).  Strings do go through ``json.dumps``,
-which escapes every control character.
+formatting is not pinned by contract), indenting by two spaces.  Strings do
+go through ``json.dumps``, which escapes every control character.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -22,15 +23,23 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def load(source):
+    """The JSON document at ``source`` if it is a path (``str`` or ``os.PathLike``), else ``source`` as is."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            return json.load(fh)
+    return source
+
+
+def dumps(obj) -> str:
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out)
 
 
-def _write(obj, out: list[str], indent: int, level: int):
-    pad = " " * (indent * (level + 1))
-    closing_pad = " " * (indent * level)
+def _write(obj, out: list[str], level: int):
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -42,7 +51,7 @@ def _write(obj, out: list[str], indent: int, level: int):
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, indent, level)
+        _write(obj.tolist(), out, level)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -51,9 +60,9 @@ def _write(obj, out: list[str], indent: int, level: int):
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
             out.append(pad)
-            _write(str(key), out, indent, level + 1)
+            _write(str(key), out, level + 1)
             out.append(": ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(closing_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -69,7 +78,7 @@ def _write(obj, out: list[str], indent: int, level: int):
         out.append("[\n")
         for i, value in enumerate(seq):
             out.append(pad)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(closing_pad + "]")
     else:

@@ -27,20 +27,20 @@ evaluated at the new state and becomes the next step's first, so a row costs
 detection is attempted: the tangent right-hand side is only Lipschitz in y,
 and adaptive step control absorbs the kink crossings at desk scale.  The
 default tolerances (1e-8 absolute and relative) are deliberately tight so
-compass differences inherit roughly six accurate digits.
+compass differences inherit roughly six accurate digits; they are the only
+settings, and the step limits are the constants MAX_STEPS and MIN_STEP.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import expr as ex
+from . import jsonio
 from .compass import probe, probe_directions
 from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, require_positive
 
@@ -62,37 +62,33 @@ class IntegrationError(RuntimeError):
         self.row = row
 
 
+#: Attempted steps after which a row fails, and the step size below which it fails.
+MAX_STEPS = 100_000
+MIN_STEP = 1e-13
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
-    max_steps: int = 100_000
-    min_step: float = 1e-13
-    initial_step: Optional[float] = None  # None: choose automatically
 
     def __post_init__(self):
         require_positive("abs_tol", self.abs_tol)
         require_positive("rel_tol", self.rel_tol)
-        require_positive("min_step", self.min_step)
-        if self.initial_step is not None:
-            require_positive("initial_step", self.initial_step)
-        if not self.max_steps >= 1:
-            raise InputError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
 class OdeProblem:
     """Right-hand side, initial-condition map, cost, and horizon.
 
-    ``rhs`` acts on R^n_state; ``init`` maps the two parameters to the initial
-    state (with its directional derivative); ``cost`` acts on the
-    concatenated (p, x(T)) vector of dimension 2 + n_state.  All three must be
-    locally Lipschitz and directionally differentiable, and the state ODE is
-    assumed to have unique solutions (not checkable at runtime for black-box
-    oracles).
+    ``rhs`` acts on R^n_state (n_state is read from it); ``init`` maps the two
+    parameters to the initial state (with its directional derivative); ``cost``
+    acts on the concatenated (p, x(T)) vector of dimension 2 + n_state.  All
+    three must be locally Lipschitz and directionally differentiable, and the
+    state ODE is assumed to have unique solutions (not checkable at runtime
+    for black-box oracles).
     """
 
-    n_state: int
     rhs: VectorOracle
     init: VectorOracle
     cost: DirectionalOracle
@@ -102,12 +98,16 @@ class OdeProblem:
         require_positive("t_final", self.t_final)
         if self.n_state < 1:
             raise InputError(f"n_state must be at least 1, got {self.n_state}")
-        if self.rhs.dim_in != self.n_state or self.rhs.dim_out != self.n_state:
-            raise InputError("rhs oracle dimensions do not match n_state")
+        if self.rhs.dim_out != self.n_state:
+            raise InputError("rhs oracle must map R^n_state to itself")
         if self.init.dim_in != 2 or self.init.dim_out != self.n_state:
             raise InputError("init map must send R^2 to R^n_state")
         if self.cost.dim != 2 + self.n_state:
             raise InputError("cost oracle must act on (p, x), dimension 2 + n_state")
+
+    @property
+    def n_state(self) -> int:
+        return self.rhs.dim_in
 
 
 @dataclass(frozen=True)
@@ -229,11 +229,11 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
     The stage arithmetic is elementwise and the step control is scalar code
     per row.  The rhs sees only the rows still running; a row leaves the
     batch when it reaches t_final or fails.  A row costs 6 rhs evaluations
-    per attempted step, plus f(z0) and, without ``initial_step``, one more
-    for the step-size guess.  A row fails on a non-finite derivative at
-    t = 0, a non-finite state or error-estimate component, the step limit or
-    a step below ``min_step``; an error norm that overflows from finite
-    components only rejects the step.  Overflow in the loop is quiet.
+    per attempted step, plus f(z0) and one more for the step-size guess.  A
+    row fails on a non-finite derivative at t = 0, a non-finite state or
+    error-estimate component, MAX_STEPS attempted steps or a step below
+    MIN_STEP; an error norm that overflows from finite components only
+    rejects the step.  Overflow in the loop is quiet.
 
     Returns ``(final, stats, errors, trajectories)``: the final states, shape
     (N, n); per row its :class:`StepStats` and its :class:`IntegrationError`
@@ -252,16 +252,11 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
             errors[i] = IntegrationError("non-finite state derivative at t = 0", time=0.0, row=i)
         rows = np.flatnonzero(good)  # original index of each running row
         z, f0 = final[rows], f0[rows]
-        setup = 1
-        if cfg.initial_step is not None:
-            h = np.full(rows.size, min(cfg.initial_step, t_final))
-        else:
-            scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
-            d1 = _rms(f0, scale).tolist()
-            h0 = [_first_guess(a, b, t_final) for a, b in zip(_rms(z, scale).tolist(), d1)]
-            df = _rms(fun(z + np.array(h0).reshape(-1, 1) * f0) - f0, scale).tolist()
-            h = np.array([_second_guess(*guess, t_final) for guess in zip(h0, d1, df)])
-            setup += 1
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
+        d1 = _rms(f0, scale).tolist()
+        h0 = [_first_guess(a, b, t_final) for a, b in zip(_rms(z, scale).tolist(), d1)]
+        df = _rms(fun(z + np.array(h0).reshape(-1, 1) * f0) - f0, scale).tolist()
+        h = np.array([_second_guess(*guess, t_final) for guess in zip(h0, d1, df)])
         # per running row; elementwise numpy arithmetic rounds as scalar arithmetic does
         t = np.zeros(rows.size)
         err_prev = np.ones(rows.size)
@@ -278,16 +273,16 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
             last = h >= rest
             h = np.where(last, rest, h)
             # a finished row (t >= t_final) has h = 0 here
-            stop = bad | (h < cfg.min_step) | (steps >= cfg.max_steps)
+            stop = bad | (h < MIN_STEP) | (steps >= MAX_STEPS)
             if stop.any():  # rows leave the batch, finished or failed
                 for i in np.flatnonzero(stop).tolist():
                     row = int(rows[i])
                     if rest[i] <= 0.0:
                         final[row] = z[i]
                         a, r = int(accepted[i]), steps - int(accepted[i])
-                        stats[row] = StepStats(accepted=a, rejected=r, rhs_evals=setup + 6 * (a + r))
+                        stats[row] = StepStats(accepted=a, rejected=r, rhs_evals=2 + 6 * (a + r))
                     elif errors[row] is None:
-                        message = (f"step limit {cfg.max_steps} exceeded" if steps >= cfg.max_steps
+                        message = (f"step limit {MAX_STEPS} exceeded" if steps >= MAX_STEPS
                                    else f"step size underflow ({h[i]:.3e})")
                         errors[row] = IntegrationError(f"{message} at t = {t[i]:.6g}", time=float(t[i]), row=row)
                 keep = ~stop
@@ -338,7 +333,10 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
 
 def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
     """Integrate the state system alone; returns (times, states, stats)."""
-    x0 = problem.init.value_rows(np.asarray(p, dtype=float).reshape(1, -1))
+    p = np.asarray(p, dtype=float)
+    if p.size != 2:
+        raise InputError("the parameter space is two-dimensional")
+    x0 = problem.init.value_rows(p.reshape(1, 2))
     _, stats, errors, trajectories = _dopri5_rows(problem.rhs.value_rows, x0, problem.t_final, config, record=True)
     if errors[0] is not None:
         raise errors[0]
@@ -490,11 +488,7 @@ def problem_from_json(source) -> OdeProblem:
          "cost_expr": expr          over the concatenated (p, x) variables,
          "t_final": T}
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = jsonio.load(source)
     for key in ("n_state", "rhs_expr", "init_expr", "cost_expr", "t_final"):
         if key not in data:
             raise InputError(f"ODE problem JSON is missing {key!r}")
@@ -505,7 +499,6 @@ def problem_from_json(source) -> OdeProblem:
         raise InputError(f"need exactly {n} rhs and init expressions")
     cost_expr = ex.parse_expr(data["cost_expr"])
     return OdeProblem(
-        n_state=n,
         rhs=_vector_oracle_from_exprs(rhs_exprs, n),
         init=_vector_oracle_from_exprs(init_exprs, 2),
         cost=ex.as_oracle(cost_expr, 2 + n),

@@ -27,7 +27,6 @@ def _inner_product_problem():
         objective=lambda x, ys: ys[:, 0] * x[0] + ys[:, 1] * x[1],
         grad_x=lambda x, ys: np.asarray(ys, dtype=float),
         feasible=FinitePointCloud(points=_circle_cloud()),
-        m=2,
     )
 
 
@@ -36,7 +35,6 @@ def _sqdist_problem():
         objective=lambda x, ys: (ys[:, 0] - x[0]) ** 2 + (ys[:, 1] - x[1]) ** 2,
         grad_x=lambda x, ys: 2.0 * (np.asarray(x, float) - np.asarray(ys, float)),
         feasible=FinitePointCloud(points=_circle_cloud()),
-        m=2,
     )
 
 
@@ -78,7 +76,6 @@ def test_solve_inner_rejects_nonfinite_objective():
         objective=lambda x, ys: np.full(len(ys), np.nan),
         grad_x=lambda x, ys: np.zeros((len(ys), 2)),
         feasible=FinitePointCloud(points=np.zeros((1, 2))),
-        m=2,
     )
     with pytest.raises(ValueError, match="non-finite"):
         solve_inner(problem, [0.0, 0.0])
@@ -170,7 +167,6 @@ def test_danskin_box_feasible_set():
         objective=lambda x, ys: (ys[:, 0] - x[0]) ** 2 + (ys[:, 1] - x[1]) ** 2,
         grad_x=lambda x, ys: 2.0 * (np.asarray(x, float) - np.asarray(ys, float)),
         feasible=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0], grid=21, refine_steps=40),
-        m=2,
     )
     active = solve_inner(problem, [2.0, 0.3])
     assert active.minimizers.shape[0] == 1

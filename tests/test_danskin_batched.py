@@ -33,7 +33,6 @@ from compassdiff.demos import paper_fixture_path
 
 def point_problem(data) -> dk.OptimalValueProblem:
     feasible = dk.problem_from_json(data).feasible
-    m = feasible.points.shape[1] if isinstance(feasible, dk.FinitePointCloud) else feasible.lower.size
     obj, g0, g1 = (ex.compile_expr(ex.parse_expr(s)).forward for s in (data["objective"], *data["grad_x"]))
 
     def point(x, y):
@@ -47,7 +46,7 @@ def point_problem(data) -> dk.OptimalValueProblem:
         z = point(x, y)
         return np.array([g0(z, z)[0], g1(z, z)[0]])
 
-    return dk.OptimalValueProblem(objective=objective, grad_x=grad_x, feasible=feasible, m=m)
+    return dk.OptimalValueProblem(objective=objective, grad_x=grad_x, feasible=feasible)
 
 
 def ref_evaluate(problem, x_hat, ys):
@@ -113,7 +112,7 @@ def ref_psi(problem, x_hat, active, d):
 def ref_subgradient(problem, x_hat, eps_active=None):
     x_hat = np.asarray(x_hat, dtype=float)
     active = ref_solve_inner(problem, x_hat, eps_active)
-    return compass_from_psi(lambda d: ref_psi(problem, x_hat, active, d), dim=2)
+    return compass_from_psi(lambda d: ref_psi(problem, x_hat, active, d))
 
 
 def ref_stability(problem, x_hat, eps_active=None):
@@ -249,7 +248,6 @@ def test_objective_and_gradient_shapes_are_checked():
         objective=lambda x, ys: float(x @ ys[0]),
         grad_x=lambda x, ys: np.asarray(ys[0], dtype=float),
         feasible=dk.FinitePointCloud(points=np.eye(2)),
-        m=2,
     )
     with pytest.raises(ValueError, match=r"objective values of shape \(2,\)"):
         dk.solve_inner(problem, [1.0, 0.0])

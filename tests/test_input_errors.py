@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 import compassdiff
 from conftest import OVERFLOW_PROBLEM
 from compassdiff import cli, expr as ex, oracle
-from compassdiff.compass import basis_compass_difference, compass_difference, finite_difference_probes
+from compassdiff.compass import (
+    basis_compass_difference,
+    compass_difference,
+    finite_difference_probes,
+    verify_subgradient_inequality,
+)
 from compassdiff.danskin import (
     MAX_REFINE_STEPS,
     Box,
@@ -28,11 +33,11 @@ from compassdiff.danskin import (
 from compassdiff.demos import DEMO_NAMES, paper_fixture_path
 from compassdiff.geometry import membership_check, polytope_support
 from compassdiff.hulls import separation
-from compassdiff.odesens import IntegrationConfig, problem_from_json as ode_from_json
+from compassdiff.odesens import IntegrationConfig, integrate_state, problem_from_json as ode_from_json
 from compassdiff.optimize import Constant, Diminishing, Polyak, subgradient_method
 from compassdiff.oracle import InputError
 
-_NORM = ex.as_oracle(ex.parse_expr("(norm (var 0) (var 1))"))
+_NORM = ex.as_oracle(ex.parse_expr("(norm (var 0) (var 1))"), 2)
 _TRIANGLE = polytope_support([[0, 0], [2, 0], [0, 2]])
 _CIRCLE = danskin_from_json(paper_fixture_path("danskin_circle.json"))
 _EXAMPLE46 = json.loads(paper_fixture_path("example46.json").read_text())
@@ -40,11 +45,15 @@ _EXAMPLE46 = json.loads(paper_fixture_path("example46.json").read_text())
 LIBRARY_CASES = {
     "abs_tol nan": lambda: IntegrationConfig(abs_tol=math.nan),
     "rel_tol inf": lambda: IntegrationConfig(rel_tol=math.inf),
-    "initial_step 0": lambda: IntegrationConfig(initial_step=0.0),
-    "max_steps 0": lambda: IntegrationConfig(max_steps=0),
     "t_final nan": lambda: ode_from_json(dict(_EXAMPLE46, t_final=math.nan)),
+    "integrate_state point size": lambda: integrate_state(ode_from_json(_EXAMPLE46), [0.3, 0.2, 99.0]),
     "n_state 0": lambda: ode_from_json({"n_state": 0, "rhs_expr": [], "init_expr": [],
                                         "cost_expr": "(var 0)", "t_final": 1.0}),
+    "slack nan": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.nan),
+    "slack inf": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.inf),
+    "subgradient size": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0], [[1.0, 0.0]], 0.0),
+    "no samples": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], np.empty((0, 2)), 0.0),
+    "sample size": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0, 0.0]], 0.0),
     "delta nan": lambda: finite_difference_probes(lambda p: 0.0, [0.0, 0.0], math.nan),
     "delta inf": lambda: finite_difference_probes(lambda p: 0.0, [0.0, 0.0], math.inf),
     "tol inf": lambda: membership_check(_TRIANGLE, [0.0, 0.0], tol=math.inf),

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from conftest import OVERFLOW_PROBLEM, random_expr
 from compassdiff import expr as ex
+from compassdiff import odesens
 from compassdiff.compass import verify_subgradient_inequality
 from compassdiff.demos import paper_fixture_path
 from compassdiff.odesens import (
@@ -62,7 +63,7 @@ def _linear_problem(A, c):
         dir_deriv=lambda z, t: float(c @ t[2:]),
         dim=4,
     )
-    return OdeProblem(n_state=2, rhs=rhs, init=init, cost=cost, t_final=1.0)
+    return OdeProblem(rhs=rhs, init=init, cost=cost, t_final=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +165,6 @@ def test_tolerance_convergence(bundled_problem):
     assert all(increments[i + 1] < increments[i] for i in range(4)), increments
 
 
-def test_reintegration_with_perturbed_initial_step_agrees(bundled_problem):
-    cfg = IntegrationConfig()
-    base = integrate_coupled(bundled_problem, [0.0, 0.0], [1.0, 0.0], cfg)
-    perturbed = integrate_coupled(
-        bundled_problem, [0.0, 0.0], [1.0, 0.0], IntegrationConfig(initial_step=0.0037))
-    scale = max(1.0, float(np.max(np.abs(base.sensitivities[-1]))))
-    agreement = np.max(np.abs(base.sensitivities[-1] - perturbed.sensitivities[-1]))
-    assert agreement <= 10.0 * (cfg.abs_tol + cfg.rel_tol * scale)
-
-
 def test_nine_branch_tangent_table(bundled_problem):
     # the generated tangent right-hand side agrees with the explicit
     # nine-case table for dy1 and three-case table for dy2
@@ -248,18 +239,15 @@ def test_ode_cost_value_is_pinned_bit_for_bit(bundled_problem, p, expected):
     assert ode_cost_value(bundled_problem, p) == float.fromhex(expected)
 
 
-@pytest.mark.parametrize("p, config, expected", [
-    ((0.0, 0.0), IntegrationConfig(), StepStats(19, 0, 116)),
-    ((0.0, 0.0), IntegrationConfig(initial_step=0.9), StepStats(13, 2, 91)),
-    ((-0.952, 1.312), IntegrationConfig(), StepStats(41, 30, 428)),
+@pytest.mark.parametrize("p, expected", [
+    ((0.0, 0.0), StepStats(19, 0, 116)),
+    ((-0.952, 1.312), StepStats(41, 30, 428)),
 ])
-def test_integrate_coupled_step_counts(bundled_problem, p, config, expected):
-    # 6 rhs evaluations per attempted step, plus f(z0) and, without an
-    # initial step, the step-size guess
-    stats = integrate_coupled(bundled_problem, p, [1.0, 0.0], config).stats
+def test_integrate_coupled_step_counts(bundled_problem, p, expected):
+    # 6 rhs evaluations per attempted step, plus f(z0) and the step-size guess
+    stats = integrate_coupled(bundled_problem, p, [1.0, 0.0]).stats
     assert stats == expected
-    setup = 1 if config.initial_step is not None else 2
-    assert stats.rhs_evals == setup + 6 * (stats.accepted + stats.rejected)
+    assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
 
 
 def test_stage_sums_keep_the_builtin_sum_order():
@@ -287,7 +275,8 @@ def _dopri5(fun, z0, t_final, cfg):
     """Reference: one system at a time, the plain FSAL Dormand-Prince loop on a 1-D state.
 
     Shares the step control, error norm, initial-step guess and stage sums
-    with the lockstep loop; returns (times, states, stats) of the accepted steps.
+    with the lockstep loop, and reads its step limits from the module at call
+    time, as the loop does; returns (times, states, stats) of the accepted steps.
     """
     t = 0.0
     z = np.asarray(z0, dtype=float).copy()
@@ -297,25 +286,21 @@ def _dopri5(fun, z0, t_final, cfg):
     k[0] = fun(z)
     if not np.isfinite(k[0]).all():
         raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
-    evals = 1
-    if cfg.initial_step is not None:
-        h = min(cfg.initial_step, t_final)
-    else:
-        scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
-        d1 = float(_rms(k[0], scale))
-        h0 = _first_guess(float(_rms(z, scale)), d1, t_final)
-        h = _second_guess(h0, d1, float(_rms(fun(z + h0 * k[0]) - k[0], scale)), t_final)
-        evals += 1
+    scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
+    d1 = float(_rms(k[0], scale))
+    h0 = _first_guess(float(_rms(z, scale)), d1, t_final)
+    h = _second_guess(h0, d1, float(_rms(fun(z + h0 * k[0]) - k[0], scale)), t_final)
+    evals = 2
     accepted = rejected = 0
     err_prev = 1.0
     terms = np.zeros((8, z.size))
     while t < t_final:
-        if accepted + rejected >= cfg.max_steps:
-            raise IntegrationError(f"step limit {cfg.max_steps} exceeded at t = {t:.6g}", time=t)
+        if accepted + rejected >= odesens.MAX_STEPS:
+            raise IntegrationError(f"step limit {odesens.MAX_STEPS} exceeded at t = {t:.6g}", time=t)
         last = h >= t_final - t
         if last:
             h = t_final - t
-        if h < cfg.min_step:
+        if h < odesens.MIN_STEP:
             raise IntegrationError(f"step size underflow ({h:.3e}) at t = {t:.6g}", time=t)
         for s in range(1, 7):
             k[s] = fun(z + h * _combine(_A[s], k, terms))
@@ -355,10 +340,9 @@ _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5, allow_nan=
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(_ROW_PROBLEMS)),
-       points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60),
-       config=st.sampled_from([IntegrationConfig(), IntegrationConfig(initial_step=0.9)]))
-def test_lockstep_rows_match_one_row_integrations(name, points, config):
-    problem = _ROW_PROBLEMS[name]
+       points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60))
+def test_lockstep_rows_match_one_row_integrations(name, points):
+    problem, config = _ROW_PROBLEMS[name], IntegrationConfig()
     value = _one_row(problem.rhs.value_rows)
     P = np.array(points)
     Z0 = problem.init.value_rows(P)
@@ -412,10 +396,10 @@ def test_ode_cost_value_shapes(bundled_problem):
 # ---------------------------------------------------------------------------
 # failure modes and plumbing
 
-def test_integration_error_carries_time_and_direction(bundled_problem):
-    cfg = IntegrationConfig(max_steps=3)
-    with pytest.raises(IntegrationError) as err:
-        integrate_coupled(bundled_problem, [0.0, 0.0], [1.0, 0.0], cfg)
+def test_integration_error_carries_time_and_direction(bundled_problem, monkeypatch):
+    monkeypatch.setattr(odesens, "MAX_STEPS", 3)
+    with pytest.raises(IntegrationError, match="step limit 3 exceeded") as err:
+        integrate_coupled(bundled_problem, [0.0, 0.0], [1.0, 0.0])
     assert 0.0 <= err.value.time <= 1.0
     assert np.array_equal(err.value.direction, [1.0, 0.0])
 
@@ -428,7 +412,7 @@ def test_blowup_reports_failure_time():
     init = VectorOracle(value_rows=lambda P: np.ones((len(P), 1)),
                         tangent_rows=lambda Z: np.tile([1.0, 0.0], (len(Z), 1)), dim_in=2, dim_out=1)
     cost = DirectionalOracle(value=lambda z: float(z[2]), dir_deriv=lambda z, t: float(t[2]), dim=3)
-    problem = OdeProblem(n_state=1, rhs=rhs, init=init, cost=cost, t_final=2.0)
+    problem = OdeProblem(rhs=rhs, init=init, cost=cost, t_final=2.0)
     with pytest.raises(IntegrationError) as err:
         ode_cost_value(problem, [0.0, 0.0])
     assert 0.9 <= err.value.time <= 2.0
@@ -438,10 +422,12 @@ _BLOWUP = problem_from_json({"n_state": 1, "rhs_expr": ["(mul (var 0) (var 0))"]
                              "cost_expr": "(var 2)", "t_final": 1.0})
 
 
-@pytest.mark.parametrize("config", [IntegrationConfig(), IntegrationConfig(max_steps=25)])
-def test_failing_rows_fail_as_they_would_alone(config):
+@pytest.mark.parametrize("max_steps", [odesens.MAX_STEPS, 25])
+def test_failing_rows_fail_as_they_would_alone(max_steps, monkeypatch):
     # dx/dt = x^2 from x0 = p1 blows up at t = 1 / p1; 1e200 has a non-finite
-    # derivative at t = 0; max_steps=25 stops the slower rows
+    # derivative at t = 0; a step limit of 25 stops the slower rows
+    monkeypatch.setattr(odesens, "MAX_STEPS", max_steps)
+    config = IntegrationConfig()
     P = np.array([[0.0, 0.0], [1.25, 0.0], [2.0, 0.0], [0.5, 0.0], [1e200, 0.0], [-3.0, 0.0]])
     final, stats, errors, _ = _dopri5_rows(_BLOWUP.rhs.value_rows, _BLOWUP.init.value_rows(P), 1.0, config)
     failed = 0
@@ -498,10 +484,6 @@ def test_an_overflowing_error_norm_rejects_the_step():
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(initial_step=-1.0)
 
 
 def test_problem_json_roundtrip_and_validation(bundled_problem, tmp_path):
@@ -528,3 +510,5 @@ def test_trajectory_csv_layout(bundled_problem):
 def test_parameter_space_must_be_planar(bundled_problem):
     with pytest.raises(ValueError):
         ode_subgradient(bundled_problem, [0.0, 0.0, 0.0])
+    with pytest.raises(InputError, match="two-dimensional"):
+        integrate_state(bundled_problem, [0.3, 0.2, 99.0])
