@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from . import jsonio
 from .compass import probe
-from .oracle import UNGUARANTEED, CompassResult, InputError, require_positive
+from .oracle import UNGUARANTEED, CompassResult, InputError, require_integer, require_positive
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,8 @@ def problem_from_json(source) -> OptimalValueProblem:
         feasible = Box(
             lower=np.asarray(b["lower"], dtype=float),
             upper=np.asarray(b["upper"], dtype=float),
-            grid=int(b.get("grid", 21)),
-            refine_steps=int(b.get("refine_steps", 30)),
+            grid=require_integer("grid", b.get("grid", 21)),
+            refine_steps=require_integer("refine_steps", b.get("refine_steps", 30)),
         )
         m = feasible.lower.size
     else:

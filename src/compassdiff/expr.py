@@ -32,9 +32,15 @@ difference quotients whenever the children do.
 returns the value and the tangent in a single pass; it is compiled on first
 use and cached on the tree.  Single points and one-row batches evaluate
 through it, larger batches through a vectorised numpy walk with
-bit-identical values.  NaN stays visible: a NaN child takes no ``abs``
-kink branch, and ``max``, ``min`` and ``norm`` of a NaN are NaN, in value
-and tangent.
+bit-identical values.  :func:`compile_rows` generates straight-line code
+instead, one function per vector of trees, for the right-hand sides and
+initial maps of ODE problem files, which run thousands of times per
+result.  Generation costs more than a few evaluations save, so the trees
+of ``compass``, ``optimize``, a cost or a Danskin objective keep the
+closure and the numpy walk.  NaN stays visible: a NaN child takes no
+``abs`` kink branch, and ``max``, ``min`` and ``norm`` of a NaN are NaN, in
+value and tangent.  Every NaN the closure or the generated code returns is
+``math.nan``, whatever NaN the arithmetic made on the way.
 
 Printing via :func:`format_expr` and re-parsing via :func:`parse_expr`
 round-trips to an identical tree.
@@ -61,6 +67,13 @@ _UNARY = {"abs"}
 #: comparing and evaluating a tree all recurse once or twice per level, so
 #: the cap keeps every one of them far inside Python's recursion limit.
 MAX_DEPTH = 200
+
+#: Most nodes :func:`compile_rows` accepts in one vector, which bounds the
+#: width that :data:`MAX_DEPTH` leaves open.  ``compile()`` takes about 2 to
+#: 25 KB per node of generated code (the most for ``abs`` and extrema,
+#: whose rules are branches), so loading a vector at the cap peaks below
+#: about 750 MB.
+MAX_NODES = 30_000
 
 
 class ExprParseError(InputError):
@@ -95,7 +108,7 @@ class NonsmoothExpr:
     @cached_property
     def _compiled(self) -> CompiledExpr:
         forward, dim = _compile(self)
-        return CompiledExpr(dim, forward)
+        return CompiledExpr(dim, _canonical(forward))
 
     def __getstate__(self):
         # the cached compiled pass is made of closures, which do not pickle
@@ -172,10 +185,32 @@ def compile_expr(expr: NonsmoothExpr) -> CompiledExpr:
     lists of Python floats (``ndarray.tolist()``): value and tangent come out
     of one pass with no numpy scalars in it.  For the value alone, pass ``x``
     as ``d`` too and drop the tangent.  Values are bit-identical to the
-    batched :func:`eval_value` rows.  The tree is compiled on first use and
-    the result is cached on its root node.
+    batched :func:`eval_value` rows, but for which NaN: every NaN the
+    closure returns is ``math.nan``.  The tree is compiled on first use and
+    the result is cached on its root node.  This is the path for trees
+    evaluated a few times per command; a vector evaluated thousands of
+    times, an ODE problem file's, gets generated code from
+    :func:`compile_rows` with the same results.
     """
     return expr._compiled
+
+
+def _canonical(f: Forward) -> Forward:
+    """``f`` with every NaN it returns made ``math.nan``.
+
+    Which NaN an operation on two NaN operands returns is not pinned:
+    CPython's generic float add and multiply keep the second operand's, and
+    the specialised forms that code switches to once it has run a few times
+    keep the first.  A NaN's sign bit would thus depend on how warm the code
+    is.  One NaN at the root makes each evaluation the same bit for bit, in
+    the closures as in the code of :func:`compile_rows`.
+    """
+
+    def forward(x, d):
+        v, t = f(x, d)
+        return v if v == v else math.nan, t if t == t else math.nan
+
+    return forward
 
 
 def _compile(e: NonsmoothExpr) -> tuple[Forward, int]:
@@ -288,6 +323,159 @@ def _compile(e: NonsmoothExpr) -> tuple[Forward, int]:
     else:
         raise ValueError(f"unknown node kind {k!r}")
     return forward, dim
+
+
+# ---------------------------------------------------------------------------
+# generated row maps for vectors that run thousands of times
+
+#: A row map: an (M, k) array in, an (M, m) array out, row by row.
+RowMap = Callable[[np.ndarray], np.ndarray]
+
+
+def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[RowMap, RowMap]:
+    """Generate the row maps ``(value_rows, tangent_rows)`` of the vector ``exprs`` over ``dim`` variables.
+
+    ``value_rows(X)`` maps an (M, dim) array to the (M, len(exprs)) values;
+    ``tangent_rows(Z)`` maps rows ``[x | d]`` of shape (M, 2 * dim) to rows
+    ``[f(x) | f'(x; d)]``.  Both are one generated Python function each,
+    compiled together from one source: a loop over the rows that unpacks
+    each row into locals and evaluates every node once, as flat statements
+    in post-order, with no call per node.  They follow the rules of
+    :func:`compile_expr`'s closures exactly, so every value and tangent is
+    the same bit for bit, signs of zero and NaN included.
+
+    Generation and ``compile()`` cost about as much as a few hundred
+    evaluations, so this suits trees that run thousands of times (the
+    right-hand side and initial map of an ODE problem file); a tree
+    evaluated a few times keeps the closure.  A vector of more than
+    :data:`MAX_NODES` nodes is an :class:`InputError`.  Constants are bound
+    by name in the functions' namespace, never written into the source.
+    """
+    gen = _RowSource()
+    roots = []
+    for e in exprs:
+        root = gen.node(e)
+        if root[2] > dim:
+            raise InputError(f"expression {format_expr(e)} uses variables beyond dimension {dim}")
+        roots.append(root)
+    if gen.nodes > MAX_NODES:
+        raise InputError(f"expression vector has {gen.nodes} nodes, more than the {MAX_NODES} allowed")
+    values = [v for v, _, _ in roots]
+    tangents = [t for _, t, _ in roots]
+    xs = [f"x{i}" for i in range(dim)]
+    source = "\n".join([
+        *_row_loop("value_rows", xs, gen.value, values),
+        *_row_loop("tangent_rows", xs + [f"d{i}" for i in range(dim)], gen.tangent, values + tangents),
+    ])
+    namespace = {"asarray": np.asarray, "array": np.array, "sqrt": math.sqrt, "abs": abs, "NAN": math.nan,
+                 **gen.consts}
+    exec(compile(source, "<compassdiff.expr.compile_rows>", "exec"), namespace)
+    # popped, so that the functions' globals do not hold them: no reference cycle for the collector to find
+    return namespace.pop("value_rows"), namespace.pop("tangent_rows")
+
+
+def _row_loop(name: str, inputs: list[str], body: list[str], outputs: list[str]) -> list[str]:
+    targets = "".join(f"{n}, " for n in inputs) or "_"
+    # every NaN leaves as math.nan, as from the closures: see _canonical
+    row = "".join(f"{n} if {n} == {n} else NAN, " for n in outputs)
+    return [
+        f"def {name}(rows):",
+        "    rows = asarray(rows, dtype=float)",
+        "    out = []",
+        f"    for {targets} in rows.tolist():",
+        *(f"        {line}" for line in body),
+        f"        out += ({row})",
+        f"    return array(out).reshape(-1, {len(outputs)})",
+    ]
+
+
+class _RowSource:
+    """The statements of :func:`compile_rows`, built in one post-order walk.
+
+    ``value`` computes the values alone, ``tangent`` values and tangents.
+    Each node gets the locals ``v<k>`` (value) and ``t<k>`` (tangent); a
+    ``(var i)`` is the row's ``x<i>`` and ``d<i>``, a constant the name
+    ``c<j>`` bound in ``consts``, with tangent ``0.0``.  Every ``add``,
+    ``norm`` and extremum is one statement per child, so a wide node never
+    becomes one deep expression for the compiler.
+    """
+
+    def __init__(self):
+        self.value: list[str] = []
+        self.tangent: list[str] = []
+        self.consts: dict[str, float] = {}
+        self.count = 0  # operator nodes, which name their locals
+        self.nodes = 0  # every node
+
+    def const(self, c: float) -> str:
+        name = f"c{len(self.consts)}"
+        self.consts[name] = float(c)
+        return name
+
+    def both(self, line: str):
+        self.value.append(line)
+        self.tangent.append(line)
+
+    def node(self, e: NonsmoothExpr) -> tuple[str, str, int]:
+        """Emit ``e``; returns the names of its value and tangent and its dimension."""
+        self.nodes += 1
+        k = e.kind
+        if k == "var":
+            return f"x{e.index}", f"d{e.index}", e.index + 1
+        if k == "const":
+            return self.const(e.coeff), "0.0", 0
+        kids = [self.node(c) for c in e.children]
+        vs = [a for a, _, _ in kids]
+        ts = [b for _, b, _ in kids]
+        self.count += 1
+        v, t = f"v{self.count}", f"t{self.count}"
+        tan = self.tangent
+        if k == "scale":
+            c = self.const(e.coeff)
+            self.both(f"{v} = {c} * {vs[0]}")
+            tan.append(f"{t} = {c} * {ts[0]}")
+        elif k == "sub":
+            self.both(f"{v} = {vs[0]} - {vs[1]}")
+            tan.append(f"{t} = {ts[0]} - {ts[1]}")
+        elif k == "mul":
+            self.both(f"{v} = {vs[0]} * {vs[1]}")
+            tan.append(f"{t} = {ts[0]} * {vs[1]} + {vs[0]} * {ts[1]}")
+        elif k == "add":
+            # the value keeps the first child's sign of zero, the tangent sums from +0.0
+            self.both(f"{v} = {vs[0]}")
+            tan.append(f"{t} = 0.0 + {ts[0]}")
+            for a, b in zip(vs[1:], ts[1:]):
+                self.both(f"{v} += {a}")
+                tan.append(f"{t} += {b}")
+        elif k == "abs":
+            (a,), (b,) = vs, ts
+            self.value += [f"if {a} > 0.0: {v} = {a}", f"elif {a} < 0.0: {v} = -{a}",
+                           f"elif {a} == 0.0: {v} = 0.0", f"else: {v} = {a}"]
+            tan += [f"if {a} > 0.0: {v} = {a}; {t} = {b}", f"elif {a} < 0.0: {v} = -{a}; {t} = -{b}",
+                    f"elif {a} == 0.0: {v} = 0.0; {t} = abs({b})", f"else: {v} = {t} = {a}"]
+        elif k in ("max", "min"):
+            # a tie takes the later value and NaN sticks; the tangent is the extremum over ties
+            op = ">" if k == "max" else "<"
+            self.both(f"{v} = {vs[0]}")
+            for a in vs[1:]:
+                self.both(f"if not {v} {op} {a} and {v} == {v}: {v} = {a}")
+            tan.append(f"{t} = None")
+            for a, b in zip(vs, ts):
+                tan.append(f"if {a} == {v} and ({t} is None or {b} {op} {t}): {t} = {b}")
+            tan.append(f"if {v} != {v}: {t} = {v}")
+        elif k == "norm":
+            s = f"s{self.count}"
+            self.both(f"{s} = 0.0")
+            for a in vs:
+                self.both(f"{s} += {a} * {a}")
+            self.both(f"{v} = sqrt({s})")
+            tan += [f"if {v} == 0.0:", f"    {s} = 0.0", *(f"    {s} += {b} * {b}" for b in ts),
+                    f"    {t} = sqrt({s})",
+                    "else:", f"    {s} = 0.0", *(f"    {s} += {a} * {b}" for a, b in zip(vs, ts)),
+                    f"    {t} = {s} / {v}"]
+        else:
+            raise ValueError(f"unknown node kind {k!r}")
+        return v, t, max(n for _, _, n in kids)
 
 
 def eval_value(expr: NonsmoothExpr, x) -> float | np.ndarray:

@@ -17,13 +17,14 @@ loop, :func:`_dopri5_rows`, runs every integration: it integrates the rows of
 an (N, n) array in lockstep, each row with its own t, h, error history and
 accept/reject decision, so a row takes the steps it would take alone, bit for
 bit.  The four compass probes are four coupled state/tangent rows of one
-integration, whose right-hand side is ``rhs.tangent_rows`` (for expression
-problems one compiled pass per component and row, see
-:func:`compassdiff.expr.compile_expr`).  ``ode --surface`` is one state-only
-batch through ``rhs.value_rows``.  A single integration is a batch of one.
-The loop is first-same-as-last: the seventh stage of an accepted step is
-evaluated at the new state and becomes the next step's first, so a row costs
-2 + 6 * (accepted + rejected) right-hand-side evaluations.  No event
+integration, whose right-hand side is ``rhs.tangent_rows``; for a problem
+file that is one generated function that evaluates every component on
+every row as flat statements (:func:`compassdiff.expr.compile_rows`).
+``ode --surface`` is one state-only batch through ``rhs.value_rows``.  A
+single integration is a batch of one.  The loop is first-same-as-last: the
+seventh stage of an accepted step is evaluated at the new state and becomes
+the next step's first, so a row costs 2 + 6 * (accepted + rejected)
+right-hand-side evaluations.  No event
 detection is attempted: the tangent right-hand side is only Lipschitz in y,
 and adaptive step control absorbs the kink crossings at desk scale.  The
 default tolerances (1e-8 absolute and relative) are deliberately tight so
@@ -42,7 +43,7 @@ import numpy as np
 from . import expr as ex
 from . import jsonio
 from .compass import probe, probe_directions
-from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, require_positive
+from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, require_integer, require_positive
 
 
 class IntegrationError(RuntimeError):
@@ -454,26 +455,7 @@ def ode_subgradient(problem: OdeProblem, p,
 # JSON problem format
 
 def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> VectorOracle:
-    compiled = [ex.compile_expr(e) for e in exprs]
-    for e, c in zip(exprs, compiled):
-        if c.dim > dim_in:
-            raise InputError(f"expression {ex.format_expr(e)} uses variables beyond dimension {dim_in}")
-    forwards = [c.forward for c in compiled]
-
-    def value_rows(X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], len(exprs)))
-        for j, e in enumerate(exprs):
-            out[:, j] = ex.eval_value(e, X)
-        return out
-
-    def tangent_rows(Z):
-        out = []
-        for z in np.asarray(Z, dtype=float).tolist():  # the forwards read x = z[:dim_in] from z itself
-            pairs = [f(z, z[dim_in:]) for f in forwards]
-            out.append([v for v, _ in pairs] + [t for _, t in pairs])
-        return np.array(out).reshape(-1, 2 * len(forwards))
-
+    value_rows, tangent_rows = ex.compile_rows(exprs, dim_in)
     return VectorOracle(value_rows=value_rows, tangent_rows=tangent_rows, dim_in=dim_in, dim_out=len(exprs))
 
 
@@ -492,7 +474,7 @@ def problem_from_json(source) -> OdeProblem:
     for key in ("n_state", "rhs_expr", "init_expr", "cost_expr", "t_final"):
         if key not in data:
             raise InputError(f"ODE problem JSON is missing {key!r}")
-    n = int(data["n_state"])
+    n = require_integer("n_state", data["n_state"])
     rhs_exprs = [ex.parse_expr(s) for s in data["rhs_expr"]]
     init_exprs = [ex.parse_expr(s) for s in data["init_expr"]]
     if len(rhs_exprs) != n or len(init_exprs) != n:

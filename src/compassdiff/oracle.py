@@ -45,6 +45,15 @@ def require_positive(name: str, value: float, zero_ok: bool = False) -> None:
         raise InputError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {value!r}")
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an ``int``; raise :class:`InputError` unless it is an integral number (a bool is not)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 class OracleError(RuntimeError):
     """An oracle evaluation failed or returned a non-finite value.
 

@@ -8,18 +8,63 @@ OVERFLOW_PROBLEM = {"n_state": 1, "rhs_expr": ["(var 0)"], "cost_expr": "(var 2)
                     "init_expr": ["(add (scale 1e300 (var 0)) (scale 1e308 (var 1)))"]}
 
 
-def random_expr(rng: np.random.Generator, dim: int, depth: int) -> ex.NonsmoothExpr:
-    """Random expression tree over ``dim`` variables, depth-bounded."""
+def _wide(kind: str, children) -> str:
+    return f"({kind} {' '.join(children)})"
+
+
+# ODE problem whose right-hand side has three 5000-child nodes:
+# dx0/dt = -x0/2 + |x1|/2, dx1/dt = max_k c_k x1 with c_k from -1 to -1/2,
+# dx2/dt = 50 ||(x0, x1)||
+WIDE_PROBLEM = {
+    "n_state": 3,
+    "rhs_expr": [
+        _wide("add", ["(scale -2e-4 (var 0))", "(scale 2e-4 (abs (var 1)))"] * 2500),
+        _wide("max", [f"(scale {-1.0 + 0.5 * k / 4999!r} (var 1))" for k in range(5000)]),
+        _wide("norm", ["(var 0)", "(var 1)"] * 2500),
+    ],
+    "init_expr": ["(var 0)", "(var 1)", "(const 0)"],
+    "cost_expr": "(add (var 2) (var 4))",
+    "t_final": 0.25,
+}
+
+
+def _deep(levels: int) -> str:
+    """An expression nested ``levels`` deep over (var 0) and (var 1), cycling through every node kind."""
+    text = "(var 0)"
+    wrappers = ("(neg {})", "(abs {})", "(max {} (var 1))", "(min (const 1e9) {})", "(add {} (const -0.0))",
+                "(mul (const 1) {})", "(norm {})", "(sub {} (const 0))", "(scale 0.5 {})")
+    for level in range(levels - 1):
+        text = wrappers[level % len(wrappers)].format(text)
+    return text
+
+
+# ODE problem whose first right-hand side is nested as deep as the parser accepts
+DEEP_PROBLEM = {"n_state": 2, "rhs_expr": [_deep(ex.MAX_DEPTH), "(neg (var 1))"],
+                "init_expr": ["(var 0)", "(var 1)"], "cost_expr": "(var 2)", "t_final": 1.0}
+
+
+def random_expr(rng: np.random.Generator, dim: int, depth: int, constants=()) -> ex.NonsmoothExpr:
+    """Random expression tree over ``dim`` variables, depth-bounded.
+
+    Constants and scale factors are small integers; a nonempty ``constants``
+    adds its values to the literals a constant or a factor can take.
+    """
+    def literal(low, high):
+        if constants and rng.random() < 0.5:
+            return float(constants[int(rng.integers(len(constants)))])
+        return float(rng.integers(low, high))
+
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.7:
             return ex.var(int(rng.integers(dim)))
-        return ex.const(float(rng.integers(-3, 4)))
+        return ex.const(literal(-3, 4))
     kind = rng.choice(["add", "sub", "mul", "scale", "abs", "max", "min", "norm"])
     if kind in ("add", "max", "min", "norm"):
         width = int(rng.integers(2, 4))
-        return ex.NonsmoothExpr(kind, tuple(random_expr(rng, dim, depth - 1) for _ in range(width)))
+        return ex.NonsmoothExpr(kind, tuple(random_expr(rng, dim, depth - 1, constants) for _ in range(width)))
     if kind in ("sub", "mul"):
-        return ex.NonsmoothExpr(kind, (random_expr(rng, dim, depth - 1), random_expr(rng, dim, depth - 1)))
+        return ex.NonsmoothExpr(kind, (random_expr(rng, dim, depth - 1, constants),
+                                       random_expr(rng, dim, depth - 1, constants)))
     if kind == "scale":
-        return ex.scale(float(rng.integers(-2, 3)), random_expr(rng, dim, depth - 1))
-    return ex.abs_(random_expr(rng, dim, depth - 1))
+        return ex.scale(literal(-2, 3), random_expr(rng, dim, depth - 1, constants))
+    return ex.abs_(random_expr(rng, dim, depth - 1, constants))

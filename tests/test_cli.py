@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OVERFLOW_PROBLEM
+from conftest import OVERFLOW_PROBLEM, WIDE_PROBLEM
 from compassdiff import jsonio
 from compassdiff.cli import main
 from compassdiff.demos import paper_fixture_path
@@ -197,6 +197,16 @@ def test_cli_ode_bundled_problem(capsys):
     payload = last_json(out)
     assert payload["subgradient"] == pytest.approx([3.489822, 0.771540], abs=1e-5)
     assert payload["guarantee"] == "guaranteed"
+
+
+def test_cli_ode_on_a_wide_problem_file(capsys, tmp_path):
+    # three 5000-child nodes compile to flat statements, with no deep expression for the compiler
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(WIDE_PROBLEM))
+    code, out, err = run_cli(capsys, "ode", "--problem", str(wide), "--at", "0.3,-0.2")
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert last_json(out)["guarantee"] == "guaranteed"
 
 
 def test_cli_ode_malformed_json_exits_2(capsys, tmp_path):

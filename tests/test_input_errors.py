@@ -41,6 +41,16 @@ _NORM = ex.as_oracle(ex.parse_expr("(norm (var 0) (var 1))"), 2)
 _TRIANGLE = polytope_support([[0, 0], [2, 0], [0, 2]])
 _CIRCLE = danskin_from_json(paper_fixture_path("danskin_circle.json"))
 _EXAMPLE46 = json.loads(paper_fixture_path("example46.json").read_text())
+_ONE_STATE = {"n_state": 1, "rhs_expr": ["(neg (var 0))"], "init_expr": ["(var 0)"], "cost_expr": "(var 2)",
+              "t_final": 1.0}
+# one node more than a problem file's vector may hold: an add of MAX_NODES leaves
+_OVER_NODE_CAP = dict(_ONE_STATE, rhs_expr=["(add" + " (var 0)" * ex.MAX_NODES + ")"])
+
+
+def _box_problem(**box):
+    return {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+            "feasible": {"box": {"lower": [0], "upper": [1], **box}}}
+
 
 LIBRARY_CASES = {
     "abs_tol nan": lambda: IntegrationConfig(abs_tol=math.nan),
@@ -49,6 +59,14 @@ LIBRARY_CASES = {
     "integrate_state point size": lambda: integrate_state(ode_from_json(_EXAMPLE46), [0.3, 0.2, 99.0]),
     "n_state 0": lambda: ode_from_json({"n_state": 0, "rhs_expr": [], "init_expr": [],
                                         "cost_expr": "(var 0)", "t_final": 1.0}),
+    # counts that are not integers used to be truncated or read as 1
+    "n_state 1.9": lambda: ode_from_json(dict(_ONE_STATE, n_state=1.9)),
+    "n_state true": lambda: ode_from_json(dict(_ONE_STATE, n_state=True)),
+    "box grid 2.9": lambda: danskin_from_json(_box_problem(grid=2.9)),
+    "box refine_steps 3.7": lambda: danskin_from_json(_box_problem(refine_steps=3.7)),
+    "rhs variable beyond n_state": lambda: ode_from_json(dict(_ONE_STATE, rhs_expr=["(var 1)"])),
+    "init variable beyond p": lambda: ode_from_json(dict(_ONE_STATE, init_expr=["(var 2)"])),
+    "rhs over MAX_NODES": lambda: ode_from_json(_OVER_NODE_CAP),
     "slack nan": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.nan),
     "slack inf": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.inf),
     "subgradient size": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0], [[1.0, 0.0]], 0.0),
@@ -204,9 +222,13 @@ def test_cli_non_finite_numbers_in_problem_files_exit_2(capsys, tmp_path, kind):
     (["danskin", "--at=0,0", "--problem"], {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
                                             "feasible": {"box": {"upper": [1]}}}),
     (["hull", "--polytope"], {"vertices": [1, 2]}),
+    (["ode", "--at=0,0", "--problem"], dict(_ONE_STATE, n_state=True)),
+    (["ode", "--at=0,0", "--problem"], _OVER_NODE_CAP),
 ])
 def test_cli_malformed_problem_files_exit_2(capsys, tmp_path, argv, data):
-    # a mistyped value, a missing box bound and a flat vertex list used to end in a traceback
+    # a mistyped value, a missing box bound and a flat vertex list used to end
+    # in a traceback, an "n_state": true used to run as n_state 1, and a
+    # vector wider than MAX_NODES would take the compiler gigabytes
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))
     code, out, err = _run(capsys, [*argv, str(path)])

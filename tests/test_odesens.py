@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import OVERFLOW_PROBLEM, random_expr
+from conftest import DEEP_PROBLEM, OVERFLOW_PROBLEM, WIDE_PROBLEM, random_expr
 from compassdiff import expr as ex
 from compassdiff import odesens
 from compassdiff.compass import verify_subgradient_inequality
@@ -197,25 +198,122 @@ def test_nine_branch_tangent_table(bundled_problem):
 # expressions' constants are integers too) and non-finite entries
 _ROW_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, math.inf, -math.inf, math.nan]),
                        st.floats(-3.0, 3.0))
+# literals the generated code must carry exactly: bound by name, never printed into it
+_LITERALS = st.lists(st.sampled_from([-0.0, 0.1, 1e308, math.inf, -math.inf, math.nan]), max_size=4)
+
+
+def _closure_oracle(exprs, dim) -> VectorOracle:
+    """The row maps as the closure pass computes them: one forward per component and row."""
+    forwards = [ex.compile_expr(e).forward for e in exprs]
+
+    def value_rows(X):
+        return np.array([[f(x, x)[0] for f in forwards] for x in X.tolist()]).reshape(-1, len(forwards))
+
+    def tangent_rows(Z):
+        rows = [[f(z[:dim], z[dim:]) for f in forwards] for z in Z.tolist()]
+        return np.array([[v for v, _ in r] + [t for _, t in r] for r in rows]).reshape(-1, 2 * len(forwards))
+
+    return VectorOracle(value_rows=value_rows, tangent_rows=tangent_rows, dim_in=dim, dim_out=len(forwards))
+
+
+def _assert_rows_match_the_closure_pass(oracle, exprs, Z):
+    """Both row maps of ``oracle`` against the closure pass, and against their own one-row batches."""
+    dim = oracle.dim_in
+    reference = _closure_oracle(exprs, dim)
+    T, values = oracle.tangent_rows(Z), oracle.value_rows(Z[:, :dim])
+    assert T.shape == (len(Z), 2 * len(exprs)) and values.shape == (len(Z), len(exprs))
+    assert T[:, :len(exprs)].tobytes() == values.tobytes()
+    assert T.tobytes() == reference.tangent_rows(Z).tobytes()
+    assert values.tobytes() == reference.value_rows(Z[:, :dim]).tobytes()
+    for i in range(len(Z)):
+        assert T[i].tobytes() == oracle.tangent_rows(Z[i:i + 1]).tobytes()
+        assert values[i].tobytes() == oracle.value_rows(Z[i:i + 1, :dim]).tobytes()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), width=st.integers(1, 3), data=st.data())
-def test_expression_row_maps_keep_the_row_contract(seed, dim, width, data):
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), width=st.integers(1, 3), constants=_LITERALS,
+       data=st.data())
+def test_expression_row_maps_keep_the_row_contract(seed, dim, width, constants, data):
+    # up to 40 rows, more than the K^2 + 1 = 37 of the largest surface batch
     rng = np.random.default_rng(seed)
-    exprs = [random_expr(rng, dim, 3) for _ in range(width)]
-    oracle = _vector_oracle_from_exprs(exprs, dim)
+    exprs = [random_expr(rng, dim, 3, constants) for _ in range(width)]
+    rows = data.draw(st.integers(1, 40))  # drawn apart: a list strategy seldom draws long lists
     Z = np.array(data.draw(st.lists(st.lists(_ROW_ENTRY, min_size=2 * dim, max_size=2 * dim),
-                                    min_size=1, max_size=6)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = oracle.tangent_rows(Z)
-        values = oracle.value_rows(Z[:, :dim])
-    assert T.shape == (len(Z), 2 * width)
-    assert T[:, :width].tobytes() == values.tobytes()
-    for i, z in enumerate(Z):
-        assert T[i].tobytes() == oracle.tangent_rows(Z[i:i + 1]).tobytes()
-        tangents = [ex.eval_dir_deriv(e, z[:dim], z[dim:]) for e in exprs]
-        assert T[i, width:].tobytes() == np.array(tangents).tobytes()
+                                    min_size=rows, max_size=rows)))
+    _assert_rows_match_the_closure_pass(_vector_oracle_from_exprs(exprs, dim), exprs, Z)
+
+
+def test_expression_row_maps_on_every_node_kind():
+    exprs = [ex.parse_expr(s) for s in (
+        "(max (var 0) (var 1) (const -0.0))",
+        "(min (var 0) (neg (var 1)) (const 0))",
+        "(norm (var 0) (var 1))",
+        "(add (abs (var 0)) (sub (var 1) (const 0.1)) (mul (var 0) (scale 1e308 (var 1))))",
+        "(add (const -0.0) (const inf) (const nan))",
+        "(add (var 0) (neg (var 1)))",
+    )]
+    Z = np.array([
+        [0.0, 0.0, 1.0, -2.0],     # max/min ties, norm at the origin
+        [-0.0, 0.0, -0.0, 0.0],    # signed zeros everywhere
+        [1.0, 1.0, 0.5, 2.0],      # a tie away from zero
+        [-1.0, 1.0, 0.0, 3.0],     # a min tie through neg
+        [2.0, 1e10, -1.0, 1.0],    # mul overflows to inf
+        [math.nan, 1.0, 1.0, 1.0],
+        [math.inf, -math.inf, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 0.5],     # abs at its kink, moving left
+    ])
+    oracle = _vector_oracle_from_exprs(exprs, 2)
+    _assert_rows_match_the_closure_pass(oracle, exprs, Z)
+    _assert_rows_match_the_closure_pass(oracle, exprs, np.tile(Z, (5, 1)))
+    T = oracle.tangent_rows(Z)
+    # a tie takes the later value and the extremal tangent; the norm at the
+    # origin has the norm of the tangents; a sum of tangents starts from +0.0
+    assert T[0, 6:9].tolist() == [1.0, 0.0, math.sqrt(5.0)] and T[0, :2].tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert T[1, :3].tobytes() == np.array([-0.0, 0.0, 0.0]).tobytes()
+    assert T[1, 6:8].tobytes() == np.array([-0.0, -0.0]).tobytes()
+    assert T[1, [5, 11]].tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert T[2, 6:8].tolist() == [2.0, -2.0] and T[3, 7] == -3.0
+    assert math.isnan(T[5, 0]) and math.isnan(T[5, 6]) and math.isnan(T[0, 4])
+
+
+def test_row_maps_return_one_nan_however_warm_the_code():
+    # inf - inf is a NaN of the other sign than math.nan, and CPython's float
+    # add and multiply return one or the other operand's NaN depending on
+    # whether the code has run often enough to be specialised: a fresh
+    # oracle's first rows run cold, its later rows warm
+    exprs = [ex.parse_expr(s) for s in ("(add (sub (var 0) (var 0)) (var 1))", "(mul (var 1) (sub (var 0) (var 0)))")]
+    Z = np.tile([math.inf, math.nan, math.inf, math.nan], (12, 1))
+    nan = np.full(2, math.nan).tobytes()
+    oracle = _vector_oracle_from_exprs(exprs, 2)
+    values, T = oracle.value_rows(Z[:, :2]), oracle.tangent_rows(Z)
+    assert all(row.tobytes() == nan for row in values)
+    assert all(row.tobytes() == nan * 2 for row in T)
+    for e in exprs:  # the closure pass, whose code is warm by now
+        assert np.array(ex.compile_expr(e).forward([math.inf, math.nan], [math.inf, math.nan])).tobytes() == nan
+
+
+@pytest.mark.parametrize("data", [WIDE_PROBLEM, DEEP_PROBLEM], ids=["wide", "deep"])
+def test_wide_and_deep_problem_files_match_the_closure_pass(data):
+    # 5000-child add, max and norm nodes, and a tree nested MAX_DEPTH deep,
+    # each compiled to flat statements: they load, and rows and whole
+    # integrations are those of the closure pass
+    problem = problem_from_json(data)
+    n = problem.n_state
+    rhs = [ex.parse_expr(s) for s in data["rhs_expr"]]
+    init = [ex.parse_expr(s) for s in data["init_expr"]]
+    rng = np.random.default_rng(5)
+    Z = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], (12, 2 * n))  # kinks, ties and the origin
+    Z[6:] += rng.standard_normal((6, 2 * n))
+    _assert_rows_match_the_closure_pass(problem.rhs, rhs, Z)
+    reference = dataclasses.replace(problem, rhs=_closure_oracle(rhs, n), init=_closure_oracle(init, 2))
+    p = [0.3, 0.0]  # x1 stays 0: the abs kink and, in the wide file, a 5000-way tie all the way
+    got, got_trajectories = _subgradient_and_trajectories(problem, p, IntegrationConfig())
+    want, want_trajectories = _subgradient_and_trajectories(reference, p, IntegrationConfig())
+    assert got.subgradient.tobytes() == want.subgradient.tobytes()
+    for a, b in zip(got_trajectories, want_trajectories):
+        assert a.stats == b.stats and a.states.tobytes() == b.states.tobytes()
+        assert a.sensitivities.tobytes() == b.sensitivities.tobytes()
+    assert ode_cost_value(problem, p) == ode_cost_value(reference, p)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +422,7 @@ def _dopri5(fun, z0, t_final, cfg):
 
 _ROW_PROBLEMS = {
     "example46": problem_from_json(paper_fixture_path("example46.json")),
-    # values by the numpy walk, tangents by the compiled pass
+    # both row maps generated from the problem file (expr.compile_rows)
     "linear, expressions": problem_from_json({
         "n_state": 2,
         "rhs_expr": ["(add (scale 0.3 (var 0)) (scale -1.2 (var 1)))",
