@@ -50,8 +50,9 @@ EXIT_INPUT = 2
 EXIT_EVAL = 3
 EXIT_NUMERIC = 4
 
-#: Largest ``ode --surface`` count: the surface is one lockstep integration
-#: of count ** 2 + 1 rows (``odesens._dopri5_rows``).
+#: Largest ``ode --surface`` count: the surface is one integration of
+#: count ** 2 + 1 rows (``odesens._dopri5_rows``), in numpy lockstep once it
+#: has more than ``odesens.SCALAR_ROWS`` rows.
 MAX_SURFACE_COUNT = 100
 
 
@@ -239,7 +240,7 @@ def _cmd_ode(args) -> int:
             written.append(_write_file(out_dir, f"traj_{label}.csv", traj.to_csv()))
     if grid is not None:
         points = np.array([[a, b] for a in grid for b in grid])
-        # one lockstep integration: p, then the grid
+        # one integration of all rows: p, then the grid
         phi0, *phis = ode_cost_value(problem, np.vstack([p, points]), config).tolist()
         s = result.subgradient
         lines = ["p1,p2,phi,affine"]

@@ -33,11 +33,11 @@ returns the value and the tangent in a single pass; it is compiled on first
 use and cached on the tree.  Single points and one-row batches evaluate
 through it, larger batches through a vectorised numpy walk with
 bit-identical values.  :func:`compile_rows` generates straight-line code
-instead, one function per vector of trees, for the right-hand sides and
-initial maps of ODE problem files, which run thousands of times per
-result.  Generation costs more than a few evaluations save, so the trees
-of ``compass``, ``optimize``, a cost or a Danskin objective keep the
-closure and the numpy walk.  NaN stays visible: a NaN child takes no
+instead, one function per vector of trees over one point's floats, for the
+right-hand sides and initial maps of ODE problem files, which run thousands
+of times per result.  Generation costs more than a few evaluations save, so
+the trees of ``compass``, ``optimize``, a cost or a Danskin objective keep
+the closure and the numpy walk.  NaN stays visible: a NaN child takes no
 ``abs`` kink branch, and ``max``, ``min`` and ``norm`` of a NaN are NaN, in
 value and tangent.  Every NaN the closure or the generated code returns is
 ``math.nan``, whatever NaN the arithmetic made on the way.
@@ -326,23 +326,23 @@ def _compile(e: NonsmoothExpr) -> tuple[Forward, int]:
 
 
 # ---------------------------------------------------------------------------
-# generated row maps for vectors that run thousands of times
+# generated point maps for vectors that run thousands of times
 
-#: A row map: an (M, k) array in, an (M, m) array out, row by row.
-RowMap = Callable[[np.ndarray], np.ndarray]
+#: A point map: one point as a list of Python floats in, its components as a list of Python floats out.
+PointMap = Callable[[list], list]
 
 
-def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[RowMap, RowMap]:
-    """Generate the row maps ``(value_rows, tangent_rows)`` of the vector ``exprs`` over ``dim`` variables.
+def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[PointMap, PointMap]:
+    """Generate the point maps ``(value, tangent)`` of the vector ``exprs`` over ``dim`` variables.
 
-    ``value_rows(X)`` maps an (M, dim) array to the (M, len(exprs)) values;
-    ``tangent_rows(Z)`` maps rows ``[x | d]`` of shape (M, 2 * dim) to rows
+    ``value(x)`` maps a list of ``dim`` floats to the ``len(exprs)`` values;
+    ``tangent(z)`` maps ``[x | d]``, ``2 * dim`` floats, to
     ``[f(x) | f'(x; d)]``.  Both are one generated Python function each,
-    compiled together from one source: a loop over the rows that unpacks
-    each row into locals and evaluates every node once, as flat statements
-    in post-order, with no call per node.  They follow the rules of
-    :func:`compile_expr`'s closures exactly, so every value and tangent is
-    the same bit for bit, signs of zero and NaN included.
+    compiled together from one source: they unpack the point into locals and
+    evaluate every node once, as flat statements in post-order, with no call
+    per node and no numpy.  They follow the rules of :func:`compile_expr`'s
+    closures exactly, so every value and tangent is the same bit for bit,
+    signs of zero and NaN included.
 
     Generation and ``compile()`` cost about as much as a few hundred
     evaluations, so this suits trees that run thousands of times (the
@@ -364,28 +364,24 @@ def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[RowMap, RowM
     tangents = [t for _, t, _ in roots]
     xs = [f"x{i}" for i in range(dim)]
     source = "\n".join([
-        *_row_loop("value_rows", xs, gen.value, values),
-        *_row_loop("tangent_rows", xs + [f"d{i}" for i in range(dim)], gen.tangent, values + tangents),
+        *_point_map("value", xs, gen.value, values),
+        *_point_map("tangent", xs + [f"d{i}" for i in range(dim)], gen.tangent, values + tangents),
     ])
-    namespace = {"asarray": np.asarray, "array": np.array, "sqrt": math.sqrt, "abs": abs, "NAN": math.nan,
-                 **gen.consts}
+    namespace = {"sqrt": math.sqrt, "abs": abs, "NAN": math.nan, **gen.consts}
     exec(compile(source, "<compassdiff.expr.compile_rows>", "exec"), namespace)
     # popped, so that the functions' globals do not hold them: no reference cycle for the collector to find
-    return namespace.pop("value_rows"), namespace.pop("tangent_rows")
+    return namespace.pop("value"), namespace.pop("tangent")
 
 
-def _row_loop(name: str, inputs: list[str], body: list[str], outputs: list[str]) -> list[str]:
+def _point_map(name: str, inputs: list[str], body: list[str], outputs: list[str]) -> list[str]:
     targets = "".join(f"{n}, " for n in inputs) or "_"
     # every NaN leaves as math.nan, as from the closures: see _canonical
-    row = "".join(f"{n} if {n} == {n} else NAN, " for n in outputs)
+    out = ", ".join(f"{n} if {n} == {n} else NAN" for n in outputs)
     return [
-        f"def {name}(rows):",
-        "    rows = asarray(rows, dtype=float)",
-        "    out = []",
-        f"    for {targets} in rows.tolist():",
-        *(f"        {line}" for line in body),
-        f"        out += ({row})",
-        f"    return array(out).reshape(-1, {len(outputs)})",
+        f"def {name}(point):",
+        f"    {targets} = point",
+        *(f"    {line}" for line in body),
+        f"    return [{out}]",
     ]
 
 
@@ -394,7 +390,7 @@ class _RowSource:
 
     ``value`` computes the values alone, ``tangent`` values and tangents.
     Each node gets the locals ``v<k>`` (value) and ``t<k>`` (tangent); a
-    ``(var i)`` is the row's ``x<i>`` and ``d<i>``, a constant the name
+    ``(var i)`` is the point's ``x<i>`` and ``d<i>``, a constant the name
     ``c<j>`` bound in ``consts``, with tangent ``0.0``.  Every ``add``,
     ``norm`` and extremum is one statement per child, so a wide node never
     becomes one deep expression for the compiler.

@@ -87,21 +87,21 @@ class DirectionalOracle:
 
 @dataclass(frozen=True)
 class VectorOracle:
-    """Vector-valued analogue of :class:`DirectionalOracle`, as two row maps.
+    """Vector-valued analogue of :class:`DirectionalOracle`, as two point maps.
 
     Used for ODE right-hand sides f: R^n -> R^n and initial-condition maps
-    x0: R^2 -> R^n.  ``value_rows(X)`` maps an (M, dim_in) batch of points to
-    their (M, dim_out) values.  ``tangent_rows(Z)`` maps rows ``[x | d]`` of
-    shape (M, 2 * dim_in) to rows ``[f(x) | f'(x; d)]`` of shape
-    (M, 2 * dim_out), with the componentwise one-sided directional
+    x0: R^2 -> R^n.  Both maps take and return lists of Python floats, so
+    the integrator can call them without numpy: ``value(x)`` maps a point of
+    ``dim_in`` floats to its ``dim_out`` values, and ``tangent(z)`` maps
+    ``[x | d]`` (``2 * dim_in`` floats) to ``[f(x) | f'(x; d)]``
+    (``2 * dim_out`` floats), with the componentwise one-sided directional
     derivative; for a right-hand side that is the coupled state/tangent
-    system.  Both must be row maps: row i of any batch equals the one-row
-    batch of row i, bit for bit, which lets lockstep integration match
-    one integration per row.
+    system.  A map whose output has another width is an :class:`InputError`
+    when the integrator first calls it.
     """
 
-    value_rows: Callable[[np.ndarray], np.ndarray]
-    tangent_rows: Callable[[np.ndarray], np.ndarray]
+    value: Callable[[list], list]
+    tangent: Callable[[list], list]
     dim_in: int
     dim_out: int
 

@@ -43,6 +43,20 @@ DEEP_PROBLEM = {"n_state": 2, "rhs_expr": [_deep(ex.MAX_DEPTH), "(neg (var 1))"]
                 "init_expr": ["(var 0)", "(var 1)"], "cost_expr": "(var 2)", "t_final": 1.0}
 
 
+# ODE problem with four states, so a coupled state/tangent row has 8
+# components: the error norm's sum of squares must run left to right, where
+# numpy's add.reduce would switch to pairwise summation
+FOUR_STATE_PROBLEM = {
+    "n_state": 4,
+    "rhs_expr": ["(add (abs (var 0)) (scale -0.5 (var 1)) (var 3))", "(sub (abs (var 2)) (var 1))",
+                 "(max (var 0) (neg (var 3)) (scale 0.3 (var 2)))",
+                 "(add (scale -0.2 (norm (var 0) (var 1))) (min (var 2) (var 3)))"],
+    "init_expr": ["(var 0)", "(var 1)", "(abs (sub (var 0) (var 1)))", "(max (var 0) (var 1))"],
+    "cost_expr": "(add (abs (var 2)) (var 3) (max (var 4) (var 5)))",
+    "t_final": 1.0,
+}
+
+
 def random_expr(rng: np.random.Generator, dim: int, depth: int, constants=()) -> ex.NonsmoothExpr:
     """Random expression tree over ``dim`` variables, depth-bounded.
 

@@ -316,7 +316,7 @@ def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
     directions = [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
     (Z0, trajectories), = recorded
-    assert Z0.tolist() == [[0.0] * 3 + problem.init.tangent_rows(np.array([[0.0, 0.0, *d]]))[0, 3:].tolist()
+    assert Z0.tolist() == [[0.0] * 3 + problem.init.tangent([0.0, 0.0, *d])[3:]
                            for d in directions]
     for label, (times, states) in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
         rows = (tmp_path / f"traj_{label}.csv").read_text().strip().split("\n")[1:]

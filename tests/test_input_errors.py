@@ -33,9 +33,17 @@ from compassdiff.danskin import (
 from compassdiff.demos import DEMO_NAMES, paper_fixture_path
 from compassdiff.geometry import membership_check, polytope_support
 from compassdiff.hulls import separation
-from compassdiff.odesens import IntegrationConfig, integrate_state, problem_from_json as ode_from_json
+from compassdiff.odesens import (
+    IntegrationConfig,
+    OdeProblem,
+    integrate_coupled,
+    integrate_state,
+    ode_cost_value,
+    ode_subgradient,
+    problem_from_json as ode_from_json,
+)
 from compassdiff.optimize import Constant, Diminishing, Polyak, subgradient_method
-from compassdiff.oracle import InputError
+from compassdiff.oracle import InputError, VectorOracle
 
 _NORM = ex.as_oracle(ex.parse_expr("(norm (var 0) (var 1))"), 2)
 _TRIANGLE = polytope_support([[0, 0], [2, 0], [0, 2]])
@@ -45,6 +53,18 @@ _ONE_STATE = {"n_state": 1, "rhs_expr": ["(neg (var 0))"], "init_expr": ["(var 0
               "t_final": 1.0}
 # one node more than a problem file's vector may hold: an add of MAX_NODES leaves
 _OVER_NODE_CAP = dict(_ONE_STATE, rhs_expr=["(add" + " (var 0)" * ex.MAX_NODES + ")"])
+
+# two states from x0 = p with cost x2(T), and maps that return a component too
+# few: numpy broadcast this right-hand side, dx/dt = -x1, to both states, and
+# phi(1, 2) read 1 + 1/e with no error
+_NARROW_RHS = OdeProblem(rhs=VectorOracle(value=lambda x: [-x[0]], tangent=lambda z: [-z[0], -z[2], -z[2]],
+                                          dim_in=2, dim_out=2),
+                         init=VectorOracle(value=list, tangent=list, dim_in=2, dim_out=2),
+                         cost=ex.as_oracle(ex.parse_expr("(var 3)"), 4), t_final=1.0)
+_NARROW_INIT = OdeProblem(rhs=VectorOracle(value=lambda x: [-x[0], -x[0]],
+                                           tangent=lambda z: [-z[0], -z[0], -z[2], -z[2]], dim_in=2, dim_out=2),
+                          init=VectorOracle(value=lambda p: p[:1], tangent=lambda z: z[:3], dim_in=2, dim_out=2),
+                          cost=_NARROW_RHS.cost, t_final=1.0)
 
 
 def _box_problem(**box):
@@ -67,6 +87,13 @@ LIBRARY_CASES = {
     "rhs variable beyond n_state": lambda: ode_from_json(dict(_ONE_STATE, rhs_expr=["(var 1)"])),
     "init variable beyond p": lambda: ode_from_json(dict(_ONE_STATE, init_expr=["(var 2)"])),
     "rhs over MAX_NODES": lambda: ode_from_json(_OVER_NODE_CAP),
+    # a map's output width, on the float loop and on the lockstep loop (more than SCALAR_ROWS rows)
+    "rhs value width": lambda: ode_cost_value(_NARROW_RHS, [1.0, 2.0]),
+    "rhs value width, lockstep": lambda: ode_cost_value(_NARROW_RHS, [[1.0, 2.0]] * 40),
+    "rhs tangent width": lambda: ode_subgradient(_NARROW_RHS, [1.0, 2.0]),
+    "rhs value width, integrate_state": lambda: integrate_state(_NARROW_RHS, [1.0, 2.0]),
+    "init value width": lambda: ode_cost_value(_NARROW_INIT, [1.0, 2.0]),
+    "init tangent width": lambda: integrate_coupled(_NARROW_INIT, [1.0, 2.0], [1.0, 0.0]),
     "slack nan": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.nan),
     "slack inf": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.inf),
     "subgradient size": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0], [[1.0, 0.0]], 0.0),

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import DEEP_PROBLEM, OVERFLOW_PROBLEM, WIDE_PROBLEM, random_expr
+from conftest import DEEP_PROBLEM, FOUR_STATE_PROBLEM, OVERFLOW_PROBLEM, WIDE_PROBLEM, random_expr
 from compassdiff import expr as ex
 from compassdiff import odesens
-from compassdiff.compass import verify_subgradient_inequality
+from compassdiff.compass import probe_directions, verify_subgradient_inequality
 from compassdiff.demos import paper_fixture_path
 from compassdiff.odesens import (
     IntegrationConfig,
@@ -53,12 +53,10 @@ def _linear_problem(A, c):
     """Classical smooth benchmark: dx/dt = A x, x0(p) = p, cost <c, x(T)>."""
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
-    # one product per row: ``X @ A.T`` over a batch can differ from ``A @ x`` in the last bit
-    rhs = VectorOracle(value_rows=lambda X: np.array([A @ x for x in X]).reshape(-1, 2),
-                       tangent_rows=lambda Z: np.array([[*A @ z[:2], *A @ z[2:]] for z in Z]).reshape(-1, 4),
+    # point maps: lists of Python floats in and out
+    rhs = VectorOracle(value=lambda x: (A @ x).tolist(), tangent=lambda z: (A @ z[:2]).tolist() + (A @ z[2:]).tolist(),
                        dim_in=2, dim_out=2)
-    init = VectorOracle(value_rows=lambda P: np.array(P, dtype=float), tangent_rows=lambda Z: np.array(Z, dtype=float),
-                        dim_in=2, dim_out=2)
+    init = VectorOracle(value=list, tangent=list, dim_in=2, dim_out=2)
     cost = DirectionalOracle(
         value=lambda z: float(c @ z[2:]),
         dir_deriv=lambda z, t: float(c @ t[2:]),
@@ -188,7 +186,7 @@ def test_nine_branch_tangent_table(bundled_problem):
         if i % 5 == 0:
             x[1] = 0.0
         y = rng.uniform(-2, 2, 3)
-        got = bundled_problem.rhs.tangent_rows(np.concatenate([x, y])[np.newaxis])[0, 3:]
+        got = bundled_problem.rhs.tangent(np.concatenate([x, y]).tolist())[3:]
         assert got[0] == table_dy1(x, y)
         assert got[1] == table_dy2(x, y)
         assert got[2] == y[2]
@@ -203,47 +201,50 @@ _LITERALS = st.lists(st.sampled_from([-0.0, 0.1, 1e308, math.inf, -math.inf, mat
 
 
 def _closure_oracle(exprs, dim) -> VectorOracle:
-    """The row maps as the closure pass computes them: one forward per component and row."""
+    """The point maps as the closure pass computes them: one forward per component."""
     forwards = [ex.compile_expr(e).forward for e in exprs]
 
-    def value_rows(X):
-        return np.array([[f(x, x)[0] for f in forwards] for x in X.tolist()]).reshape(-1, len(forwards))
+    def value(x):
+        return [f(x, x)[0] for f in forwards]
 
-    def tangent_rows(Z):
-        rows = [[f(z[:dim], z[dim:]) for f in forwards] for z in Z.tolist()]
-        return np.array([[v for v, _ in r] + [t for _, t in r] for r in rows]).reshape(-1, 2 * len(forwards))
+    def tangent(z):
+        pairs = [f(z[:dim], z[dim:]) for f in forwards]
+        return [v for v, _ in pairs] + [t for _, t in pairs]
 
-    return VectorOracle(value_rows=value_rows, tangent_rows=tangent_rows, dim_in=dim, dim_out=len(forwards))
+    return VectorOracle(value=value, tangent=tangent, dim_in=dim, dim_out=len(forwards))
 
 
-def _assert_rows_match_the_closure_pass(oracle, exprs, Z):
-    """Both row maps of ``oracle`` against the closure pass, and against their own one-row batches."""
+def _at_rows(point_map, Z) -> np.ndarray:
+    """``point_map`` at each row of ``Z``, as rows of an array; each output a list of Python floats."""
+    out = [point_map(z) for z in Z.tolist()]
+    assert all(type(row) is list and all(type(v) is float for v in row) for row in out)
+    return np.array(out).reshape(len(Z), -1)
+
+
+def _assert_maps_match_the_closure_pass(oracle, exprs, Z):
+    """Both point maps of ``oracle`` at the rows of ``Z`` against the closure pass, bit for bit."""
     dim = oracle.dim_in
     reference = _closure_oracle(exprs, dim)
-    T, values = oracle.tangent_rows(Z), oracle.value_rows(Z[:, :dim])
+    T, values = _at_rows(oracle.tangent, Z), _at_rows(oracle.value, Z[:, :dim])
     assert T.shape == (len(Z), 2 * len(exprs)) and values.shape == (len(Z), len(exprs))
     assert T[:, :len(exprs)].tobytes() == values.tobytes()
-    assert T.tobytes() == reference.tangent_rows(Z).tobytes()
-    assert values.tobytes() == reference.value_rows(Z[:, :dim]).tobytes()
-    for i in range(len(Z)):
-        assert T[i].tobytes() == oracle.tangent_rows(Z[i:i + 1]).tobytes()
-        assert values[i].tobytes() == oracle.value_rows(Z[i:i + 1, :dim]).tobytes()
+    assert T.tobytes() == _at_rows(reference.tangent, Z).tobytes()
+    assert values.tobytes() == _at_rows(reference.value, Z[:, :dim]).tobytes()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), width=st.integers(1, 3), constants=_LITERALS,
        data=st.data())
-def test_expression_row_maps_keep_the_row_contract(seed, dim, width, constants, data):
-    # up to 40 rows, more than the K^2 + 1 = 37 of the largest surface batch
+def test_expression_point_maps_match_the_closure_pass(seed, dim, width, constants, data):
     rng = np.random.default_rng(seed)
     exprs = [random_expr(rng, dim, 3, constants) for _ in range(width)]
     rows = data.draw(st.integers(1, 40))  # drawn apart: a list strategy seldom draws long lists
     Z = np.array(data.draw(st.lists(st.lists(_ROW_ENTRY, min_size=2 * dim, max_size=2 * dim),
                                     min_size=rows, max_size=rows)))
-    _assert_rows_match_the_closure_pass(_vector_oracle_from_exprs(exprs, dim), exprs, Z)
+    _assert_maps_match_the_closure_pass(_vector_oracle_from_exprs(exprs, dim), exprs, Z)
 
 
-def test_expression_row_maps_on_every_node_kind():
+def test_expression_point_maps_on_every_node_kind():
     exprs = [ex.parse_expr(s) for s in (
         "(max (var 0) (var 1) (const -0.0))",
         "(min (var 0) (neg (var 1)) (const 0))",
@@ -263,9 +264,9 @@ def test_expression_row_maps_on_every_node_kind():
         [0.0, 0.0, -1.0, 0.5],     # abs at its kink, moving left
     ])
     oracle = _vector_oracle_from_exprs(exprs, 2)
-    _assert_rows_match_the_closure_pass(oracle, exprs, Z)
-    _assert_rows_match_the_closure_pass(oracle, exprs, np.tile(Z, (5, 1)))
-    T = oracle.tangent_rows(Z)
+    _assert_maps_match_the_closure_pass(oracle, exprs, Z)
+    _assert_maps_match_the_closure_pass(oracle, exprs, np.tile(Z, (5, 1)))
+    T = _at_rows(oracle.tangent, Z)
     # a tie takes the later value and the extremal tangent; the norm at the
     # origin has the norm of the tangents; a sum of tangents starts from +0.0
     assert T[0, 6:9].tolist() == [1.0, 0.0, math.sqrt(5.0)] and T[0, :2].tobytes() == np.array([-0.0, 0.0]).tobytes()
@@ -276,16 +277,16 @@ def test_expression_row_maps_on_every_node_kind():
     assert math.isnan(T[5, 0]) and math.isnan(T[5, 6]) and math.isnan(T[0, 4])
 
 
-def test_row_maps_return_one_nan_however_warm_the_code():
+def test_point_maps_return_one_nan_however_warm_the_code():
     # inf - inf is a NaN of the other sign than math.nan, and CPython's float
     # add and multiply return one or the other operand's NaN depending on
     # whether the code has run often enough to be specialised: a fresh
-    # oracle's first rows run cold, its later rows warm
+    # oracle's first points run cold, its later points warm
     exprs = [ex.parse_expr(s) for s in ("(add (sub (var 0) (var 0)) (var 1))", "(mul (var 1) (sub (var 0) (var 0)))")]
     Z = np.tile([math.inf, math.nan, math.inf, math.nan], (12, 1))
     nan = np.full(2, math.nan).tobytes()
     oracle = _vector_oracle_from_exprs(exprs, 2)
-    values, T = oracle.value_rows(Z[:, :2]), oracle.tangent_rows(Z)
+    values, T = _at_rows(oracle.value, Z[:, :2]), _at_rows(oracle.tangent, Z)
     assert all(row.tobytes() == nan for row in values)
     assert all(row.tobytes() == nan * 2 for row in T)
     for e in exprs:  # the closure pass, whose code is warm by now
@@ -304,7 +305,7 @@ def test_wide_and_deep_problem_files_match_the_closure_pass(data):
     rng = np.random.default_rng(5)
     Z = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], (12, 2 * n))  # kinks, ties and the origin
     Z[6:] += rng.standard_normal((6, 2 * n))
-    _assert_rows_match_the_closure_pass(problem.rhs, rhs, Z)
+    _assert_maps_match_the_closure_pass(problem.rhs, rhs, Z)
     reference = dataclasses.replace(problem, rhs=_closure_oracle(rhs, n), init=_closure_oracle(init, 2))
     p = [0.3, 0.0]  # x1 stays 0: the abs kink and, in the wide file, a 5000-way tie all the way
     got, got_trajectories = _subgradient_and_trajectories(problem, p, IntegrationConfig())
@@ -362,11 +363,11 @@ def test_stage_sums_keep_the_builtin_sum_order():
 
 
 # ---------------------------------------------------------------------------
-# lockstep rows: each row is its own one-row integration, bit for bit
+# both loops: each row is its own one-row integration, bit for bit
 
-def _one_row(rows):
-    """A row map applied to one point, as the one-row batch."""
-    return lambda z: rows(z[np.newaxis])[0]
+def _on_arrays(point_map):
+    """A point map on 1-D arrays, as the reference integrator calls it."""
+    return lambda z: np.array(point_map(z.tolist()))
 
 
 def _dopri5(fun, z0, t_final, cfg):
@@ -422,41 +423,56 @@ def _dopri5(fun, z0, t_final, cfg):
 
 _ROW_PROBLEMS = {
     "example46": problem_from_json(paper_fixture_path("example46.json")),
-    # both row maps generated from the problem file (expr.compile_rows)
+    # both point maps generated from the problem file (expr.compile_rows)
     "linear, expressions": problem_from_json({
         "n_state": 2,
         "rhs_expr": ["(add (scale 0.3 (var 0)) (scale -1.2 (var 1)))",
                      "(add (scale 0.7 (var 0)) (scale -0.5 (var 1)))"],
         "init_expr": ["(var 0)", "(var 1)"], "cost_expr": "(var 2)", "t_final": 1.0}),
-    # hand-written row maps
+    # hand-written point maps
     "linear, hand-written": _linear_problem([[0.3, -1.2], [0.7, -0.5]], [1.0, 0.0]),
+    # 8 components per coupled row
+    "four states": problem_from_json(FOUR_STATE_PROBLEM),
 }
 
 # coordinates on the kink lines p1 = 0 and p2 = 0 half the time
 _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5, allow_nan=False))
 
+# batch sizes on each side of SCALAR_ROWS: one row after another on floats, and numpy lockstep
+_SIZES = [4, 40]
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(_ROW_PROBLEMS)),
-       points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60))
-def test_lockstep_rows_match_one_row_integrations(name, points):
+
+def test_batch_sizes_take_both_loops():
+    assert _SIZES[0] <= odesens.SCALAR_ROWS < _SIZES[1]
+
+
+def _assert_rows_match_the_reference(fun, Z0, t_final, config):
+    """Every row of one :func:`_dopri5_rows` call, trajectory included, against the reference alone."""
+    final, stats, errors, trajectories = _dopri5_rows(fun, Z0, t_final, config, record=True)
+    assert errors == [None] * len(Z0) and final.shape == Z0.shape
+    for z0, z, row_stats, (times, states) in zip(Z0, final, stats, trajectories):
+        want_times, want_states, want_stats = _dopri5(_on_arrays(fun), z0, t_final, config)
+        assert times.tobytes() == np.array(want_times).tobytes()
+        assert states.tobytes() == np.array(want_states).tobytes()
+        assert z.tobytes() == want_states[-1].tobytes() and row_stats == want_stats
+
+
+@pytest.mark.parametrize("size", _SIZES)
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(name=st.sampled_from(sorted(_ROW_PROBLEMS)), data=st.data())
+def test_lockstep_rows_match_one_row_integrations(size, name, data):
     problem, config = _ROW_PROBLEMS[name], IntegrationConfig()
-    value = _one_row(problem.rhs.value_rows)
-    P = np.array(points)
-    Z0 = problem.init.value_rows(P)
-    final, stats, errors, _ = _dopri5_rows(problem.rhs.value_rows, Z0, problem.t_final, config)
-    assert errors == [None] * len(points)
-    assert final.shape == Z0.shape and len(stats) == len(points)
-    for q, z0, z, row_stats in zip(P, Z0, final, stats):
-        x0 = _one_row(problem.init.value_rows)(q)
-        assert z0.tobytes() == x0.tobytes()
-        _, states, one_row = _dopri5(value, x0, problem.t_final, config)
-        assert z.tobytes() == states[-1].tobytes()
-        assert row_stats == one_row
+    P = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=size, max_size=size)))
+    # state rows, and coupled state/tangent rows along the compass directions in turn
+    Z0 = _at_rows(problem.init.value, P)
+    _assert_rows_match_the_reference(problem.rhs.value, Z0, problem.t_final, config)
+    directions = np.tile(np.array(probe_directions(np.eye(2))), (size // 4 + 1, 1))[:size]
+    coupled = _at_rows(problem.init.tangent, np.hstack([P, directions]))
+    _assert_rows_match_the_reference(problem.rhs.tangent, coupled, problem.t_final, config)
     costs = ode_cost_value(problem, P, config)
     assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
     # a single integration is a batch of one row, with its trajectory
-    times, states, one_row = _dopri5(value, Z0[0], problem.t_final, config)
+    times, states, one_row = _dopri5(_on_arrays(problem.rhs.value), Z0[0], problem.t_final, config)
     got = integrate_state(problem, P[0], config)
     assert got[0].tobytes() == np.array(times).tobytes() and got[1].tobytes() == np.array(states).tobytes()
     assert got[2] == one_row
@@ -465,9 +481,8 @@ def test_lockstep_rows_match_one_row_integrations(name, points):
     result, trajectories = _subgradient_and_trajectories(problem, p, config)
     assert len(trajectories) == 4
     for pr, traj in zip(result.probes, trajectories):
-        tangent = _one_row(problem.init.tangent_rows)(np.concatenate([p, pr.direction]))[n:]
-        z0 = np.concatenate([Z0[0], tangent])
-        times, states, stats = _dopri5(_one_row(problem.rhs.tangent_rows), z0, problem.t_final, config)
+        z0 = problem.init.tangent(p.tolist() + pr.direction.tolist())
+        times, states, stats = _dopri5(_on_arrays(problem.rhs.tangent), z0, problem.t_final, config)
         times, states = np.array(times), np.array(states)
         for got in (traj, integrate_coupled(problem, p, pr.direction, config)):
             assert got.direction.tobytes() == pr.direction.tobytes()
@@ -477,6 +492,42 @@ def test_lockstep_rows_match_one_row_integrations(name, points):
             assert got.stats == stats
         x, y = states[-1, :n], states[-1, n:]
         assert pr.value == problem.cost.dir_deriv(np.concatenate([p, x]), np.concatenate([pr.direction, y]))
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_stage_sums_start_from_positive_zero_on_both_loops(size):
+    # x0 stays -0.0 with derivative -0.0, so a stage sum from +0.0 gives a
+    # stage point of +0.0 where a sum from its first term would give -0.0,
+    # and x1' reads the sign of that zero
+    fun = lambda x: [-0.0, math.copysign(1.0, x[0])]  # noqa: E731
+    Z0 = np.tile([-0.0, 0.0], (size, 1))
+    _assert_rows_match_the_reference(fun, Z0, 1.0, IntegrationConfig())
+    final = _dopri5_rows(fun, Z0, 1.0, IntegrationConfig())[0]
+    assert math.copysign(1.0, final[0, 0]) == 1.0 and final[0, 1] > 0.0  # x0 is +0.0 after the first step
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_the_last_step_lands_on_t_final_on_both_loops(size):
+    # dx/dt = 1 with steps growing fivefold: the last step starts at t = 0.3906,
+    # where t + (0.9 - t) rounds to 0.9000000000000001
+    problem = problem_from_json({"n_state": 1, "rhs_expr": ["(const 1)"], "init_expr": ["(var 0)"],
+                                 "cost_expr": "(var 2)", "t_final": 0.9})
+    Z0 = np.zeros((size, 1))
+    _assert_rows_match_the_reference(problem.rhs.value, Z0, problem.t_final, IntegrationConfig())
+    times = _dopri5_rows(problem.rhs.value, Z0, problem.t_final, IntegrationConfig(), record=True)[3][0][0]
+    assert times[-2] == 0.3906 and 0.3906 + (0.9 - 0.3906) > 0.9 and times[-1] == 0.9
+
+
+def test_error_norm_sums_squares_left_to_right():
+    # eight or more components: numpy's add.reduce sums pairwise, which differs in the last bit
+    rng = np.random.default_rng(11)
+    v, scale = rng.standard_normal((200, 8)) * 10.0 ** rng.integers(-3, 3, (200, 8)), np.full(8, 1e-8)
+    for row, got in zip(v.tolist(), _rms(v, scale).tolist()):
+        s = 0.0
+        for a in row:
+            q = a / 1e-8
+            s += q * q
+        assert got == math.sqrt(s / 8) == odesens._rms_floats(row, scale.tolist())
 
 
 def test_ode_cost_value_shapes(bundled_problem):
@@ -504,11 +555,9 @@ def test_integration_error_carries_time_and_direction(bundled_problem, monkeypat
 
 def test_blowup_reports_failure_time():
     # dx/dt = x^2 from x(0) = 1 blows up at t = 1
-    rhs = VectorOracle(value_rows=lambda X: X * X,
-                       tangent_rows=lambda Z: np.column_stack([Z[:, 0] * Z[:, 0], 2 * Z[:, 0] * Z[:, 1]]),
+    rhs = VectorOracle(value=lambda x: [x[0] * x[0]], tangent=lambda z: [z[0] * z[0], 2 * z[0] * z[1]],
                        dim_in=1, dim_out=1)
-    init = VectorOracle(value_rows=lambda P: np.ones((len(P), 1)),
-                        tangent_rows=lambda Z: np.tile([1.0, 0.0], (len(Z), 1)), dim_in=2, dim_out=1)
+    init = VectorOracle(value=lambda p: [1.0], tangent=lambda z: [1.0, 0.0], dim_in=2, dim_out=1)
     cost = DirectionalOracle(value=lambda z: float(z[2]), dir_deriv=lambda z, t: float(t[2]), dim=3)
     problem = OdeProblem(rhs=rhs, init=init, cost=cost, t_final=2.0)
     with pytest.raises(IntegrationError) as err:
@@ -520,25 +569,42 @@ _BLOWUP = problem_from_json({"n_state": 1, "rhs_expr": ["(mul (var 0) (var 0))"]
                              "cost_expr": "(var 2)", "t_final": 1.0})
 
 
+def _assert_same_outcome(a, b):
+    """Two ``_dopri5_rows`` results are the same, bit for bit, failing rows' partial trajectories included."""
+    assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
+    assert [None if e is None else (str(e), e.time, e.row) for e in a[2]] == \
+        [None if e is None else (str(e), e.time, e.row) for e in b[2]]
+    for (ta, sa), (tb, sb) in zip(a[3], b[3]):
+        assert ta.tobytes() == tb.tobytes() and sa.shape == sb.shape and sa.tobytes() == sb.tobytes()
+
+
+@pytest.mark.parametrize("size", [6, _SIZES[1]])  # every failure kind below, on each loop
 @pytest.mark.parametrize("max_steps", [odesens.MAX_STEPS, 25])
-def test_failing_rows_fail_as_they_would_alone(max_steps, monkeypatch):
+def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
     # dx/dt = x^2 from x0 = p1 blows up at t = 1 / p1; 1e200 has a non-finite
     # derivative at t = 0; a step limit of 25 stops the slower rows
     monkeypatch.setattr(odesens, "MAX_STEPS", max_steps)
     config = IntegrationConfig()
     P = np.array([[0.0, 0.0], [1.25, 0.0], [2.0, 0.0], [0.5, 0.0], [1e200, 0.0], [-3.0, 0.0]])
-    final, stats, errors, _ = _dopri5_rows(_BLOWUP.rhs.value_rows, _BLOWUP.init.value_rows(P), 1.0, config)
+    P = np.tile(P, (size // 6 + 1, 1))[:size]
+    P[6:, 0] += np.linspace(-0.5, 0.5, size - 6)
+    Z0 = _at_rows(_BLOWUP.init.value, P)
+    got = _dopri5_rows(_BLOWUP.rhs.value, Z0, 1.0, config, record=True)
+    final, stats, errors, _ = got
     failed = 0
-    for i, q in enumerate(P):
+    for i, z0 in enumerate(Z0):
         try:
-            _, states, one_row = _dopri5(_one_row(_BLOWUP.rhs.value_rows), _one_row(_BLOWUP.init.value_rows)(q),
-                                         1.0, config)
+            _, states, one_row = _dopri5(_on_arrays(_BLOWUP.rhs.value), z0, 1.0, config)
         except IntegrationError as alone:
             failed += 1
             assert (str(errors[i]), errors[i].time, errors[i].row, stats[i]) == (str(alone), alone.time, i, None)
+            assert final[i].tobytes() == z0.tobytes()
         else:
             assert errors[i] is None and stats[i] == one_row and final[i].tobytes() == states[-1].tobytes()
     assert failed >= 3
+    # the other loop gives the same
+    monkeypatch.setattr(odesens, "SCALAR_ROWS", size - 1 if size <= odesens.SCALAR_ROWS else size)
+    _assert_same_outcome(got, _dopri5_rows(_BLOWUP.rhs.value, Z0, 1.0, config, record=True))
 
 
 def test_batch_failure_names_the_lowest_failing_row():
