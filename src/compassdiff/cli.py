@@ -50,9 +50,9 @@ EXIT_INPUT = 2
 EXIT_EVAL = 3
 EXIT_NUMERIC = 4
 
-#: Largest ``ode --surface`` count: the surface is one integration of
-#: count ** 2 + 1 rows (``odesens._dopri5_rows``), in numpy lockstep once it
-#: has more than ``odesens.SCALAR_ROWS`` rows.
+#: Largest ``ode --surface`` count: the surface is one ``ode_cost_value``
+#: batch of count ** 2 + 1 points, in numpy lockstep once it has more than
+#: ``odesens.SCALAR_ROWS`` rows.
 MAX_SURFACE_COUNT = 100
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from . import jsonio
 from .compass import probe
-from .oracle import UNGUARANTEED, CompassResult, InputError, require_integer, require_positive
+from .oracle import UNGUARANTEED, CompassResult, InputError, require_integer, require_numbers, require_positive
 
 
 @dataclass(frozen=True)
@@ -286,13 +286,13 @@ def problem_from_json(source) -> OptimalValueProblem:
             raise InputError(f"optimal-value problem JSON is missing {key!r}")
     feas_data = data["feasible"]
     if "cloud" in feas_data:
-        feasible: FeasibleSet = FinitePointCloud(points=np.asarray(feas_data["cloud"], dtype=float))
+        feasible: FeasibleSet = FinitePointCloud(points=require_numbers("cloud", feas_data["cloud"]))
         m = feasible.points.shape[1]
     elif "box" in feas_data:
         b = feas_data["box"]
         feasible = Box(
-            lower=np.asarray(b["lower"], dtype=float),
-            upper=np.asarray(b["upper"], dtype=float),
+            lower=require_numbers("box lower", b["lower"]),
+            upper=require_numbers("box upper", b["upper"]),
             grid=require_integer("grid", b.get("grid", 21)),
             refine_steps=require_integer("refine_steps", b.get("refine_steps", 30)),
         )

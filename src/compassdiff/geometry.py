@@ -22,7 +22,7 @@ import numpy as np
 from . import jsonio
 from .compass import probe
 from .hulls import separation
-from .oracle import GUARANTEED, UNGUARANTEED, InputError, require_positive
+from .oracle import InputError, guarantee_for_dim, require_integer, require_numbers, require_positive
 from .sampling import unit_directions
 
 #: Unit directions an oracle known through sigma alone is tested on.
@@ -137,15 +137,23 @@ def ball_support(radius: float = 1.0, dim: int = 2) -> SupportOracle:
 
 
 def load_polytope_json(source) -> SupportOracle:
-    """Load a polytope oracle from ``{"dim": n, "vertices": [[...], ...]}``."""
+    """Load a polytope oracle from ``{"dim": n, "vertices": [[...], ...], "description": text}``.
+
+    ``dim`` and ``description`` are optional.
+    """
     data = jsonio.load(source)
     if "vertices" not in data:
         raise InputError("polytope JSON needs a 'vertices' field")
-    vertices = np.asarray(data["vertices"], dtype=float)
-    dim = int(data.get("dim", vertices.shape[1]))
-    if vertices.ndim != 2 or vertices.shape[1] != dim:
+    vertices = require_numbers("vertices", data["vertices"])
+    if vertices.ndim != 2:
+        raise InputError("vertices must be a list of points")
+    dim = require_integer("dim", data.get("dim", vertices.shape[1]))
+    if vertices.shape[1] != dim:
         raise InputError(f"vertices must be a list of {dim}-dimensional points")
-    return polytope_support(vertices, description=data.get("description", ""))
+    description = data.get("description", "")
+    if not isinstance(description, str):
+        raise InputError(f"description must be a string, got {description!r}")
+    return polytope_support(vertices, description=description)
 
 
 def _probe_support(oracle: SupportOracle) -> tuple[IntervalHull, np.ndarray]:
@@ -178,15 +186,16 @@ def interval_hull(oracle: SupportOracle) -> IntervalHull:
 def midpoint_element(oracle: SupportOracle) -> MidpointResult:
     """Midpoint of the interval hull, with its membership guarantee flag.
 
-    For a compact convex set in the plane the midpoint always belongs to the
-    set; in other dimensions it is returned but flagged unguaranteed (the
-    bundled three-dimensional demo refutes it).  A set that is not closed
-    shares its closure's support function, and may miss it (``example44``).
+    For a compact convex set on the line or in the plane the midpoint always
+    belongs to the set; in three dimensions and up it is returned but
+    flagged unguaranteed (the bundled three-dimensional demo refutes it).
+    A set that is not closed shares its closure's support function, and may
+    miss it (``example44``).
     """
     hull, point = _probe_support(oracle)
     return MidpointResult(
         point=point,
-        guarantee=GUARANTEED if oracle.dim == 2 else UNGUARANTEED,
+        guarantee=guarantee_for_dim(oracle.dim),
         hull=hull,
     )
 

@@ -12,16 +12,15 @@ phi, and the compass difference of psi (four integrations) is a guaranteed
 subgradient of phi for p in the plane.
 
 Integrator: an explicit Dormand-Prince 5(4) embedded pair with PI step-size
-control, written here to keep runs dependency-free and deterministic.
-:func:`_dopri5_rows` runs every integration, on the rows of an (N, n)
-array, each row with its own t, h, error history and accept/reject
-decision, by one of two loops with the same arithmetic.  A batch of at
-most :data:`SCALAR_ROWS` rows runs one row after another on Python floats,
-where numpy's per-call cost would outweigh its work: the four compass
-probes (four coupled state/tangent rows), ``ode --at`` and ``--traj``,
-single integrations, and small surfaces.  A larger batch, such as the
-``ode --surface`` grid, runs in numpy lockstep, the rhs once per stage on
-all rows still running.  Either way a row takes the steps it would take
+control, written here to keep runs dependency-free and deterministic, in two
+loops with the same arithmetic.  :func:`_dopri5_floats` integrates one
+system on Python floats and records its accepted steps; it runs
+:func:`integrate_state`, :func:`integrate_coupled` and each compass probe of
+:func:`ode_subgradient`, which integrates its own direction when psi is
+asked for it.  :func:`ode_cost_value` runs a batch of at most
+:data:`SCALAR_ROWS` points on it one after another, and a larger batch,
+such as the ``ode --surface`` grid, in numpy lockstep
+(:func:`_dopri5_lockstep`).  Either way a row takes the steps it would take
 alone, bit for bit.  The rhs is a point map on lists of floats
 (:class:`VectorOracle`); for a problem file it is one generated function
 that evaluates every component as flat statements
@@ -46,18 +45,19 @@ import numpy as np
 
 from . import expr as ex
 from . import jsonio
-from .compass import probe, probe_directions
-from .oracle import CompassResult, DirectionalOracle, InputError, VectorOracle, require_integer, require_positive
+from .compass import probe
+from .oracle import (CompassResult, DirectionalOracle, InputError, VectorOracle, require_integer, require_numbers,
+                     require_positive)
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed; carries the failure time and, when the
-    failure happened inside a directional probe, the parameter direction, or
-    in a state-only batch, the index of the failing row.
+    """Adaptive integration failed; carries the failure time and, from
+    :func:`integrate_coupled`, the parameter direction, or from
+    :func:`ode_cost_value`, the index of the failing point.
 
-    A failing row leaves its batch while the others run on, so a failure
-    does not depend on the batch.  It is raised when the caller
-    reaches its row: ``psi`` in probe order, ``ode_cost_value`` the lowest.
+    A failure does not depend on the batch: a failing row leaves the
+    lockstep batch while the others run on, and ``ode_cost_value`` raises
+    the lowest failing row's error.
     """
 
     def __init__(self, message: str, time: float, direction=None, row: Optional[int] = None):
@@ -165,7 +165,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER = 5.0
 
-#: Most rows :func:`_dopri5_rows` integrates one after another on Python
+#: Most points :func:`ode_cost_value` integrates one after another on Python
 #: floats; a larger batch runs in numpy lockstep.  The measured crossover on
 #: example46's state rows: below about 20 rows numpy's per-call cost
 #: outweighs its per-row gain, above it the lockstep loop is faster.
@@ -246,6 +246,18 @@ def _combine(coeffs: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray
     return np.add.accumulate(terms[:s + 1], axis=0)[s]
 
 
+def _point(point_map, x: list, width: int, what: str) -> list:
+    """``point_map`` at one point ``x``, a list of floats.
+
+    An output of another width than ``width`` is an :class:`InputError`,
+    which the loops' zip would otherwise truncate in silence.
+    """
+    out = point_map(x)
+    if len(out) != width:
+        raise InputError(f"{what} returned {len(out)} components for a point, expected {width}")
+    return out
+
+
 def _batch(point_map, points: list, width: int, what: str) -> np.ndarray:
     """``point_map`` at each of ``points`` (lists of floats), as a (len(points), width) array.
 
@@ -261,54 +273,34 @@ def _batch(point_map, points: list, width: int, what: str) -> np.ndarray:
     return np.array(out).reshape(len(points), width)
 
 
-def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, record: bool = False):
-    """Integrate dz/dt = fun(z) from 0 to t_final for every row of ``Z0``.
+def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig):
+    """:func:`_dopri5_floats` on every row of ``Z0``, in numpy lockstep.
 
-    ``fun`` is a point map: a state, a list of n floats, to its derivative.
-    A batch of at most :data:`SCALAR_ROWS` rows runs one row after another
-    on Python floats (:func:`_dopri5_floats`); a larger one runs in numpy
-    lockstep, with elementwise stage arithmetic and scalar step control per
-    row, each row with its own t, h, error history and accept/reject
-    decision.  The rhs sees only the rows still running; a row leaves the
-    batch when it reaches t_final or fails.  Both paths do the same
-    arithmetic in the same order, so a row takes the steps it would take
-    alone, bit for bit, whatever its batch.
+    The stage arithmetic is elementwise on all rows still running, the step
+    control scalar per row, each row with its own t, h, error history and
+    accept/reject decision; a row leaves the batch when it reaches t_final
+    or fails.  Every operation is the float loop's on that row, in the same
+    order: the stage sums from +0.0, left to right, with the 0.0 weights of
+    b5 and of the error estimate kept (0.0 * inf is NaN); the error norm's
+    squares summed left to right; the guesses and the step control by the
+    same functions.  So a row ends or fails as it would alone, bit for bit.
 
-    A row costs 6 rhs evaluations per attempted step, plus f(z0) and one
-    more for the step-size guess.  A row fails on a non-finite derivative at
-    t = 0, a non-finite state or error-estimate component, MAX_STEPS
-    attempted steps or a step below MIN_STEP; an error norm that overflows
-    from finite components only rejects the step.  Overflow is quiet.  An
-    rhs output of another width than n is an :class:`InputError`.
-
-    Returns ``(final, stats, errors, trajectories)``: the final states, shape
-    (N, n); per row its :class:`StepStats` and its :class:`IntegrationError`
-    (``row`` set), one of them None; and with ``record``, per row its
-    accepted ``(times, states)`` from t = 0, else None.
+    Returns ``(final, errors)``: the final states, shape (N, n), a failing
+    row's left at its initial state; and per row its
+    :class:`IntegrationError`, or None.
     """
     final = np.array(Z0, dtype=float)
     N, n = final.shape
-    if N <= SCALAR_ROWS:
-        stats, errors, trajectories = [], [], []
-        for i, z0 in enumerate(final.tolist()):
-            z, row_stats, error, trajectory = _dopri5_floats(fun, z0, t_final, cfg, record, i)
-            final[i] = z
-            stats.append(row_stats)
-            errors.append(error)
-            trajectories.append(trajectory)
-        return final, stats, errors, trajectories if record else None
 
     def rhs(Z):
         return _batch(fun, Z.tolist(), n, "the right-hand side")
 
-    stats: list = [None] * N
     errors: list = [None] * N
-    log = []  # with record: (rows, t, z, accepted) at t = 0 and after each iteration
     with np.errstate(over="ignore", invalid="ignore"):
         f0 = rhs(final)
         good = np.isfinite(f0).all(axis=1)
         for i in np.flatnonzero(~good).tolist():  # the step-size guess would divide by zero
-            errors[i] = IntegrationError("non-finite state derivative at t = 0", time=0.0, row=i)
+            errors[i] = IntegrationError("non-finite state derivative at t = 0", time=0.0)
         rows = np.flatnonzero(good)  # original index of each running row
         z, f0 = final[rows], f0[rows]
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
@@ -320,13 +312,10 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
         t = np.zeros(rows.size)
         err_prev = np.ones(rows.size)
         steps = 0  # attempted steps, the same for every running row
-        accepted = np.zeros(rows.size, dtype=int)
         k = np.empty((7, rows.size, n))
         k[0] = f0
         bad = False  # rows whose last step went non-finite
         terms = np.zeros((8, rows.size * n))
-        if record:
-            log.append((rows, t, z, np.ones(rows.size, dtype=bool)))
         while rows.size:
             rest = t_final - t
             last = h >= rest
@@ -338,13 +327,10 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
                     row = int(rows[i])
                     if rest[i] <= 0.0:
                         final[row] = z[i]
-                        a, r = int(accepted[i]), steps - int(accepted[i])
-                        stats[row] = StepStats(accepted=a, rejected=r, rhs_evals=2 + 6 * (a + r))
                     elif errors[row] is None:
-                        errors[row] = _limit_error(steps, float(h[i]), float(t[i]), row)
+                        errors[row] = _limit_error(steps, float(h[i]), float(t[i]))
                 keep = ~stop
-                rows, z, t, h, last, err_prev, accepted = (
-                    x[keep] for x in (rows, z, t, h, last, err_prev, accepted))
+                rows, z, t, h, last, err_prev = (x[keep] for x in (rows, z, t, h, last, err_prev))
                 # contiguous, so that the flat view below is a view
                 k = np.ascontiguousarray(k[:, keep])
                 terms = np.zeros((8, rows.size * n))
@@ -365,48 +351,40 @@ def _dopri5_rows(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, re
             if not np.isfinite(z_new + err_vec).all():
                 bad = ~(np.isfinite(z_new).all(axis=1) & np.isfinite(err_vec).all(axis=1))
                 for i in np.flatnonzero(bad).tolist():
-                    errors[rows[i]] = _state_error(float(t[i]), int(rows[i]))
+                    errors[rows[i]] = _state_error(float(t[i]))
                 ok &= ~bad
             # land exactly on t_final: t + (t_final - t) can round past it
             t = np.where(ok, np.where(last, t_final, t + h), t)
             steps += 1
-            accepted += ok
             accept = ok.reshape(-1, 1)
-            z = np.where(accept, z_new, z)  # a new array, so the log below needs no copy
+            z = np.where(accept, z_new, z)
             np.copyto(k[0], k[6], where=accept)  # the last stage was evaluated at z_new (its row of _A is _B5)
-            if record:
-                log.append((rows, t, z, ok))
             h, err_prev = np.array(list(map(_control, h.tolist(), err.tolist(), err_prev.tolist()))).T
-    trajectories = None
-    if record:
-        index, times, states, accept = (np.concatenate(part) for part in zip(*log))
-        index, times, states = index[accept], times[accept], states[accept]
-        order = np.argsort(index, kind="stable")
-        cuts = np.cumsum(np.bincount(index, minlength=N))[:-1]
-        trajectories = list(zip(np.split(times[order], cuts), np.split(states[order], cuts)))
-    return final, stats, errors, trajectories
+    return final, errors
 
 
-def _limit_error(steps: int, h: float, t: float, row: int) -> IntegrationError:
+def _limit_error(steps: int, h: float, t: float) -> IntegrationError:
     """The error of a row stopped by MAX_STEPS or MIN_STEP."""
     message = f"step limit {MAX_STEPS} exceeded" if steps >= MAX_STEPS else f"step size underflow ({h:.3e})"
-    return IntegrationError(f"{message} at t = {t:.6g}", time=t, row=row)
+    return IntegrationError(f"{message} at t = {t:.6g}", time=t)
 
 
-def _state_error(t: float, row: int) -> IntegrationError:
-    return IntegrationError(f"non-finite state at t = {t:.6g}", time=t, row=row)
+def _state_error(t: float) -> IntegrationError:
+    return IntegrationError(f"non-finite state at t = {t:.6g}", time=t)
 
 
-def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, record: bool, row: int):
-    """Row ``row`` of :func:`_dopri5_rows` on Python floats: ``(final, stats, error, trajectory)``.
+def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig):
+    """Integrate dz/dt = fun(z) from 0 to t_final from ``z0``, a list of n floats.
 
-    Every operation is the lockstep loop's on this row, in the same order:
-    the stage sums from +0.0, left to right, with the 0.0 weights of b5 and
-    of the error estimate kept (0.0 * inf is NaN); the error norm's squares
-    summed left to right, as :func:`_rms` sums them; the guesses and the
-    step control by the same functions.  So every state, step and failure is the same bit for bit.
-    A failing row's final state is ``z0``; a row failing at t = 0 has an
-    empty trajectory.
+    ``fun`` is a point map: a state, a list of n floats, to its derivative.
+    A run costs 6 rhs evaluations per attempted step, plus f(z0) and one
+    more for the step-size guess.  It raises an :class:`IntegrationError` on
+    a non-finite derivative at t = 0, a non-finite state or error-estimate
+    component, MAX_STEPS attempted steps or a step below MIN_STEP; an error
+    norm that overflows from finite components only rejects the step, and
+    overflow is quiet.  An rhs output of another width than n is an
+    :class:`InputError`.  Returns ``(times, states, stats)``: the accepted
+    steps from t = 0, as two lists, and the :class:`StepStats`.
     """
     n = len(z0)
     atol, rtol, max_steps, min_step = cfg.abs_tol, cfg.rel_tol, MAX_STEPS, MIN_STEP
@@ -415,20 +393,16 @@ def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, record
     b1, b2, b3, b4, b5, b6, b7 = _WEIGHTS
     e1, e2, e3, e4, e5, e6, e7 = _ERROR_WEIGHTS
     z = z0
-    k1 = fun(z)
-    if len(k1) != n:  # zip would truncate it in silence
-        raise InputError(f"the right-hand side returned {len(k1)} components for a point, expected {n}")
+    k1 = _point(fun, z, n, "the right-hand side")
     if not all(map(math.isfinite, k1)):  # the step-size guess would divide by zero
-        empty = (np.empty(0), np.empty((0, n))) if record else None
-        return z0, None, IntegrationError("non-finite state derivative at t = 0", time=0.0, row=row), empty
+        raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
     scale = [atol + rtol * abs(a) for a in z]
     d1 = _rms_floats(k1, scale)
     h0 = _first_guess(_rms_floats(z, scale), d1, t_final)
     df = _rms_floats([b - a for a, b in zip(k1, fun([a + h0 * b for a, b in zip(z, k1)]))], scale)
     h = _second_guess(h0, d1, df, t_final)
-    t, err_prev, steps, accepted = 0.0, 1.0, 0, 0
+    t, err_prev, steps = 0.0, 1.0, 0
     times, states = [t], [z]
-    error = None
     while True:
         rest = t_final - t
         last = h >= rest
@@ -460,26 +434,20 @@ def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, record
             q = e / (atol + rtol * (old if old >= new else new))
             s += q * q
         if nonfinite != 0.0:
-            error = _state_error(t, row)
-            break
+            raise _state_error(t)
         err = math.sqrt(s / n)
         steps += 1
         if err <= 1.0:
             # land exactly on t_final: t + (t_final - t) can round past it
             t = t_final if last else t + h
             z, k1 = z_new, k7  # the last stage was evaluated at z_new
-            accepted += 1
-            if record:
-                times.append(t)
-                states.append(z)
+            times.append(t)
+            states.append(z)
         h, err_prev = _control(h, err, err_prev)
-    stats = None
-    if error is None and rest <= 0.0:
-        stats = StepStats(accepted=accepted, rejected=steps - accepted, rhs_evals=2 + 6 * steps)
-    elif error is None:
-        error = _limit_error(steps, h, t, row)
-    trajectory = (np.array(times), np.array(states).reshape(-1, n)) if record else None
-    return (z0 if error is not None else z), stats, error, trajectory
+    if rest > 0.0:
+        raise _limit_error(steps, h, t)
+    accepted = len(times) - 1
+    return times, states, StepStats(accepted=accepted, rejected=steps - accepted, rhs_evals=2 + 6 * steps)
 
 
 def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
@@ -487,56 +455,43 @@ def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = Integrat
     p = np.asarray(p, dtype=float)
     if p.size != 2:
         raise InputError("the parameter space is two-dimensional")
-    x0 = _batch(problem.init.value, [p.tolist()], problem.n_state, "the initial map")
-    _, stats, errors, trajectories = _dopri5_rows(problem.rhs.value, x0, problem.t_final, config, record=True)
-    if errors[0] is not None:
-        raise errors[0]
-    times, states = trajectories[0]
-    return times, states, stats[0]
-
-
-def _coupled_rows(problem: OdeProblem, p: np.ndarray, directions: list, config: IntegrationConfig) -> list:
-    """One integration of the coupled state/tangent system, one row per direction.
-
-    Returns per direction, in order, its :class:`SensitivityTrajectory` or
-    the :class:`IntegrationError` naming that direction.
-    """
     n = problem.n_state
-    Z0 = _batch(problem.init.tangent, [p.tolist() + d.tolist() for d in directions], 2 * n,
-                "the initial map's tangent")
-    _, stats, errors, trajectories = _dopri5_rows(problem.rhs.tangent, Z0, problem.t_final, config, record=True)
-    return [
-        IntegrationError(str(error), time=error.time, direction=d) if error is not None else
-        SensitivityTrajectory(times=times, states=zs[:, :n], sensitivities=zs[:, n:], direction=d.copy(),
-                              stats=row_stats)
-        for d, row_stats, error, (times, zs) in zip(directions, stats, errors, trajectories)
-    ]
-
-
-def _trajectory(outcome) -> SensitivityTrajectory:
-    if isinstance(outcome, IntegrationError):
-        raise outcome
-    return outcome
+    x0 = _point(problem.init.value, p.tolist(), n, "the initial map")
+    times, states, stats = _dopri5_floats(problem.rhs.value, x0, problem.t_final, config)
+    return np.array(times), np.array(states).reshape(-1, n), stats
 
 
 def integrate_coupled(problem: OdeProblem, p, d,
                       config: IntegrationConfig = IntegrationConfig()) -> SensitivityTrajectory:
-    """Integrate state and directional sensitivity together along direction ``d``."""
+    """Integrate state and directional sensitivity together along direction ``d``.
+
+    A failure raises an :class:`IntegrationError` naming ``d``.
+    """
     p = np.asarray(p, dtype=float)
     d = np.asarray(d, dtype=float)
     if p.size != 2 or d.size != 2:
         raise InputError("the parameter space is two-dimensional")
-    return _trajectory(_coupled_rows(problem, p, [d], config)[0])
+    n = problem.n_state
+    z0 = _point(problem.init.tangent, p.tolist() + d.tolist(), 2 * n, "the initial map's tangent")
+    try:
+        times, zs, stats = _dopri5_floats(problem.rhs.tangent, z0, problem.t_final, config)
+    except IntegrationError as error:
+        raise IntegrationError(str(error), time=error.time, direction=d) from None
+    zs = np.array(zs).reshape(-1, 2 * n)
+    return SensitivityTrajectory(times=np.array(times), states=zs[:, :n], sensitivities=zs[:, n:],
+                                 direction=d.copy(), stats=stats)
 
 
 def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
     """phi(p) = g(p, x(T, p)) by one state integration.
 
     ``p`` is one point of shape (2,), which returns a float, or a batch of
-    shape (N, 2), which returns shape (N,) from one integration of all rows
-    (:func:`_dopri5_rows`); row i equals ``ode_cost_value(problem,
-    p[i])`` bit for bit.  The error of the lowest-index failing row is
-    raised, naming its point.
+    shape (N, 2), which returns shape (N,).  A batch of at most
+    :data:`SCALAR_ROWS` points is integrated one point after another
+    (:func:`_dopri5_floats`), a larger one in one lockstep integration of
+    all rows (:func:`_dopri5_lockstep`); row i equals
+    ``ode_cost_value(problem, p[i])`` bit for bit either way.  The error of
+    the lowest-index failing row is raised, naming its point.
     """
     try:
         p = np.asarray(p, dtype=float)
@@ -547,12 +502,25 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
     P = p.reshape(-1, 2)
     if not len(P):
         return np.empty(0)
+
+    def failure(row: int, error: IntegrationError) -> IntegrationError:
+        a, b = P[row].tolist()
+        return IntegrationError(f"{error} for p = ({a:.17g}, {b:.17g})", time=error.time, row=row)
+
     x0 = _batch(problem.init.value, P.tolist(), problem.n_state, "the initial map")
-    final, _, errors, _ = _dopri5_rows(problem.rhs.value, x0, problem.t_final, config)
-    err = next((e for e in errors if e is not None), None)
-    if err is not None:
-        a, b = P[err.row].tolist()
-        raise IntegrationError(f"{err} for p = ({a:.17g}, {b:.17g})", time=err.time, row=err.row)
+    fun, t_final = problem.rhs.value, problem.t_final
+    if len(P) > SCALAR_ROWS:
+        final, errors = _dopri5_lockstep(fun, x0, t_final, config)
+        row = next((i for i, error in enumerate(errors) if error is not None), None)
+        if row is not None:
+            raise failure(row, errors[row])
+    else:
+        final = []
+        for row, z0 in enumerate(x0.tolist()):
+            try:
+                final.append(_dopri5_floats(fun, z0, t_final, config)[1][-1])
+            except IntegrationError as error:
+                raise failure(row, error) from None
     costs = [float(problem.cost.value(np.concatenate([q, x]))) for q, x in zip(P, final)]
     return np.array(costs) if p.ndim == 2 else costs[0]
 
@@ -574,31 +542,27 @@ def _subgradient_and_trajectories(problem: OdeProblem, p, config: IntegrationCon
                                   ) -> tuple[CompassResult, list[SensitivityTrajectory]]:
     """:func:`ode_subgradient` plus the coupled integrations behind its probes, in probe order.
 
-    The four probes are four rows of one integration.  psi(d) then
-    returns its row's value or raises its row's error, so errors come in
-    probe order, as from four integrations one after another.
+    psi(d) integrates its own direction (:func:`integrate_coupled`) when
+    the probe asks for it, so a failure stops the probes at the first
+    direction that fails.
     """
     p = np.asarray(p, dtype=float)
     if p.size != 2:
         raise InputError("the parameter space is two-dimensional")
-    basis = np.eye(2)
-    directions = probe_directions(basis)
-    outcomes = {d.tobytes(): o for d, o in zip(directions, _coupled_rows(problem, p, directions, config))}
     trajectories: list[SensitivityTrajectory] = []
 
     def psi(d: np.ndarray) -> float:
-        trajectories.append(_trajectory(outcomes[d.tobytes()]))
+        trajectories.append(integrate_coupled(problem, p, d, config))
         return _cost_dirderiv(problem, p, trajectories[-1])
 
-    return probe(psi, basis), trajectories
+    return probe(psi, np.eye(2)), trajectories
 
 
 def ode_subgradient(problem: OdeProblem, p,
                     config: IntegrationConfig = IntegrationConfig()) -> CompassResult:
     """Guaranteed subgradient of phi at ``p``: compass difference of psi.
 
-    Four coupled integrations, one per compass direction, as four rows of
-    one integration.
+    Four coupled integrations, one per compass direction.
     """
     return _subgradient_and_trajectories(problem, p, config)[0]
 
@@ -632,9 +596,12 @@ def problem_from_json(source) -> OdeProblem:
     if len(rhs_exprs) != n or len(init_exprs) != n:
         raise InputError(f"need exactly {n} rhs and init expressions")
     cost_expr = ex.parse_expr(data["cost_expr"])
+    t_final = require_numbers("t_final", data["t_final"])
+    if t_final.ndim:
+        raise InputError(f"t_final must be a number, got {data['t_final']!r}")
     return OdeProblem(
         rhs=_vector_oracle_from_exprs(rhs_exprs, n),
         init=_vector_oracle_from_exprs(init_exprs, 2),
         cost=ex.as_oracle(cost_expr, 2 + n),
-        t_final=float(data["t_final"]),
+        t_final=float(t_final),
     )

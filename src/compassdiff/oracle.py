@@ -14,6 +14,7 @@ read-only use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +53,20 @@ def require_integer(name: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def require_numbers(name: str, value) -> np.ndarray:
+    """``value``, a number or nested lists of numbers from a problem file, as a float array.
+
+    Any other leaf (a string, a bool, null, or a list where a number
+    belongs) is an :class:`InputError`: ``np.asarray(value, dtype=float)``
+    alone would parse ``"1"`` and read ``true`` as 1.0.
+    """
+    array = np.asarray(value, dtype=object)
+    for v in array.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InputError(f"{name} must hold JSON numbers, got {v!r}")
+    return array.astype(float)
 
 
 class OracleError(RuntimeError):

@@ -297,31 +297,30 @@ def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
 def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     from compassdiff import odesens
 
-    recorded = []  # (initial rows, trajectories) of each integration that records its steps
-    dopri5_rows = odesens._dopri5_rows
+    recorded = []  # (initial state, times, states) of each run of the row integrator
+    dopri5_floats = odesens._dopri5_floats
 
-    def recording(fun, Z0, t_final, cfg, record=False):
-        result = dopri5_rows(fun, Z0, t_final, cfg, record)
-        if record:
-            recorded.append((Z0, result[3]))
+    def recording(fun, z0, t_final, cfg):
+        result = dopri5_floats(fun, z0, t_final, cfg)
+        recorded.append((z0, *result[:2]))
         return result
 
-    monkeypatch.setattr(odesens, "_dopri5_rows", recording)
+    monkeypatch.setattr(odesens, "_dopri5_floats", recording)
     # '=' form needed for a grid starting at a negative bound
     code, out, _ = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0,0",
                            "--traj", "--surface=-1:1:5", "--out", str(tmp_path))
     assert code == 0
     # the trajectories written are the subgradient's own four probes, in probe
-    # order: one coupled integration whose rows start at x0 and init'(p; d)
+    # order: four coupled integrations that start at x0 and init'(p; d), and
+    # no others (the surface's 26 rows run in lockstep)
     problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
     directions = [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
-    (Z0, trajectories), = recorded
-    assert Z0.tolist() == [[0.0] * 3 + problem.init.tangent([0.0, 0.0, *d])[3:]
-                           for d in directions]
-    for label, (times, states) in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), trajectories):
+    assert [z0 for z0, _, _ in recorded] == [[0.0] * 3 + problem.init.tangent([0.0, 0.0, *d])[3:]
+                                             for d in directions]
+    for label, (_, times, states) in zip(("plus_e1", "minus_e1", "plus_e2", "minus_e2"), recorded):
         rows = (tmp_path / f"traj_{label}.csv").read_text().strip().split("\n")[1:]
-        assert [float(row.split(",")[0]) for row in rows] == times.tolist()
-        assert [[float(v) for v in row.split(",")[1:]] for row in rows] == states.tolist()
+        assert [float(row.split(",")[0]) for row in rows] == times
+        assert [[float(v) for v in row.split(",")[1:]] for row in rows] == states
     payload = last_json(out)
     assert len(payload["files"]) == 5
     surface = (tmp_path / "surface.csv").read_text().strip().split("\n")

@@ -103,6 +103,13 @@ def test_midpoint_examples():
     assert np.array_equal(res.point, np.zeros(3)) and res.guarantee == UNGUARANTEED
     assert not membership_check(c1, res.point, tol=1e-9).member
 
+    # the midpoint of a compact interval always lies in it, as compass.probe labels dimension 1
+    segment = polytope_support([[3.0], [-1.0], [0.5]])
+    res = midpoint_element(segment)
+    assert res.hull.lower.tolist() == [-1.0] and res.hull.upper.tolist() == [3.0]
+    assert res.point.tolist() == [1.0] and res.guarantee == GUARANTEED
+    assert membership_check(segment, res.point, tol=0.0).member
+
 
 # ---------------------------------------------------------------------------
 # membership_check

@@ -31,7 +31,7 @@ from compassdiff.danskin import (
     solve_inner,
 )
 from compassdiff.demos import DEMO_NAMES, paper_fixture_path
-from compassdiff.geometry import membership_check, polytope_support
+from compassdiff.geometry import load_polytope_json, membership_check, polytope_support
 from compassdiff.hulls import separation
 from compassdiff.odesens import (
     IntegrationConfig,
@@ -87,6 +87,21 @@ LIBRARY_CASES = {
     "rhs variable beyond n_state": lambda: ode_from_json(dict(_ONE_STATE, rhs_expr=["(var 1)"])),
     "init variable beyond p": lambda: ode_from_json(dict(_ONE_STATE, init_expr=["(var 2)"])),
     "rhs over MAX_NODES": lambda: ode_from_json(_OVER_NODE_CAP),
+    # numbers in problem files are JSON numbers: np.asarray(..., dtype=float) parsed "1" and read true as 1.0
+    "t_final string": lambda: ode_from_json(dict(_ONE_STATE, t_final="1")),
+    "t_final true": lambda: ode_from_json(dict(_ONE_STATE, t_final=True)),
+    "t_final list": lambda: ode_from_json(dict(_ONE_STATE, t_final=[1.0])),
+    "cloud strings": lambda: danskin_from_json({"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                                                "feasible": {"cloud": [["0", "1"], ["1", "0"]]}}),
+    "box bounds not numbers": lambda: danskin_from_json({"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                                                         "feasible": {"box": {"lower": ["-1", False],
+                                                                              "upper": [1, 1]}}}),
+    "vertices strings": lambda: load_polytope_json({"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}),
+    "vertices bools": lambda: load_polytope_json({"vertices": [[True, False], [False, True]]}),
+    "vertices ragged": lambda: load_polytope_json({"vertices": [[0, 0], [1]]}),
+    "polytope dim 2.7": lambda: load_polytope_json({"dim": 2.7, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+    "polytope dim true": lambda: load_polytope_json({"dim": True, "vertices": [[0], [1]]}),
+    "polytope description 5": lambda: load_polytope_json({"vertices": [[0, 0], [1, 0]], "description": 5}),
     # a map's output width, on the float loop and on the lockstep loop (more than SCALAR_ROWS rows)
     "rhs value width": lambda: ode_cost_value(_NARROW_RHS, [1.0, 2.0]),
     "rhs value width, lockstep": lambda: ode_cost_value(_NARROW_RHS, [[1.0, 2.0]] * 40),
@@ -94,6 +109,7 @@ LIBRARY_CASES = {
     "rhs value width, integrate_state": lambda: integrate_state(_NARROW_RHS, [1.0, 2.0]),
     "init value width": lambda: ode_cost_value(_NARROW_INIT, [1.0, 2.0]),
     "init tangent width": lambda: integrate_coupled(_NARROW_INIT, [1.0, 2.0], [1.0, 0.0]),
+    "init value width, integrate_state": lambda: integrate_state(_NARROW_INIT, [1.0, 2.0]),
     "slack nan": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.nan),
     "slack inf": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0, 0.0], [[1.0, 0.0]], math.inf),
     "subgradient size": lambda: verify_subgradient_inequality(_NORM.value, [0.0, 0.0], [0.0], [[1.0, 0.0]], 0.0),
@@ -251,6 +267,19 @@ def test_cli_non_finite_numbers_in_problem_files_exit_2(capsys, tmp_path, kind):
     (["hull", "--polytope"], {"vertices": [1, 2]}),
     (["ode", "--at=0,0", "--problem"], dict(_ONE_STATE, n_state=True)),
     (["ode", "--at=0,0", "--problem"], _OVER_NODE_CAP),
+    # each ran: dim 2.7 as dimension 2, dim true as dimension 1, description 5 echoed as a number
+    (["hull", "--polytope"], {"dim": 2.7, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+    (["hull", "--polytope"], {"dim": True, "vertices": [[0], [1]]}),
+    (["hull", "--polytope"], {"vertices": [[0, 0], [1, 0], [0, 1]], "description": 5}),
+    # strings and bools where a problem file needs numbers, one file per loader
+    (["ode", "--at=0,0", "--problem"], dict(_ONE_STATE, t_final="1")),
+    (["ode", "--at=0,0", "--problem"], dict(_ONE_STATE, t_final=True)),
+    (["hull", "--polytope"], {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}),
+    (["hull", "--polytope"], {"vertices": [[True, False], [False, True]]}),
+    (["danskin", "--at=0,0", "--problem"], {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                                            "feasible": {"cloud": [["0", "1"], ["1", "0"]]}}),
+    (["danskin", "--at=0,0", "--problem"], {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                                            "feasible": {"box": {"lower": ["-1", False], "upper": [1, 1]}}}),
 ])
 def test_cli_malformed_problem_files_exit_2(capsys, tmp_path, argv, data):
     # a mistyped value, a missing box bound and a flat vertex list used to end

@@ -22,7 +22,8 @@ from compassdiff.odesens import (
     _E,
     _combine,
     _control,
-    _dopri5_rows,
+    _dopri5_floats,
+    _dopri5_lockstep,
     _error_norm,
     _first_guess,
     _rms,
@@ -363,7 +364,7 @@ def test_stage_sums_keep_the_builtin_sum_order():
 
 
 # ---------------------------------------------------------------------------
-# both loops: each row is its own one-row integration, bit for bit
+# both loops: each row is its own integration, bit for bit
 
 def _on_arrays(point_map):
     """A point map on 1-D arrays, as the reference integrator calls it."""
@@ -375,7 +376,7 @@ def _dopri5(fun, z0, t_final, cfg):
 
     Shares the step control, error norm, initial-step guess and stage sums
     with the lockstep loop, and reads its step limits from the module at call
-    time, as the loop does; returns (times, states, stats) of the accepted steps.
+    time, as the loops do; returns (times, states, stats) of the accepted steps.
     """
     t = 0.0
     z = np.asarray(z0, dtype=float).copy()
@@ -438,7 +439,8 @@ _ROW_PROBLEMS = {
 # coordinates on the kink lines p1 = 0 and p2 = 0 half the time
 _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5, allow_nan=False))
 
-# batch sizes on each side of SCALAR_ROWS: one row after another on floats, and numpy lockstep
+# batch sizes on each side of SCALAR_ROWS, where ode_cost_value switches from
+# the float loop, one point after another, to one numpy lockstep batch
 _SIZES = [4, 40]
 
 
@@ -447,14 +449,19 @@ def test_batch_sizes_take_both_loops():
 
 
 def _assert_rows_match_the_reference(fun, Z0, t_final, config):
-    """Every row of one :func:`_dopri5_rows` call, trajectory included, against the reference alone."""
-    final, stats, errors, trajectories = _dopri5_rows(fun, Z0, t_final, config, record=True)
+    """Every row of ``Z0`` on both loops against the reference alone.
+
+    The float loop's trajectory and :class:`StepStats` for each row, and the
+    final state of each row of one lockstep batch of all rows.
+    """
+    final, errors = _dopri5_lockstep(fun, Z0, t_final, config)
     assert errors == [None] * len(Z0) and final.shape == Z0.shape
-    for z0, z, row_stats, (times, states) in zip(Z0, final, stats, trajectories):
+    for z0, z in zip(Z0, final):
         want_times, want_states, want_stats = _dopri5(_on_arrays(fun), z0, t_final, config)
-        assert times.tobytes() == np.array(want_times).tobytes()
-        assert states.tobytes() == np.array(want_states).tobytes()
-        assert z.tobytes() == want_states[-1].tobytes() and row_stats == want_stats
+        times, states, stats = _dopri5_floats(fun, z0.tolist(), t_final, config)
+        assert np.array(times).tobytes() == np.array(want_times).tobytes()
+        assert np.array(states).tobytes() == np.array(want_states).tobytes() and stats == want_stats
+        assert z.tobytes() == want_states[-1].tobytes()
 
 
 @pytest.mark.parametrize("size", _SIZES)
@@ -471,12 +478,12 @@ def test_lockstep_rows_match_one_row_integrations(size, name, data):
     _assert_rows_match_the_reference(problem.rhs.tangent, coupled, problem.t_final, config)
     costs = ode_cost_value(problem, P, config)
     assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
-    # a single integration is a batch of one row, with its trajectory
+    # a single integration, with its trajectory
     times, states, one_row = _dopri5(_on_arrays(problem.rhs.value), Z0[0], problem.t_final, config)
     got = integrate_state(problem, P[0], config)
     assert got[0].tobytes() == np.array(times).tobytes() and got[1].tobytes() == np.array(states).tobytes()
     assert got[2] == one_row
-    # the four compass probes at P[0]: four coupled rows of one integration
+    # the four compass probes at P[0]: four coupled integrations
     p, n = P[0], problem.n_state
     result, trajectories = _subgradient_and_trajectories(problem, p, config)
     assert len(trajectories) == 4
@@ -502,8 +509,9 @@ def test_stage_sums_start_from_positive_zero_on_both_loops(size):
     fun = lambda x: [-0.0, math.copysign(1.0, x[0])]  # noqa: E731
     Z0 = np.tile([-0.0, 0.0], (size, 1))
     _assert_rows_match_the_reference(fun, Z0, 1.0, IntegrationConfig())
-    final = _dopri5_rows(fun, Z0, 1.0, IntegrationConfig())[0]
-    assert math.copysign(1.0, final[0, 0]) == 1.0 and final[0, 1] > 0.0  # x0 is +0.0 after the first step
+    final = _dopri5_lockstep(fun, Z0, 1.0, IntegrationConfig())[0]
+    for x in (final[0].tolist(), _dopri5_floats(fun, Z0[0].tolist(), 1.0, IntegrationConfig())[1][-1]):
+        assert math.copysign(1.0, x[0]) == 1.0 and x[1] > 0.0  # x0 is +0.0 after the first step
 
 
 @pytest.mark.parametrize("size", _SIZES)
@@ -514,7 +522,7 @@ def test_the_last_step_lands_on_t_final_on_both_loops(size):
                                  "cost_expr": "(var 2)", "t_final": 0.9})
     Z0 = np.zeros((size, 1))
     _assert_rows_match_the_reference(problem.rhs.value, Z0, problem.t_final, IntegrationConfig())
-    times = _dopri5_rows(problem.rhs.value, Z0, problem.t_final, IntegrationConfig(), record=True)[3][0][0]
+    times = _dopri5_floats(problem.rhs.value, [0.0], problem.t_final, IntegrationConfig())[0]
     assert times[-2] == 0.3906 and 0.3906 + (0.9 - 0.3906) > 0.9 and times[-1] == 0.9
 
 
@@ -569,16 +577,7 @@ _BLOWUP = problem_from_json({"n_state": 1, "rhs_expr": ["(mul (var 0) (var 0))"]
                              "cost_expr": "(var 2)", "t_final": 1.0})
 
 
-def _assert_same_outcome(a, b):
-    """Two ``_dopri5_rows`` results are the same, bit for bit, failing rows' partial trajectories included."""
-    assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
-    assert [None if e is None else (str(e), e.time, e.row) for e in a[2]] == \
-        [None if e is None else (str(e), e.time, e.row) for e in b[2]]
-    for (ta, sa), (tb, sb) in zip(a[3], b[3]):
-        assert ta.tobytes() == tb.tobytes() and sa.shape == sb.shape and sa.tobytes() == sb.tobytes()
-
-
-@pytest.mark.parametrize("size", [6, _SIZES[1]])  # every failure kind below, on each loop
+@pytest.mark.parametrize("size", [6, _SIZES[1]])  # every failure kind below, on each side of SCALAR_ROWS
 @pytest.mark.parametrize("max_steps", [odesens.MAX_STEPS, 25])
 def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
     # dx/dt = x^2 from x0 = p1 blows up at t = 1 / p1; 1e200 has a non-finite
@@ -589,26 +588,35 @@ def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
     P = np.tile(P, (size // 6 + 1, 1))[:size]
     P[6:, 0] += np.linspace(-0.5, 0.5, size - 6)
     Z0 = _at_rows(_BLOWUP.init.value, P)
-    got = _dopri5_rows(_BLOWUP.rhs.value, Z0, 1.0, config, record=True)
-    final, stats, errors, _ = got
-    failed = 0
+    fun = _BLOWUP.rhs.value
+    final, errors = _dopri5_lockstep(fun, Z0, 1.0, config)
+    failed = []
     for i, z0 in enumerate(Z0):
         try:
-            _, states, one_row = _dopri5(_on_arrays(_BLOWUP.rhs.value), z0, 1.0, config)
+            want = _dopri5(_on_arrays(fun), z0, 1.0, config)
         except IntegrationError as alone:
-            failed += 1
-            assert (str(errors[i]), errors[i].time, errors[i].row, stats[i]) == (str(alone), alone.time, i, None)
+            failed.append(i)
+            with pytest.raises(IntegrationError) as floats:
+                _dopri5_floats(fun, z0.tolist(), 1.0, config)
+            assert (str(errors[i]), errors[i].time) == (str(floats.value), floats.value.time) == \
+                (str(alone), alone.time)
             assert final[i].tobytes() == z0.tobytes()
         else:
-            assert errors[i] is None and stats[i] == one_row and final[i].tobytes() == states[-1].tobytes()
-    assert failed >= 3
-    # the other loop gives the same
-    monkeypatch.setattr(odesens, "SCALAR_ROWS", size - 1 if size <= odesens.SCALAR_ROWS else size)
-    _assert_same_outcome(got, _dopri5_rows(_BLOWUP.rhs.value, Z0, 1.0, config, record=True))
+            times, states, stats = _dopri5_floats(fun, z0.tolist(), 1.0, config)
+            assert (np.array(times).tobytes(), np.array(states).tobytes(), stats) == \
+                (np.array(want[0]).tobytes(), np.array(want[1]).tobytes(), want[2])
+            assert errors[i] is None and final[i].tobytes() == want[1][-1].tobytes()
+    assert len(failed) >= 3
+    # the batch raises the lowest failing row's error, on the float loop (6 rows) or in lockstep (40)
+    with pytest.raises(IntegrationError) as batch:
+        ode_cost_value(_BLOWUP, P, config)
+    row = failed[0]
+    assert (batch.value.row, batch.value.time) == (row, errors[row].time)
+    assert str(batch.value).startswith(f"{errors[row]} for p = ")
 
 
 def test_batch_failure_names_the_lowest_failing_row():
-    # p1 = 2 fails in an earlier lockstep iteration than p1 = 1.25
+    # p1 = 2 fails at an earlier time than p1 = 1.25
     P = [[0.0, 0.0], [1.25, 0.0], [2.0, 0.0]]
     with pytest.raises(IntegrationError) as batch:
         ode_cost_value(_BLOWUP, P)
@@ -628,6 +636,38 @@ def test_probe_errors_come_in_probe_order():
     with pytest.raises(IntegrationError) as alone:
         integrate_coupled(problem, [0.0, 0.0], [0.0, 1.0])
     assert alone.value.time < first.value.time
+
+
+def test_each_entry_point_runs_its_own_loop(bundled_problem, monkeypatch):
+    calls = {"floats": 0, "lockstep": []}  # float-loop runs, and the row count of each lockstep batch
+    floats, lockstep = odesens._dopri5_floats, odesens._dopri5_lockstep
+
+    def count_floats(*args):
+        calls["floats"] += 1
+        return floats(*args)
+
+    def count_lockstep(fun, Z0, *args):
+        calls["lockstep"].append(len(Z0))
+        return lockstep(fun, Z0, *args)
+
+    def runs(call):
+        calls.update(floats=0, lockstep=[])
+        call()
+        return calls["floats"], calls["lockstep"]
+
+    monkeypatch.setattr(odesens, "_dopri5_floats", count_floats)
+    monkeypatch.setattr(odesens, "_dopri5_lockstep", count_lockstep)
+    p, rows = [0.3, -0.7], odesens.SCALAR_ROWS
+    assert runs(lambda: integrate_state(bundled_problem, p)) == (1, [])
+    assert runs(lambda: integrate_coupled(bundled_problem, p, [1.0, 0.0])) == (1, [])
+    assert runs(lambda: ode_subgradient(bundled_problem, p)) == (4, [])
+    assert runs(lambda: ode_cost_value(bundled_problem, p)) == (1, [])
+    assert runs(lambda: ode_cost_value(bundled_problem, [p] * rows)) == (rows, [])
+    assert runs(lambda: ode_cost_value(bundled_problem, [p] * (rows + 1))) == (0, [rows + 1])
+    # x0 = 1.5 blows up at t = 2/3 along every direction: the first probe's failure ends the probes
+    with pytest.raises(IntegrationError) as err:
+        runs(lambda: ode_subgradient(_BLOWUP, [1.5, 0.0]))
+    assert calls == {"floats": 1, "lockstep": []} and err.value.direction.tolist() == [1.0, 0.0]
 
 
 def test_an_overflowing_error_norm_rejects_the_step():
