@@ -61,7 +61,7 @@ GOLDEN = [
      {}),
     ('demo_example43',
      ['demo', 'example43'],
-     0, '6f66006dd5e5ac4e458df9a1d573837944d37836265d10ffecc5af1b69e1b585',
+     0, '17c7484513b8090b7195b0c09c17c1810cf4ba1eba6a0271843c5675cc0213bd',
      {}),
     ('demo_example44',
      ['demo', 'example44'],
@@ -73,9 +73,9 @@ GOLDEN = [
      {}),
     ('demo_example43_out',
      ['demo', 'example43', '--json', '--out', 'results'],
-     0, 'af9c88b23931ca21fd0bc0391640ec8b2aead3083822cfbfa4b46536434993aa',
+     0, '0b84b847f896333268c51a57cc9ea032cfb72bbb0ff9d352031ac9d0c6ec3c0c',
      {'results/demo_example43.json':
-          'af9c88b23931ca21fd0bc0391640ec8b2aead3083822cfbfa4b46536434993aa'}),
+          '0b84b847f896333268c51a57cc9ea032cfb72bbb0ff9d352031ac9d0c6ec3c0c'}),
     ('hull_midpoint',
      ['hull', '--polytope', 'triangle.json', '--midpoint'],
      0, '6d726a12e8125ec9b07618367c2dae38810b7af1e2de9b38a4131b5b5a56fb89',
@@ -86,7 +86,7 @@ GOLDEN = [
      {}),
     ('hull_3d_midpoint',
      ['hull', '--polytope', 'example43_c1.json', '--midpoint'],
-     0, 'df52ad0dbea188a10871cd44f3bc7cd78af0aa1fe671d15670c0bae6302a8092',
+     0, '7a7da0ae831b0123a2d94b72b03b77a1e3d6636570b60c903cf95b104437a493',
      {}),
     ('ode_origin',
      ['ode', '--problem', 'example46.json', '--at', '0,0'],

@@ -339,9 +339,14 @@ def test_scipy_is_imported_only_for_the_lp():
         "    assert cli.main(['hull', '--polytope', 'triangle.json', '--midpoint', '--point', '1.5,1.5']) == 0\n"
         "    assert cli.main(['demo', 'example41']) == 0\n"
         "    assert cli.main(['demo', 'footnote1']) == 0\n"
+        "    assert cli.main(['demo', 'example43']) == 0\n"
+        "    assert cli.main(['hull', '--polytope', 'example43_c1.json', '--midpoint']) == 0\n"
+        "    assert cli.main(['hull', '--polytope', 'example43_c2.json', '--midpoint']) == 0\n"
+        "from compassdiff.hulls import hull_distance, separation\n"
+        "c1 = [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, 1]]\n"
+        "assert separation([0, 0, 0], c1)[0] > 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "from compassdiff.hulls import separation\n"
-        "assert separation([0, 0, 0], [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, 1]])[0] > 0\n"
+        "assert hull_distance([0, 0, 0], c1) > 0\n"
         "assert 'scipy.optimize' in sys.modules\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

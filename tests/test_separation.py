@@ -1,12 +1,16 @@
 """The exact membership decision ``hulls.separation`` and what is built on it.
 
-The property test checks ``membership_check`` (through a polytope's vertex
+The property tests check ``membership_check`` (through a polytope's vertex
 list) and ``clarke_membership_check`` against the LP distance
-``hull_distance`` on points placed a distance delta, far above the
-tolerance, inside and outside the edges and vertices of random convex
-polygons (collinear, repeated and single-point sets included, coordinates
-scaled from 1e-3 to 1e3) and near random three-dimensional generator sets.
-Every non-member witness must separate, its gap recomputed from the vertices.
+``hull_distance``.  In the plane the points lie a distance delta, far above
+the tolerance, inside and outside the edges and vertices of random convex
+polygons.  In three to six dimensions they lie from 1e-8 to 1 of the scale
+inside and outside random generator sets, where the direction comes from
+Wolfe's nearest point.  Collinear, repeated and single-point sets are drawn
+in both, coplanar ones in space, with coordinates scaled from 1e-3 to 1e3
+and to 1e-150 and 1e150 in space.  Every non-member witness must separate,
+its gap recomputed from the vertices and at least 1/sqrt(2) of the LP's
+l-inf distance.
 """
 
 import json
@@ -18,22 +22,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compassdiff import cli, geometry, sampling
-from compassdiff.catalog import GradientHull, clarke_membership_check
+from compassdiff import cli, geometry, hulls, sampling
+from compassdiff.catalog import GradientHull, catalog_entry, clarke_membership_check
 from compassdiff.cli import main
-from compassdiff.demos import DEMO_NAMES
+from compassdiff.demos import DEMO_NAMES, paper_fixture_path
 from compassdiff.geometry import ball_support, membership_check, polytope_support
 from compassdiff.hulls import convex_hull_2d, hull_distance, separation
 
 TOL = 1e-9
 
 
-def _planar_generators(rng, kind: str, scale: float) -> np.ndarray:
-    center = rng.uniform(-2.0, 2.0, 2) * scale
+def _generators(rng, kind: str, scale: float, n: int = 2) -> np.ndarray:
+    center = rng.uniform(-2.0, 2.0, n) * scale
     if kind == "single":
         return np.repeat(center[None, :], int(rng.integers(1, 4)), axis=0)
     if kind == "collinear":
-        a, b = rng.uniform(-1.0, 1.0, (2, 2)) * scale
+        a, b = rng.uniform(-1.0, 1.0, (2, n)) * scale
         t = rng.uniform(0.0, 1.0, int(rng.integers(2, 7)))
         return center + a + t[:, None] * (b - a)
     if kind == "needle":
@@ -41,7 +45,10 @@ def _planar_generators(rng, kind: str, scale: float) -> np.ndarray:
         tip, base = rng.uniform(-1.0, 1.0, (2, 2)) * scale
         side = 1e-7 * np.array([base[1] - tip[1], tip[0] - base[0]])
         return center + np.array([tip, base + side, base - side])
-    pts = center + rng.uniform(-1.0, 1.0, (int(rng.integers(3, 11)), 2)) * scale
+    if kind == "coplanar":
+        plane = rng.uniform(-1.0, 1.0, (2, n))
+        return center + rng.uniform(-1.0, 1.0, (int(rng.integers(3, 11)), 2)) @ plane * scale
+    pts = center + rng.uniform(-1.0, 1.0, (int(rng.integers(3, 11)), n)) * scale
     if kind == "repeated":
         pts = np.vstack([pts, pts[rng.integers(0, len(pts), 3)]])
     return pts
@@ -83,6 +90,7 @@ def _check_against_lp(points, gens, delta, tol):
             gap = float(d @ p) - float(np.max(gens @ d))
             assert gap > tol
             assert gap == pytest.approx(report.max_gap, rel=1e-9, abs=1e-12 * delta)
+            assert report.max_gap >= dist / math.sqrt(2.0) * (1.0 - 1e-6)
         else:
             assert report.witness is None
         decided += 1
@@ -95,25 +103,93 @@ def _check_against_lp(points, gens, delta, tol):
        scale=st.sampled_from([1e-3, 1e-2, 1.0, 10.0, 1e3]))
 def test_planar_separation_agrees_with_the_lp(seed, kind, scale):
     rng = np.random.default_rng(seed)
-    gens = _planar_generators(rng, kind, scale)
+    gens = _generators(rng, kind, scale)
     # delta and tol scale with the coordinates: the LP reference is accurate
     # to a fixed fraction of them, not to an absolute 1e-9
     delta = 1e-3 * scale
     assert _check_against_lp(_planar_probe_points(gens, delta, rng), gens, delta, TOL * scale) > 0
 
 
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8),
-       scale=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_spatial_separation_agrees_with_the_lp(seed, count, scale):
+def _spatial_probe_points(gens: np.ndarray, scale: float, rng) -> list:
+    """Points from 1e-8 to 1 of the scale beyond the furthest generator, near others, and inside."""
+    center = gens.mean(axis=0)
+    far = gens[int(np.argmax(np.linalg.norm(gens - center, axis=1)))]
+    out = far - center
+    norm = np.linalg.norm(out)
+    out = out / norm if norm > 0.0 else np.eye(gens.shape[1])[0]
+    points = [center]
+    for rel in 10.0 ** rng.uniform(-8.0, 0.0, 3):
+        u = rng.standard_normal(gens.shape[1])
+        v = gens[rng.integers(len(gens))]
+        # beyond a supporting hyperplane at the furthest generator, near
+        # another in a random direction, and on the way in from it
+        points += [far + rel * scale * out, v + rel * scale * u / np.linalg.norm(u), v + rel * (center - v)]
+    return points
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6),
+       kind=st.sampled_from(["generic", "repeated", "collinear", "coplanar", "single"]),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+def test_spatial_separation_agrees_with_the_lp(seed, n, kind, scale):
     rng = np.random.default_rng(seed)
-    gens = rng.uniform(-1.0, 1.0, (count, 3)) * scale
-    delta = 1e-2 * scale
-    dirs = rng.standard_normal((count, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    points = [*(gens + delta * dirs), *(gens - delta * dirs), gens.mean(axis=0),
-              *rng.uniform(-1.2, 1.2, (4, 3)) * scale]
-    _check_against_lp(points, gens, delta, TOL * scale)
+    gens = _generators(rng, kind, scale, n)
+    _check_against_lp(_spatial_probe_points(gens, scale, rng), gens, scale, TOL * scale)
+
+
+def test_a_sliver_keeps_its_nearest_point_direction(monkeypatch):
+    # a triangle 1e-12 to 1e-6 wide, turned and moved at random, and a point
+    # delta above its plane over the middle line: the distance is delta.  The
+    # direction comes from the nearest point of the affine hull of two or
+    # three vertices, whose part along the sliver must not be rounding
+    def refuse(p, g):
+        raise AssertionError("LP fallback")
+
+    monkeypatch.setattr(hulls, "_hull_lp", refuse)
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        shift = rng.uniform(-1.0, 1.0, 3)
+        for width in (1e-6, 1e-9, 1e-12):
+            sliver = np.array([[0.0, 0.0, 0.0], [1.0, width, 0.0], [1.0, -width, 0.0]]) @ rot.T + shift
+            for s in (0.1, 0.5, 0.9):
+                for delta in (1e-5, 1e-7, 1e-9):
+                    gap, _ = separation(rot @ [s, 0.0, delta] + shift, sliver)
+                    assert delta / math.sqrt(2.0) <= gap <= delta * (1.0 + 1e-6)
+
+
+def _example43_sets() -> list:
+    return [np.array(json.loads(paper_fixture_path(f"example43_c{i}.json").read_text())["vertices"], dtype=float)
+            for i in (1, 2)] + [catalog_entry(name).clarke_hull(np.zeros(3)).generators
+                                for name in ("example43_f", "example43_phi")]
+
+
+def test_the_example43_sets_never_reach_the_lp(monkeypatch):
+    def refuse(p, g):
+        raise AssertionError("LP fallback")
+
+    monkeypatch.setattr(hulls, "_hull_lp", refuse)
+    for gens in _example43_sets():
+        assert separation(np.zeros(3), gens)[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+        assert separation(gens.mean(axis=0), gens)[0] < 0.0
+        for p in sampling.unit_directions(20, 3, seed=4):
+            separation(p, gens)
+    for argv in (["demo", "example43"], ["hull", "--polytope", "example43_c1.json", "--midpoint"],
+                 ["hull", "--polytope", "example43_c2.json", "--midpoint"]):
+        assert main(argv) == 0
+
+
+def test_an_uncertified_direction_falls_back_to_the_lp(monkeypatch):
+    # no drawn set needs the fallback; with no step allowed, Wolfe's
+    # algorithm gives up at its first minor cycle
+    calls = []
+    lp = hulls._hull_lp
+    monkeypatch.setattr(hulls, "_hull_lp", lambda p, g: calls.append(len(g)) or lp(p, g))
+    monkeypatch.setattr(hulls, "_MAX_WOLFE_STEPS", 0)
+    gap, d = separation([0.0, 0.0, 0.0], _example43_sets()[0])
+    assert calls == [4]
+    # the LP's dual direction, exactly symmetric
+    assert d.tolist() == [-0.5773502691896257] * 3 and gap == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
 
 
 def test_separation_of_degenerate_sets():
@@ -128,10 +204,28 @@ def test_separation_of_degenerate_sets():
     # the line
     assert separation([0.5], [[-1.0], [1.0]])[0] == -0.5
     assert separation([1.5], [[-1.0], [1.0]]) == (0.5, pytest.approx([1.0]))
+    # a gap beyond the largest float
+    assert separation([1e308], [[-1e308]]) == (math.inf, pytest.approx([1.0]))
     with pytest.raises(ValueError, match="empty"):
         separation([0.0, 0.0], np.zeros((0, 2)))
     with pytest.raises(ValueError, match="dimension"):
         separation([0.0, 0.0, 0.0], [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("gens, point", [
+    ([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]], [1.5, 0.6]),
+    ([[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0]], [0.0, 0.1, 0.2]),
+])
+def test_separation_scales_exactly_by_powers_of_two(gens, point):
+    # point and generators are scaled into [-1, 1] by a power of two first,
+    # so no edge normal or LP coefficient overflows or underflows
+    gap, d = separation(point, gens)
+    dist = hull_distance(point, gens)
+    for k in (-1000, -500, 50, 500, 1000):
+        s = 2.0 ** k
+        scaled_gap, scaled_d = separation(np.multiply(point, s), np.multiply(gens, s))
+        assert scaled_gap == gap * s and scaled_d.tolist() == d.tolist()
+        assert hull_distance(np.multiply(point, s), np.multiply(gens, s)) == pytest.approx(dist * s, rel=1e-12)
 
 
 def test_a_needle_tip_is_not_widened_by_the_tolerance():
@@ -187,6 +281,32 @@ def test_cli_hull_excludes_a_point_just_outside_the_hypotenuse(capsys, tmp_path)
     gap = float(d @ point) - float(np.max(np.array(vertices, dtype=float) @ d))
     assert gap == pytest.approx(1e-3, rel=1e-9) and got["max_gap"] == pytest.approx(gap, rel=1e-12)
     assert got["detail"].endswith("(exact test)")
+
+
+@pytest.mark.parametrize("vertices, point, gap", [
+    # the edge normals overflowed to inf, then nan: "member": true
+    ([[0, 0], [1e160, 0], [0, 1e160]], [6e159, 6e159], 2e159 / math.sqrt(2.0)),
+    # they underflowed to zero: a nan gap and exit 3
+    ([[0, 0], [1e-170, 0], [0, 1e-170]], [2e-171, 2e-171], None),
+    # an edge 1e-300 of the largest coordinate: its normal squares to zero
+    ([[0, 0], [1e300, 0], [0, 1]], [-1, 0.5], 1.0),
+    # HiGHS refused the coefficients: a RuntimeError traceback, exit 1
+    ([[0, 0, 0], [1e15, 0, 0], [0, 1e15, 0], [0, 0, 1e15]], [1e15, 1e15, 1e15], 2e15 / math.sqrt(3.0)),
+    ([[0, 0, 0], [1e15, 0, 0], [0, 1e15, 0], [0, 0, 1e15]], [1e14, 1e14, 1e14], None),
+], ids=["1e160", "1e-170", "1e300 and 1", "1e15 outside", "1e15 inside"])
+def test_cli_hull_at_extreme_coordinate_scales(capsys, tmp_path, vertices, point, gap):
+    path = tmp_path / "polytope.json"
+    path.write_text(json.dumps({"dim": len(point), "vertices": vertices}))
+    code, out, err = _run(capsys, "hull", "--polytope", str(path), "--point=" + ",".join(map(repr, point)))
+    assert code == 0, err
+    got = json.loads(out)["membership"]
+    assert got["member"] is (gap is None)
+    if gap is not None:
+        # the Euclidean distance, with the witness recomputed from the vertices
+        d = np.array(got["witness"])
+        assert float(d @ point) - float(np.max(np.array(vertices, dtype=float) @ d)) == pytest.approx(gap, rel=1e-12)
+        assert got["max_gap"] == pytest.approx(gap, rel=1e-12)
+    assert hull_distance(point, vertices) >= 0.0
 
 
 @pytest.mark.parametrize("extra", [["--seed", "3"], ["--directions", "720"]])
