@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from conftest import DEEP_PROBLEM, FOUR_STATE_PROBLEM, OVERFLOW_PROBLEM, WIDE_PROBLEM, random_expr
 from compassdiff import expr as ex
 from compassdiff import odesens
+from compassdiff.cli import main
 from compassdiff.compass import probe_directions, verify_subgradient_inequality
 from compassdiff.demos import paper_fixture_path
 from compassdiff.odesens import (
@@ -286,12 +287,82 @@ def test_point_maps_return_one_nan_however_warm_the_code():
     exprs = [ex.parse_expr(s) for s in ("(add (sub (var 0) (var 0)) (var 1))", "(mul (var 1) (sub (var 0) (var 0)))")]
     Z = np.tile([math.inf, math.nan, math.inf, math.nan], (12, 1))
     nan = np.full(2, math.nan).tobytes()
-    oracle = _vector_oracle_from_exprs(exprs, 2)
-    values, T = _at_rows(oracle.value, Z[:, :2]), _at_rows(oracle.tangent, Z)
-    assert all(row.tobytes() == nan for row in values)
-    assert all(row.tobytes() == nan * 2 for row in T)
+    first = _vector_oracle_from_exprs(exprs, 2)
+    for oracle in (first, _vector_oracle_from_exprs(exprs, 2)):
+        # the second oracle shares the first's code objects, so it starts warm
+        assert oracle.value.__code__ is first.value.__code__
+        values, T = _at_rows(oracle.value, Z[:, :2]), _at_rows(oracle.tangent, Z)
+        assert all(row.tobytes() == nan for row in values)
+        assert all(row.tobytes() == nan * 2 for row in T)
     for e in exprs:  # the closure pass, whose code is warm by now
         assert np.array(ex.compile_expr(e).forward([math.inf, math.nan], [math.inf, math.nan])).tobytes() == nan
+
+
+# ---------------------------------------------------------------------------
+# the code-object cache of compile_rows
+
+def _maps(problem):
+    return (problem.rhs.value, problem.rhs.tangent, problem.init.value, problem.init.tangent)
+
+
+def test_repeat_loads_share_code_but_not_functions():
+    path = paper_fixture_path("example46.json")
+    a, b = problem_from_json(path), problem_from_json(path)
+    for f, g in zip(_maps(a), _maps(b)):
+        assert f is not g and f.__code__ is g.__code__
+    assert a.rhs.value.__code__ is not a.rhs.tangent.__code__
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), constants=st.lists(st.floats(), min_size=2, max_size=2, unique_by=repr),
+       data=st.data())
+def test_problems_that_differ_in_one_constant_share_code(seed, constants, data):
+    # the constant is bound by name, so both files generate one source and
+    # get one code object; each file's maps still carry its own constant
+    tree = ex.format_expr(random_expr(np.random.default_rng(seed), 2, 3, [0.5]))
+    Z = np.array(data.draw(st.lists(st.lists(_ROW_ENTRY, min_size=4, max_size=4), min_size=1, max_size=20)))
+    problems = []
+    for c in constants:
+        rhs = [tree, f"(add (scale {c!r} (var 0)) (abs (var 1)))"]
+        problems.append(problem_from_json({"n_state": 2, "rhs_expr": rhs, "init_expr": ["(var 0)", "(var 1)"],
+                                           "cost_expr": "(var 3)", "t_final": 1.0}))
+        _assert_maps_match_the_closure_pass(problems[-1].rhs, [ex.parse_expr(s) for s in rhs], Z)
+    for f, g in zip(_maps(problems[0]), _maps(problems[1])):
+        assert f is not g and f.__code__ is g.__code__
+
+
+def test_the_code_cache_keeps_its_bound_and_recompiles_what_it_dropped():
+    # one distinct source per width of the add: one more than the cache holds
+    sources = [[ex.parse_expr("(add" + " (var 0)" * k + ")")] for k in range(1, ex.CODE_CACHE_SIZE + 2)]
+    first = _vector_oracle_from_exprs(sources[0], 1)
+    for exprs in sources[1:]:
+        _vector_oracle_from_exprs(exprs, 1)
+    info = ex._code.cache_info()
+    assert info.maxsize == ex.CODE_CACHE_SIZE and info.currsize == ex.CODE_CACHE_SIZE
+    again = _vector_oracle_from_exprs(sources[0], 1)  # dropped first, so compiled anew
+    assert ex._code.cache_info().misses == info.misses + 1
+    assert again.value.__code__ is not first.value.__code__
+    Z = np.array([[0.0, 1.0], [-0.0, -0.0], [2.5, math.nan], [math.inf, -1.0]])
+    _assert_maps_match_the_closure_pass(again, sources[0], Z)
+
+
+def test_a_vector_over_the_node_cap_fails_however_often_it_is_loaded():
+    exprs = [ex.parse_expr("(add" + " (var 0)" * ex.MAX_NODES + ")")]
+    before = ex._code.cache_info()
+    for _ in range(2):
+        with pytest.raises(InputError, match="more than the 30000 allowed"):
+            ex.compile_rows(exprs, 1)
+    assert ex._code.cache_info() == before  # refused before it reaches the compiler
+
+
+def test_repeat_cli_surface_runs_are_byte_identical(capsys, tmp_path):
+    runs = []
+    for k in range(2):
+        out = tmp_path / str(k)
+        argv = ["ode", "--problem", "example46.json", "--at=0.3,-0.7", "--surface=-1:1:4", "--out", str(out)]
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out.replace(str(out), "OUT"), (out / "surface.csv").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("data", [WIDE_PROBLEM, DEEP_PROBLEM], ids=["wide", "deep"])
