@@ -37,7 +37,10 @@ instead, one function per vector of trees over one point's floats, for the
 right-hand sides and initial maps of ODE problem files, which run thousands
 of times per result.  Generation costs more than a few evaluations save, so
 the trees of ``compass``, ``optimize``, a cost or a Danskin objective keep
-the closure and the numpy walk.  NaN stays visible: a NaN child takes no
+the closure and the numpy walk.  The same source also yields the vector's
+switching map (:data:`SwitchMap`), whose sign changes mark where a kink
+branch changes, so that the ODE integrator can land its steps on them.
+NaN stays visible: a NaN child takes no
 ``abs`` kink branch, and ``max``, ``min`` and ``norm`` of a NaN are NaN, in
 value and tangent.  Every NaN the closure or the generated code returns is
 ``math.nan``, whatever NaN the arithmetic made on the way.
@@ -52,7 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,11 +73,12 @@ MAX_DEPTH = 200
 
 #: Most nodes :func:`compile_rows` accepts in one vector, which bounds the
 #: width that :data:`MAX_DEPTH` leaves open.  ``compile()`` takes about 4 to
-#: 26 KB per node of generated code (the most for ``abs`` and extrema,
-#: whose rules are branches), so loading a vector at the cap peaks at about
-#: 800 MB.  Its code object and source then keep up to 0.63 KB per node in
-#: the cache of the last ``CODE_CACHE_SIZE`` = 8 sources: at most about
-#: 19 MB each, 150 MB in all (CPython 3.11).
+#: 28 KB per node of generated code (the most for extrema over ``abs``,
+#: whose rules are branches and which have a switching map), so loading a
+#: vector at the cap peaks at about 850 MB.  Its code object and source then
+#: keep up to about 0.7 KB per node in the cache of the last
+#: ``CODE_CACHE_SIZE`` = 8 sources: at most about 21 MB each, 170 MB in all
+#: (CPython 3.11; measured at 6 001 to 12 001 nodes and scaled).
 MAX_NODES = 30_000
 CODE_CACHE_SIZE = 8
 
@@ -334,9 +338,29 @@ def _compile(e: NonsmoothExpr) -> tuple[Forward, int]:
 #: A point map: one point as a list of Python floats in, its components as a list of Python floats out.
 PointMap = Callable[[list], list]
 
+#: A switching map ``switch(point, win, start) -> (values, win, crossed)``
+#: of a vector over ``dim`` variables.  It reads the first ``dim`` floats of
+#: ``point``, so a coupled ``[x | d]`` point will do, and ``values`` is a
+#: list of floats: for each ``abs`` node its argument (once for a variable
+#: that several ``abs`` nodes take), and for each ``max`` or ``min`` node
+#: of two or more children the margin of its winner w over the others,
+#: ``a_w - max(a_j, j != w)`` or ``min(a_j, j != w) - a_w``.  ``win`` holds
+#: the winners, one per such node: passed None, the map picks the winners at
+#: ``point`` (the first of tied children) and returns them; passed a tuple,
+#: it uses and returns it.  So a margin is nonnegative where its winner was
+#: picked and turns negative where another child overtakes it; a NaN child
+#: makes it NaN.  ``crossed`` is whether some value changes sign strictly
+#: from ``start``, the values of an earlier call with the same winners (a
+#: zero or NaN never does); False when ``start`` is None.  The size of the
+#: generated code stays linear in the node count.  When every switching
+#: value is a variable (``abs`` of variables only), the map carries their
+#: indices as its attribute ``columns``, so that a batch of points in an
+#: array can read them off as columns.
+SwitchMap = Callable[[list, Optional[tuple], Optional[list]], tuple[list, tuple, bool]]
 
-def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[PointMap, PointMap]:
-    """Generate the point maps ``(value, tangent)`` of the vector ``exprs`` over ``dim`` variables.
+
+def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[PointMap, PointMap, Optional[SwitchMap]]:
+    """Generate the point maps ``(value, tangent, switch)`` of the vector ``exprs`` over ``dim`` variables.
 
     ``value(x)`` maps a list of ``dim`` floats to the ``len(exprs)`` values;
     ``tangent(z)`` maps ``[x | d]``, ``2 * dim`` floats, to
@@ -346,6 +370,12 @@ def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[PointMap, Po
     per node and no numpy.  They follow the rules of :func:`compile_expr`'s
     closures exactly, so every value and tangent is the same bit for bit,
     signs of zero and NaN included.
+
+    ``switch``, from the same source, gives the switching values of the
+    vector: functions of x that change sign where a kink branch of the
+    vector changes (see :data:`SwitchMap`).  It is None when the vector has
+    no kink branch: no ``abs`` and no ``max`` or ``min`` of two or more
+    children (a ``norm`` kinks only at a point, and has none).
 
     The first load of a source costs as much as a few hundred evaluations,
     nearly all of it ``compile()``, so this suits trees that run thousands
@@ -368,14 +398,19 @@ def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[PointMap, Po
     values = [v for v, _, _ in roots]
     tangents = [t for _, t, _ in roots]
     xs = [f"x{i}" for i in range(dim)]
-    source = "\n".join([
+    lines = [
         *_point_map("value", xs, gen.value, values),
         *_point_map("tangent", xs + [f"d{i}" for i in range(dim)], gen.tangent, values + tangents),
-    ])
-    namespace = {"sqrt": math.sqrt, "abs": abs, "NAN": math.nan, **gen.consts}
-    exec(_code(source), namespace)
+    ]
+    if gen.switches:
+        lines += gen.switch_map(xs)
+    namespace = {"sqrt": math.sqrt, "abs": abs, "NAN": math.nan, "INF": math.inf, **gen.consts}
+    exec(_code("\n".join(lines)), namespace)
     # popped, so that the functions' globals do not hold them: no reference cycle for the collector to find
-    return namespace.pop("value"), namespace.pop("tangent")
+    switch = namespace.pop("switch", None)
+    if switch is not None and all(name in xs for name in gen.switches):
+        switch.columns = [xs.index(name) for name in gen.switches]
+    return namespace.pop("value"), namespace.pop("tangent"), switch
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -404,14 +439,29 @@ class _RowSource:
     ``c<j>`` bound in ``consts``, with tangent ``0.0``.  Every ``add``,
     ``norm`` and extremum is one statement per child, so a wide node never
     becomes one deep expression for the compiler.
+
+    The switching map (:data:`SwitchMap`) reuses the statements of the kink
+    nodes' children from ``plain``, which is ``value`` with each ``abs`` one
+    call of the builtin (the same value but for which NaN): ``spans`` holds
+    their ranges, which are whole subtrees, so nested or apart.  The
+    extremum of node ``k`` puts its children in the tuple ``k<k>``
+    (``tuples``), picks its winner ``w<k>`` (``pick``) and takes its margin
+    ``m<k>`` (``margins``): one wide statement each, not one per child.
     """
 
     def __init__(self):
         self.value: list[str] = []
         self.tangent: list[str] = []
+        self.plain: list[str] = []  # ``value`` with each ``abs`` as one call of the builtin
         self.consts: dict[str, float] = {}
         self.count = 0  # operator nodes, which name their locals
         self.nodes = 0  # every node
+        self.switches: dict[str, None] = {}  # the switching values' names, in order and once each
+        self.spans: list[tuple[int, int]] = []
+        self.winners: list[str] = []
+        self.tuples: list[str] = []
+        self.pick: list[str] = []
+        self.margins: list[str] = []
 
     def const(self, c: float) -> str:
         name = f"c{len(self.consts)}"
@@ -420,7 +470,45 @@ class _RowSource:
 
     def both(self, line: str):
         self.value.append(line)
+        self.plain.append(line)
         self.tangent.append(line)
+
+    def extremum(self, vs: list[str], kind: str):
+        """The winner and margin statements of the extremum node ``self.count`` over the children ``vs``.
+
+        The children go into one tuple ``k<k>``, and the builtin ``max`` or
+        ``min`` picks the winner (the first of ties) and the extremum of the
+        others; a NaN child, which those builtins may skip, makes the
+        margin NaN through the tuple's sum.
+        """
+        k, w, o, m, n = (f"{c}{self.count}" for c in "kwomn")
+        self.winners.append(w)
+        self.tuples.append(f"{k} = ({''.join(f'{a}, ' for a in vs)})")
+        self.pick.append(f"{w} = {k}.index({kind}({k}))")
+        self.margins += [f"{o} = {kind}({k}[:{w}] + {k}[{w} + 1:])",
+                         f"{m} = {k}[{w}] - {o}" if kind == "max" else f"{m} = {o} - {k}[{w}]",
+                         f"{n} = sum({k})", f"if {n} != {n}: {m} = NAN"]
+        self.switches[m] = None
+
+    def switch_map(self, xs: list[str]) -> list[str]:
+        """The source of the switching map: see :data:`SwitchMap`."""
+        needed: list[str] = []
+        end = 0
+        for a, b in sorted(self.spans, key=lambda span: (span[0], -span[1])):
+            if a >= end:  # a span inside one already taken adds nothing
+                needed += self.plain[a:b]
+                end = b
+        win = "".join(f"{w}, " for w in self.winners)
+        body = [*(f"{name} = point[{i}]" for i, name in enumerate(xs)), *needed, *self.tuples]
+        if win:
+            body += ["if win is None:", *(f"    {line}" for line in self.pick), "else:", f"    {win}= win"]
+        body += self.margins
+        values = f"[{', '.join(self.switches)}], ({win})"
+        body += [f"if start is None: return {values}, False",
+                 f"{''.join(f'a{j}, ' for j in range(len(self.switches)))}= start", "crossed = False",
+                 *(f"if a{j} < 0.0 < {v} or {v} < 0.0 < a{j}: crossed = True" for j, v in enumerate(self.switches)),
+                 f"return {values}, crossed"]
+        return ["def switch(point, win, start):", *(f"    {line}" for line in body)]
 
     def node(self, e: NonsmoothExpr) -> tuple[str, str, int]:
         """Emit ``e``; returns the names of its value and tangent and its dimension."""
@@ -430,11 +518,18 @@ class _RowSource:
             return f"x{e.index}", f"d{e.index}", e.index + 1
         if k == "const":
             return self.const(e.coeff), "0.0", 0
+        start = len(self.plain)
         kids = [self.node(c) for c in e.children]
         vs = [a for a, _, _ in kids]
         ts = [b for _, b, _ in kids]
         self.count += 1
         v, t = f"v{self.count}", f"t{self.count}"
+        if k == "abs" or (k in ("max", "min") and len(vs) > 1):
+            self.spans.append((start, len(self.plain)))
+            if k == "abs":
+                self.switches[vs[0]] = None
+            else:
+                self.extremum(vs, k)
         tan = self.tangent
         if k == "scale":
             c = self.const(e.coeff)
@@ -455,6 +550,7 @@ class _RowSource:
                 tan.append(f"{t} += {b}")
         elif k == "abs":
             (a,), (b,) = vs, ts
+            self.plain.append(f"{v} = abs({a})")
             self.value += [f"if {a} > 0.0: {v} = {a}", f"elif {a} < 0.0: {v} = -{a}",
                            f"elif {a} == 0.0: {v} = 0.0", f"else: {v} = {a}"]
             tan += [f"if {a} > 0.0: {v} = {a}; {t} = {b}", f"elif {a} < 0.0: {v} = -{a}; {t} = -{b}",

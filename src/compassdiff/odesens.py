@@ -27,12 +27,41 @@ that evaluates every component as flat statements
 (:func:`compassdiff.expr.compile_rows`).  The loops are
 first-same-as-last: the seventh stage of an accepted step is evaluated at
 the new state and becomes the next step's first, so a row costs
-2 + 6 * (accepted + rejected) right-hand-side evaluations.  No event
-detection is attempted: the tangent right-hand side is only Lipschitz in y,
-and adaptive step control absorbs the kink crossings at desk scale.  The
-default tolerances (1e-8 absolute and relative) are deliberately tight so
-compass differences inherit roughly six accurate digits; they are the only
-settings, and the step limits are the constants MAX_STEPS and MIN_STEP.
+2 + 6 * (accepted + rejected) right-hand-side evaluations.
+
+Kink crossings.  Where a kink branch of f changes along the solution (x1
+changes sign under |x1|), the tangent right-hand side f'(x; y) jumps, and a
+step that straddles the crossing loses its order: the step control rejects
+dozens of trials around it, and the result keeps an error far above the
+tolerance (example46: subgradient errors of about 7e-6 where x1 changes
+sign, 4e-9 elsewhere).  So the steps land on crossings.  A problem file's
+right-hand side has a switching map (:data:`compassdiff.expr.SwitchMap`):
+functions of x, such as the argument of each ``abs``, that change sign
+exactly where a branch changes.  When a trial changes the sign of one
+strictly, the trial is discarded (it counts as rejected) and the crossing
+is located on the trial's continuous extension.  Steps then approach it,
+each ending short of it by 1% of the distance left (the last step's secant
+gives the distance), until it is within ``rel_tol`` times the step size
+from before the crossing; one step that short crosses it, and the step
+size and error history from before the crossing come back.  Landing just
+past the crossing from farther off would not do: the last stages of such a
+step sample the new branch, an error the embedded estimate reads about
+eight times too small.  Measured on example46 at 240 seeded points (see
+``tools/kink_report.py``), the subgradients where x1 changes sign are as
+accurate as elsewhere, median error 4e-9, at a median of 100 attempted
+steps per subgradient against 74 elsewhere (256 and 7e-6 when straddling).
+A row whose trials change no switching value's sign takes exactly the
+steps, and gives exactly the bits, it would take without a switching map,
+as does every row of a hand-written :class:`VectorOracle`, which has none.
+Zeros and NaN never count as a sign, so a value that stays at zero or only
+touches it never fires.  A row locates at most MAX_EVENTS crossings, and
+straddles later ones.  In lockstep, a row whose trial crosses leaves the
+batch and the float loop takes it over, retaking that trial
+(:func:`_steps`), so it ends as it would alone, bit for bit.
+
+The default tolerances (1e-8 absolute and relative) are deliberately tight
+so compass differences inherit roughly six accurate digits; they are the
+only settings, and the step limits are the constants MAX_STEPS and MIN_STEP.
 """
 
 from __future__ import annotations
@@ -117,9 +146,13 @@ class OdeProblem:
 
 @dataclass(frozen=True)
 class StepStats:
+    """Attempted steps of one integration, the rhs evaluations they cost, and
+    ``events``, the steps that landed just past a kink crossing."""
+
     accepted: int
     rejected: int
     rhs_evals: int
+    events: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,6 +188,9 @@ _STAGES = (
 )
 _WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _ERROR_WEIGHTS = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the weights of the fourth-order continuous extension (Hairer, Norsett and Wanner, Solving ODEs I, II.6)
+_DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+          701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 # the same as column vectors for the lockstep loop, so that ``k[:s] * row`` scales stage j by its coefficient
 _A = tuple(np.array(row).reshape(-1, 1) for row in _STAGES)
 _B5 = np.array(_WEIGHTS).reshape(-1, 1)
@@ -165,10 +201,23 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER = 5.0
 
+#: Most kink crossings one row locates; past them its steps straddle kinks.
+MAX_EVENTS = 64
+# landing on a crossing (see the module docstring): the width of the bracket
+# on the continuous extension as a share of its far end and the most
+# iterations that narrow it, the share of the distance left that an
+# approach step leaves, and the most trials spent on one crossing
+_BRACKET = 1e-3
+_ITERATIONS = 60
+_MARGIN = 1e-2
+_TRIES = 16
+
 #: Most points :func:`ode_cost_value` integrates one after another on Python
 #: floats; a larger batch runs in numpy lockstep.  The measured crossover on
-#: example46's state rows: below about 20 rows numpy's per-call cost
-#: outweighs its per-row gain, above it the lockstep loop is faster.
+#: example46's state rows (surface grids over seeded ranges, landing on
+#: crossings in both loops): the float loop takes 0.73 of the lockstep
+#: loop's time on 10 rows, 1.02 on 17 and 1.17 on 26, so the loops break even
+#: at about 17 to 20 rows.
 SCALAR_ROWS = 20
 
 
@@ -273,7 +322,7 @@ def _batch(point_map, points: list, width: int, what: str) -> np.ndarray:
     return np.array(out).reshape(len(points), width)
 
 
-def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig):
+def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, switch=None):
     """:func:`_dopri5_floats` on every row of ``Z0``, in numpy lockstep.
 
     The stage arithmetic is elementwise on all rows still running, the step
@@ -284,6 +333,11 @@ def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig
     b5 and of the error estimate kept (0.0 * inf is NaN); the error norm's
     squares summed left to right; the guesses and the step control by the
     same functions.  So a row ends or fails as it would alone, bit for bit.
+    A row whose trial changes the sign of a switching value (``switch``, see
+    :func:`_dopri5_floats`) leaves the batch before that trial counts, with
+    its own t, state, step size, error history and steps: the float loop
+    (:func:`_steps`) takes it from there, so it lands on the crossing as it
+    would alone.
 
     Returns ``(final, errors)``: the final states, shape (N, n), a failing
     row's left at its initial state; and per row its
@@ -316,21 +370,39 @@ def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig
         k[0] = f0
         bad = False  # rows whose last step went non-finite
         terms = np.zeros((8, rows.size * n))
+        # per running row: its switching values, its winners (None for a
+        # vector without extrema), and whether its last trial crossed one
+        if switch is not None:
+            columns = getattr(switch, "columns", None)
+            marks = [switch(x, None, None) for x in z.tolist()]
+            S = np.array([values for values, _, _ in marks]).reshape(rows.size, -1)
+            wins = [win for _, win, _ in marks] if marks and marks[0][1] else None
+        alone = np.zeros(rows.size, dtype=bool)
         while rows.size:
             rest = t_final - t
             last = h >= rest
             h = np.where(last, rest, h)
             # a finished row (t >= t_final) has h = 0 here
-            stop = bad | (h < MIN_STEP) | (steps >= MAX_STEPS)
-            if stop.any():  # rows leave the batch, finished or failed
+            stop = bad | alone | (h < MIN_STEP) | (steps >= MAX_STEPS)
+            if stop.any():  # rows leave the batch, finished, failed or to go alone
                 for i in np.flatnonzero(stop).tolist():
                     row = int(rows[i])
-                    if rest[i] <= 0.0:
+                    if alone[i]:  # the float loop takes the row over, and retakes its last trial
+                        try:
+                            final[row] = _steps(fun, switch, z[i].tolist(), k[0, i].tolist(), float(t[i]), float(h[i]),
+                                                float(err_prev[i]), steps - 1, t_final, cfg)[1][-1]
+                        except IntegrationError as error:
+                            errors[row] = error
+                    elif rest[i] <= 0.0:
                         final[row] = z[i]
                     elif errors[row] is None:
                         errors[row] = _limit_error(steps, float(h[i]), float(t[i]))
                 keep = ~stop
-                rows, z, t, h, last, err_prev = (x[keep] for x in (rows, z, t, h, last, err_prev))
+                rows, z, t, h, last, err_prev, alone = (x[keep] for x in (rows, z, t, h, last, err_prev, alone))
+                if switch is not None:
+                    S = S[keep]
+                    if wins is not None:
+                        wins = [win for win, kept in zip(wins, keep.tolist()) if kept]
                 # contiguous, so that the flat view below is a view
                 k = np.ascontiguousarray(k[:, keep])
                 terms = np.zeros((8, rows.size * n))
@@ -353,13 +425,30 @@ def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig
                 for i in np.flatnonzero(bad).tolist():
                     errors[rows[i]] = _state_error(float(t[i]))
                 ok &= ~bad
+            if switch is not None:  # every trial, as the float loop checks it
+                if columns is not None:
+                    S_new = z_new[:, columns]
+                else:
+                    points = z_new.tolist()
+                    S_new = np.array([switch(x, win, None)[0] for x, win in zip(points, wins or [()] * m)]).reshape(S.shape)
+                alone = (((S < 0.0) & (S_new > 0.0)) | ((S > 0.0) & (S_new < 0.0))).any(axis=1) & np.logical_not(bad)
+                ok &= ~alone
+                if wins is None:
+                    S = np.where(ok.reshape(-1, 1), S_new, S)
+                else:
+                    for i in np.flatnonzero(ok).tolist():
+                        values, wins[i], _ = switch(points[i], None, None)
+                        S[i] = values
             # land exactly on t_final: t + (t_final - t) can round past it
             t = np.where(ok, np.where(last, t_final, t + h), t)
             steps += 1
             accept = ok.reshape(-1, 1)
             z = np.where(accept, z_new, z)
             np.copyto(k[0], k[6], where=accept)  # the last stage was evaluated at z_new (its row of _A is _B5)
+            trial = h, err_prev
             h, err_prev = np.array(list(map(_control, h.tolist(), err.tolist(), err_prev.tolist()))).T
+            if alone.any():  # those rows leave with the trial they retake
+                h, err_prev = np.where(alone, trial[0], h), np.where(alone, trial[1], err_prev)
     return final, errors
 
 
@@ -373,10 +462,80 @@ def _state_error(t: float) -> IntegrationError:
     return IntegrationError(f"non-finite state at t = {t:.6g}", time=t)
 
 
-def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig):
+def _locate(switch, win, s: list, s_new: list, z: list, z_new: list, h: float, ks: tuple) -> tuple[float, float, int]:
+    """The earliest crossing in the step ``h`` from ``z`` to ``z_new``: ``(before, past, i)``.
+
+    Every switching value that changes sign over the step is followed on the
+    step's continuous extension, from the stages ``ks``, by the Illinois
+    variant of regula falsi, down to a bracket of ``_BRACKET`` of its far
+    end; ``before`` and ``past`` are the ends of the earliest bracket, as
+    times from the start of the step, and ``i`` is its value's index.
+    """
+    k1, k2, k3, k4, k5, k6, k7 = ks
+    d1, d3, d4, d5, d6, d7 = _DENSE
+    rows = []
+    for a, b, p1, p3, p4, p5, p6, p7 in zip(z, z_new, k1, k3, k4, k5, k6, k7):
+        diff = b - a
+        spline = h * p1 - diff
+        rows.append((a, diff, spline, diff - h * p7 - spline,
+                     h * (d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7)))
+
+    def at(theta):
+        rest = 1.0 - theta
+        return switch([a + theta * (b + rest * (c + theta * (d + rest * e))) for a, b, c, d, e in rows], win, None)[0]
+
+    found = (0.0, 1.0, 0)
+    for i, (a, b) in enumerate(zip(s, s_new)):
+        if not (a < 0.0 < b or b < 0.0 < a):
+            continue
+        sign = 1.0 if a > 0.0 else -1.0
+        lo, hi, glo, ghi = 0.0, found[1], a, b
+        if hi < 1.0:
+            ghi = at(hi)[i]
+            if not sign * ghi < 0.0:  # it crosses after the earliest crossing found so far
+                continue
+        side = 0
+        for _ in range(_ITERATIONS):
+            if hi - lo <= _BRACKET * hi:
+                break
+            gap = ghi - glo  # zero once halving underflows
+            theta = (lo * ghi - hi * glo) / gap if gap else lo
+            if not lo < theta < hi:
+                theta = 0.5 * (lo + hi)
+            g = at(theta)[i]
+            if sign * g > 0.0:  # before the crossing; a zero counts as past
+                lo, glo = theta, g
+                if side == -1:
+                    ghi *= 0.5
+                side = -1
+            else:
+                hi, ghi = theta, g
+                if side == 1:
+                    glo *= 0.5
+                side = 1
+        found = (lo, hi, i)
+    lo, hi, i = found
+    return lo * h, hi * h, i
+
+
+def _aim(before: float, past: float, close: float) -> tuple[float, bool]:
+    """The next trial on a crossing ``before`` to ``past`` ahead, and whether it is meant to cross.
+
+    A crossing within ``close`` (or nearer than an approach step of at
+    least MIN_STEP can go) is crossed, by a step just past it; one farther
+    off is approached, by a step that leaves ``_MARGIN`` of the distance.
+    """
+    step = before * (1.0 - _MARGIN)
+    if past <= close or step < MIN_STEP:
+        return max(past, MIN_STEP), True
+    return step, False
+
+
+def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, switch=None):
     """Integrate dz/dt = fun(z) from 0 to t_final from ``z0``, a list of n floats.
 
-    ``fun`` is a point map: a state, a list of n floats, to its derivative.
+    ``fun`` is a point map: a state, a list of n floats, to its derivative;
+    ``switch``, if given, its switching map (:data:`compassdiff.expr.SwitchMap`).
     A run costs 6 rhs evaluations per attempted step, plus f(z0) and one
     more for the step-size guess.  It raises an :class:`IntegrationError` on
     a non-finite derivative at t = 0, a non-finite state or error-estimate
@@ -387,22 +546,41 @@ def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig):
     steps from t = 0, as two lists, and the :class:`StepStats`.
     """
     n = len(z0)
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    k1 = _point(fun, z0, n, "the right-hand side")
+    if not all(map(math.isfinite, k1)):  # the step-size guess would divide by zero
+        raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
+    scale = [atol + rtol * abs(a) for a in z0]
+    d1 = _rms_floats(k1, scale)
+    h0 = _first_guess(_rms_floats(z0, scale), d1, t_final)
+    df = _rms_floats([b - a for a, b in zip(k1, fun([a + h0 * b for a, b in zip(z0, k1)]))], scale)
+    return _steps(fun, switch, z0, k1, 0.0, _second_guess(h0, d1, df, t_final), 1.0, 0, t_final, cfg)
+
+
+def _steps(fun, switch, z: list, k1: list, t: float, h: float, err_prev: float, steps: int, t_final: float,
+           cfg: IntegrationConfig):
+    """The step loop of :func:`_dopri5_floats`, from state ``z`` at ``t`` with ``k1`` = fun(z).
+
+    ``h``, ``err_prev`` and ``steps`` are the next step size, the error
+    history and the steps attempted so far; the lockstep loop hands a row
+    over with its own.  Returns ``(times, states, stats)`` from ``t`` on,
+    the stats counting the accepted steps from ``t`` and the attempted ones
+    from ``steps``.
+    """
+    n = len(z)
     atol, rtol, max_steps, min_step = cfg.abs_tol, cfg.rel_tol, MAX_STEPS, MIN_STEP
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), \
         (a71, a72, a73, a74, a75, a76) = _STAGES[1:]
     b1, b2, b3, b4, b5, b6, b7 = _WEIGHTS
     e1, e2, e3, e4, e5, e6, e7 = _ERROR_WEIGHTS
-    z = z0
-    k1 = _point(fun, z, n, "the right-hand side")
-    if not all(map(math.isfinite, k1)):  # the step-size guess would divide by zero
-        raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
-    scale = [atol + rtol * abs(a) for a in z]
-    d1 = _rms_floats(k1, scale)
-    h0 = _first_guess(_rms_floats(z, scale), d1, t_final)
-    df = _rms_floats([b - a for a, b in zip(k1, fun([a + h0 * b for a, b in zip(z, k1)]))], scale)
-    h = _second_guess(h0, d1, df, t_final)
-    t, err_prev, steps = 0.0, 1.0, 0
     times, states = [t], [z]
+    if switch is not None:
+        s, win, _ = switch(z, None, None)
+    located = events = 0
+    # while landing on a crossing: the step size and error history to go on
+    # with after it, the switching value tracked, whether the trial is meant
+    # to cross it, and the trials taken
+    resume, track, hop, tries = None, 0, False, 0
     while True:
         rest = t_final - t
         last = h >= rest
@@ -423,7 +601,7 @@ def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig):
         # pass; ``x * 0.0`` is zero for finite x and NaN otherwise, so
         # ``nonfinite`` stays zero unless a component of z_new or e is not finite
         z_new = []
-        s = nonfinite = 0.0
+        q = nonfinite = 0.0
         for a, p1, p2, p3, p4, p5, p6, p7 in zip(z, k1, k2, k3, k4, k5, k6, k7):
             b = a + h * (0.0 + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6 + b7 * p7)
             e = h * (0.0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
@@ -431,23 +609,56 @@ def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig):
             nonfinite += b * 0.0 + e * 0.0
             # _error_norm: the scale from the larger magnitude of the old and new state
             old, new = abs(a), abs(b)
-            q = e / (atol + rtol * (old if old >= new else new))
-            s += q * q
+            e /= atol + rtol * (old if old >= new else new)
+            q += e * e
         if nonfinite != 0.0:
             raise _state_error(t)
-        err = math.sqrt(s / n)
+        err = math.sqrt(q / n)
         steps += 1
+        landed = False
+        if switch is not None:
+            s_new, _, crossed = switch(z_new, win, s)
+            if crossed and resume is None and located < MAX_EVENTS:
+                located += 1
+                resume, hop, tries = (h, err_prev), False, 0
+            if resume is not None:
+                tries += 1
+                landed = crossed and hop and err <= 1.0
+                if landed:
+                    events += 1
+                elif tries > _TRIES:  # the trial goes on as any other, and straddles the crossing
+                    resume = None
+                elif crossed:  # retake it short of the crossing, or just past it if that is close
+                    before, past, track = _locate(switch, win, s, s_new, z, z_new, h, (k1, k2, k3, k4, k5, k6, k7))
+                    h, hop = _aim(before, past, rtol * resume[0])
+                    continue
+                elif err > 1.0:  # a stage passed the crossing, or the step was too long
+                    h, hop = max(0.5 * h, min_step), False
+                    continue
         if err <= 1.0:
             # land exactly on t_final: t + (t_final - t) can round past it
             t = t_final if last else t + h
             z, k1 = z_new, k7  # the last stage was evaluated at z_new
             times.append(t)
             states.append(z)
+            if switch is not None:
+                start = s[track]
+                s, win = switch(z, None, None)[:2] if win else (s_new, win)
+                if resume is not None:
+                    end = s[track]
+                    if landed or not (start and 0.0 < end / start < 1.0):  # landed, or it nears the crossing no more
+                        h, err_prev = resume
+                        resume = None
+                    else:  # short of it: the secant over this step gives the distance left
+                        before = h * end / (start - end)
+                        h, hop = _aim(before, 2.0 * before, rtol * resume[0])
+                    continue
         h, err_prev = _control(h, err, err_prev)
     if rest > 0.0:
         raise _limit_error(steps, h, t)
     accepted = len(times) - 1
-    return times, states, StepStats(accepted=accepted, rejected=steps - accepted, rhs_evals=2 + 6 * steps)
+    return times, states, StepStats(accepted=accepted, rejected=steps - accepted, rhs_evals=2 + 6 * steps,
+                                    events=events)
 
 
 def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()):
@@ -457,7 +668,7 @@ def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = Integrat
         raise InputError("the parameter space is two-dimensional")
     n = problem.n_state
     x0 = _point(problem.init.value, p.tolist(), n, "the initial map")
-    times, states, stats = _dopri5_floats(problem.rhs.value, x0, problem.t_final, config)
+    times, states, stats = _dopri5_floats(problem.rhs.value, x0, problem.t_final, config, problem.rhs.switch)
     return np.array(times), np.array(states).reshape(-1, n), stats
 
 
@@ -474,7 +685,7 @@ def integrate_coupled(problem: OdeProblem, p, d,
     n = problem.n_state
     z0 = _point(problem.init.tangent, p.tolist() + d.tolist(), 2 * n, "the initial map's tangent")
     try:
-        times, zs, stats = _dopri5_floats(problem.rhs.tangent, z0, problem.t_final, config)
+        times, zs, stats = _dopri5_floats(problem.rhs.tangent, z0, problem.t_final, config, problem.rhs.switch)
     except IntegrationError as error:
         raise IntegrationError(str(error), time=error.time, direction=d) from None
     zs = np.array(zs).reshape(-1, 2 * n)
@@ -508,9 +719,9 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
         return IntegrationError(f"{error} for p = ({a:.17g}, {b:.17g})", time=error.time, row=row)
 
     x0 = _batch(problem.init.value, P.tolist(), problem.n_state, "the initial map")
-    fun, t_final = problem.rhs.value, problem.t_final
+    fun, t_final, switch = problem.rhs.value, problem.t_final, problem.rhs.switch
     if len(P) > SCALAR_ROWS:
-        final, errors = _dopri5_lockstep(fun, x0, t_final, config)
+        final, errors = _dopri5_lockstep(fun, x0, t_final, config, switch)
         row = next((i for i, error in enumerate(errors) if error is not None), None)
         if row is not None:
             raise failure(row, errors[row])
@@ -518,7 +729,7 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
         final = []
         for row, z0 in enumerate(x0.tolist()):
             try:
-                final.append(_dopri5_floats(fun, z0, t_final, config)[1][-1])
+                final.append(_dopri5_floats(fun, z0, t_final, config, switch)[1][-1])
             except IntegrationError as error:
                 raise failure(row, error) from None
     costs = [float(problem.cost.value(np.concatenate([q, x]))) for q, x in zip(P, final)]
@@ -571,8 +782,8 @@ def ode_subgradient(problem: OdeProblem, p,
 # JSON problem format
 
 def _vector_oracle_from_exprs(exprs: list[ex.NonsmoothExpr], dim_in: int) -> VectorOracle:
-    value, tangent = ex.compile_rows(exprs, dim_in)
-    return VectorOracle(value=value, tangent=tangent, dim_in=dim_in, dim_out=len(exprs))
+    value, tangent, switch = ex.compile_rows(exprs, dim_in)
+    return VectorOracle(value=value, tangent=tangent, dim_in=dim_in, dim_out=len(exprs), switch=switch)
 
 
 def problem_from_json(source) -> OdeProblem:

@@ -112,13 +112,17 @@ class VectorOracle:
     (``2 * dim_out`` floats), with the componentwise one-sided directional
     derivative; for a right-hand side that is the coupled state/tangent
     system.  A map whose output has another width is an :class:`InputError`
-    when the integrator first calls it.
+    when the integrator first calls it.  ``switch``, optional, gives the
+    switching values of the components at a point, as
+    :data:`compassdiff.expr.SwitchMap` defines them: the integrator lands
+    its steps on their sign changes.  Without it the steps straddle kinks.
     """
 
     value: Callable[[list], list]
     tangent: Callable[[list], list]
     dim_in: int
     dim_out: int
+    switch: Optional[Callable[[list, Optional[tuple], Optional[list]], tuple[list, tuple, bool]]] = None
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ _spec.loader.exec_module(ab_pairs)
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _stdout(ops_per_s, p90, correct=True, attempted=100, failed=0):
+def _stdout(ops_per_s, p90, correct=True, attempted=100, failed=0, rss=40.0):
     """What bench/run.py prints: progress lines, then the result object."""
     result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {
         "setup_s": {"value": 0.125, "unit": "s"},
         "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
         "latency_ms.p50": {"value": 1.0, "unit": "ms"},
         "latency_ms.p90": {"value": p90, "unit": "ms"},
-        "peak_rss_mb": {"value": 40.0, "unit": "MB"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
     }}
     return "ode_surface seed 1: 100 ops in 22.00 s\nsummary {\"failed_share\": 0.0}\n" + json.dumps(result) + "\n"
 
@@ -57,3 +57,30 @@ def test_summary_counts_incorrect_runs_and_takes_one_pair():
 def test_unreadable_output_is_an_error(stdout):
     with pytest.raises(ValueError):
         ab_pairs.parse_result(stdout)
+
+
+def _bound(name):
+    return next(m["bound"] for m in METRICS if m["name"] == name)
+
+
+def test_metrics_beyond_their_bound_are_marked_and_exit_3(monkeypatch, capsys):
+    # peak RSS 10.5% up against a 0.1 bound (lower is better), ops/s 20% down
+    # against 0.25 (higher is better): one beyond its bound, one inside it
+    assert _bound("peak_rss_mb") == 0.1 and _bound("ops_per_s") == 0.25
+    parent, change = _stdout(100, 5.0, rss=40.0), _stdout(80, 5.0, rss=44.2)
+    summary = ab_pairs.summarize([(ab_pairs.parse_result(parent), ab_pairs.parse_result(change))], METRICS)
+    rows = {r["name"]: r for r in summary["metrics"]}
+    assert rows["peak_rss_mb"]["beyond"] and not rows["ops_per_s"]["beyond"]
+    assert [r["name"] for r in summary["metrics"] if r["beyond"]] == ["peak_rss_mb"]
+    table = ab_pairs.format_summary("ode_sens", summary)
+    assert "| 1.105 | 0/1 | 0.1 BEYOND |" in table and "| 0.800 | 0/1 | 0.25 |" in table
+    # main on the same lines, the change tree being this checkout (for its BENCHMARK.json)
+    outputs = {"parent": parent, str(ROOT): change}
+    monkeypatch.setattr(ab_pairs, "run_once", lambda tree, *args: ab_pairs.parse_result(outputs[tree]))
+    argv = ["--parent", "parent", "--change", str(ROOT), "--workload", "ode_sens", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 3
+    outputs[str(ROOT)] = _stdout(80, 5.0, rss=43.9)  # 9.75% up: inside the bound
+    assert ab_pairs.main(argv) == 0
+    outputs[str(ROOT)] = _stdout(80, 5.0, rss=44.2, correct=False)  # an incorrect run comes first
+    assert ab_pairs.main(argv) == 1
+    capsys.readouterr()

@@ -97,7 +97,7 @@ GOLDEN = [
       'results'],
      0, '08b7f1f7fece55b71c9c0dca15f37ff8f1dc23d4df1232ac409d656f8f9c3ce6',
      {'results/surface.csv':
-          '311e2d87c39ee3b7097f4fc087d74adb51dc89e7ea8891f4bc41448cb51027e6',
+          'c00a74d9201113f4cb04df811649629c0943ce1e489aa34a1f98f0598f002f7c',
       'results/traj_minus_e1.csv':
           'a2bdde502a76eaa423edf713deff2b242ac34882a02ba61db60d528e7193c2ec',
       'results/traj_minus_e2.csv':

@@ -298,6 +298,69 @@ def test_point_maps_return_one_nan_however_warm_the_code():
         assert np.array(ex.compile_expr(e).forward([math.inf, math.nan], [math.inf, math.nan])).tobytes() == nan
 
 
+def _switching_reference(exprs, x, win=None):
+    """Switching values and winners of ``exprs`` at ``x``, from the closure pass.
+
+    Post-order over every tree: an ``abs`` gives its argument (once per
+    variable it is applied to), an extremum of two or more children the
+    margin of its winner (``win``'s, or the first extremal child) over the
+    others, NaN when a child is NaN or the children sum to NaN.
+    """
+    values, seen, winners = [], set(), []
+    given = None if win is None else iter(win)
+
+    def walk(e):
+        for c in e.children:
+            walk(c)
+        kids = [ex.compile_expr(c).forward(x, x)[0] for c in e.children]
+        if e.kind == "abs":
+            (child,) = e.children
+            if child.kind != "var" or child.index not in seen:
+                seen.add(child.index if child.kind == "var" else None)
+                values.append(kids[0])
+        elif e.kind in ("max", "min") and len(kids) > 1:
+            best = max if e.kind == "max" else min
+            w = kids.index(best(kids)) if given is None else next(given)
+            winners.append(w)
+            other = best(kids[:w] + kids[w + 1:])
+            margin = kids[w] - other if e.kind == "max" else other - kids[w]
+            values.append(math.nan if any(map(math.isnan, kids)) or math.isnan(sum(kids)) else margin)
+
+    for e in exprs:
+        walk(e)
+    return values, tuple(winners)
+
+
+def _same(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(u == v or (u != u and v != v) for u, v in zip(a, b))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), width=st.integers(1, 3), constants=_LITERALS,
+       data=st.data())
+def test_switching_map_matches_the_closure_pass(seed, dim, width, constants, data):
+    # the generated switching map against the values it stands for, at a point and
+    # at a second point with the first one's winners, where ``crossed`` must say
+    # whether some value changed sign strictly (zeros and NaN never do)
+    rng = np.random.default_rng(seed)
+    exprs = [random_expr(rng, dim, 3, constants) for _ in range(width)]
+    switch = ex.compile_rows(exprs, dim)[2]
+    x, y = (data.draw(st.lists(_ROW_ENTRY, min_size=dim, max_size=dim)) for _ in range(2))
+    want, win = _switching_reference(exprs, x)
+    if switch is None:
+        assert want == []
+        return
+    values, got_win, crossed = switch(x + [9.0] * dim, None, None)  # a coupled point: only x is read
+    assert _same(values, want) and not crossed
+    if not any(map(math.isnan, values)):  # NaN children may tie-break otherwise
+        assert got_win == win
+    later, same_win, crossed = switch(y, got_win, values)
+    assert _same(later, _switching_reference(exprs, y, got_win)[0]) and same_win == got_win
+    assert crossed == any(a < 0.0 < b or b < 0.0 < a for a, b in zip(values, later))
+    columns = getattr(switch, "columns", None)  # only when every value is a variable of the point
+    assert columns is None or _same([y[i] for i in columns], later)
+
+
 # ---------------------------------------------------------------------------
 # the code-object cache of compile_rows
 
@@ -392,10 +455,21 @@ def test_wide_and_deep_problem_files_match_the_closure_pass(data):
 # ---------------------------------------------------------------------------
 # pinned integrator output: bit-exact values and first-same-as-last step counts
 
+def _without_switch(problem: OdeProblem) -> OdeProblem:
+    """``problem`` with its right-hand side as a hand-written oracle would have it: no switching map."""
+    return dataclasses.replace(problem, rhs=dataclasses.replace(problem.rhs, switch=None))
+
+
+# example46 points whose x1 crosses zero on every probe, with and without a
+# crossing in the state row, and points that cross nothing
+_CROSSING = [(-0.071, 0.229), (-0.952, 1.312), (-0.0025, -0.5045), (-0.5808, 0.7634)]
+_QUIET = [(0.0, 0.0), (0.3, -0.7), (0.4, 0.0), (-0.3, 0.0)]
+
+
 @pytest.mark.parametrize("p, expected", [
     ((0.0, 0.0), ("0x1.beb27dff8219ep+1", "0x1.8b07552758ca1p-1")),
     ((0.3, -0.7), ("0x1.5bf0a8b5c62d2p+2", "-0x1.2cd9fc466d2f4p+0")),
-    ((-0.952, 1.312), ("0x1.cb5c5a4adca0fp+0", "0x1.5cb54ddcce251p+0")),
+    ((-0.952, 1.312), ("0x1.cb5c0eb99830ap+0", "0x1.5cb510407bb1ep+0")),
 ])
 def test_ode_subgradient_is_pinned_bit_for_bit(bundled_problem, p, expected):
     got = ode_subgradient(bundled_problem, p).subgradient.tolist()
@@ -404,7 +478,7 @@ def test_ode_subgradient_is_pinned_bit_for_bit(bundled_problem, p, expected):
 
 @pytest.mark.parametrize("p, expected", [
     ((0.3, -0.7), "0x1.3a0fe3eca10b4p+1"),
-    ((-0.952, 1.312), "0x1.43566172cadd7p-4"),
+    ((-0.952, 1.312), "0x1.4319085c3b1fap-4"),
 ])
 def test_ode_cost_value_is_pinned_bit_for_bit(bundled_problem, p, expected):
     assert ode_cost_value(bundled_problem, p) == float.fromhex(expected)
@@ -412,13 +486,94 @@ def test_ode_cost_value_is_pinned_bit_for_bit(bundled_problem, p, expected):
 
 @pytest.mark.parametrize("p, expected", [
     ((0.0, 0.0), StepStats(19, 0, 116)),
-    ((-0.952, 1.312), StepStats(41, 30, 428)),
+    ((-0.952, 1.312), StepStats(22, 1, 140, events=1)),
 ])
 def test_integrate_coupled_step_counts(bundled_problem, p, expected):
-    # 6 rhs evaluations per attempted step, plus f(z0) and the step-size guess
+    # 6 rhs evaluations per attempted step, plus f(z0) and the step-size guess;
+    # a trial retaken to land on a kink crossing counts as rejected
     stats = integrate_coupled(bundled_problem, p, [1.0, 0.0]).stats
     assert stats == expected
     assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+
+
+def test_without_a_switching_map_steps_straddle_kinks_as_before(bundled_problem):
+    # x1 crosses zero at (-0.952, 1.312) on every probe: with the same maps
+    # but no switching map, as a hand-written oracle has them, the steps
+    # straddle the crossing and give the values pinned before landing
+    problem, p = _without_switch(bundled_problem), (-0.952, 1.312)
+    assert ode_subgradient(problem, p).subgradient.tolist() == [float.fromhex("0x1.cb5c5a4adca0fp+0"),
+                                                                float.fromhex("0x1.5cb54ddcce251p+0")]
+    assert ode_cost_value(problem, p) == float.fromhex("0x1.43566172cadd7p-4")
+    assert integrate_coupled(problem, p, [1.0, 0.0]).stats == StepStats(41, 30, 428)
+    for p in _QUIET:  # where nothing crosses, both take the same steps
+        assert ode_cost_value(problem, p) == ode_cost_value(bundled_problem, p)
+
+
+# ---------------------------------------------------------------------------
+# landing on kink crossings
+
+def test_example46_switches_on_x1_and_x2(bundled_problem):
+    # |x1| and |x2| are the kinks, |x2| twice; read off as columns in lockstep
+    switch = bundled_problem.rhs.switch
+    assert switch([0.5, -2.0, 3.0, 1.0, 1.0, 1.0], None, None) == ([0.5, -2.0], (), False)
+    assert switch([-0.5, -2.0, 3.0], (), [0.5, -2.0]) == ([-0.5, -2.0], (), True)
+    assert switch.columns == [0, 1] and bundled_problem.init.switch is None
+
+
+def _runs(problem, p):
+    result, trajectories = _subgradient_and_trajectories(problem, p, IntegrationConfig())
+    return result.subgradient.tobytes(), [(tr.stats, tr.times.tobytes(), tr.states.tobytes(),
+                                           tr.sensitivities.tobytes()) for tr in trajectories]
+
+
+@pytest.mark.parametrize("p", _QUIET)
+def test_values_that_stay_at_zero_or_keep_their_sign_never_fire(bundled_problem, p):
+    # p2 = 0 keeps x2 at zero all along (x2' = |x2|), and p = 0 keeps x1 there
+    # too; no x1 changes sign: each probe takes exactly the steps it takes
+    # without a switching map, and lands nowhere
+    got = _runs(bundled_problem, p)
+    assert got == _runs(_without_switch(bundled_problem), p)
+    assert all(stats.events == 0 for stats, *_ in got[1])
+
+
+def test_a_graze_never_fires():
+    # x0 is time; the kink's argument -(x0 - 1/2)^2 touches zero at t = 1/2
+    # and is never positive (a square is not negative in floating point)
+    problem = problem_from_json({
+        "n_state": 2, "rhs_expr": ["(const 1)", "(abs (neg (mul (sub (var 0) (const 0.5)) (sub (var 0) (const 0.5)))))"],
+        "init_expr": ["(const 0)", "(var 1)"], "cost_expr": "(var 3)", "t_final": 1.0})
+    assert problem.rhs.switch([0.5, 0.0], None, None)[0] == [-0.0]
+    for p in ((0.0, 0.0), (0.0, 2.0)):
+        got = _runs(problem, p)
+        assert got == _runs(_without_switch(problem), p)
+        assert all(stats.events == 0 for stats, *_ in got[1])
+
+
+def test_steps_land_on_each_crossing_up_to_the_cap(monkeypatch):
+    # x0'' = -x0: x0 = sin t changes sign at each multiple of pi, five times
+    # before t = 5.5 pi; past MAX_EVENTS located crossings the steps straddle
+    problem = problem_from_json({
+        "n_state": 3, "rhs_expr": ["(var 1)", "(neg (var 0))", "(abs (var 0))"],
+        "init_expr": ["(var 0)", "(const 1)", "(const 0)"], "cost_expr": "(var 4)", "t_final": 5.5 * math.pi})
+    p = [0.0, 0.0]
+    stats = integrate_state(problem, p)[2]
+    assert stats.events == 5
+    want = 10.0 + (1.0 - math.cos(5.5 * math.pi))  # the integral of |sin t|
+    landed, straddled = (abs(ode_cost_value(q, p) - want) for q in (problem, _without_switch(problem)))
+    assert landed < 5e-7 and landed < straddled / 50  # 1.2e-7 against 1.2e-5
+    monkeypatch.setattr(odesens, "MAX_EVENTS", 3)
+    capped = integrate_state(problem, p)[2]
+    assert capped.events == 3 and capped.rhs_evals == 2 + 6 * (capped.accepted + capped.rejected)
+
+
+def test_crossings_right_after_the_start_land_without_a_step_underflow(bundled_problem):
+    # x1 = -0.0025 reaches zero at t of about 0.005, and x1 = -5e-324 at once:
+    # an approach step would be shorter than MIN_STEP, so the crossing is
+    # straddled by a step of MIN_STEP
+    for p in ((-0.0025, -0.5045), (-5e-324, 1.0)):
+        for d in ([1.0, 0.0], [0.0, -1.0]):
+            traj = integrate_coupled(bundled_problem, p, d)
+            assert traj.times[-1] == 1.0 and traj.stats.events == 1
 
 
 def test_stage_sums_keep_the_builtin_sum_order():
@@ -442,12 +597,20 @@ def _on_arrays(point_map):
     return lambda z: np.array(point_map(z.tolist()))
 
 
-def _dopri5(fun, z0, t_final, cfg):
+def _strictly_opposite(a: float, b: float) -> bool:
+    return a < 0.0 < b or b < 0.0 < a
+
+
+def _dopri5(fun, z0, t_final, cfg, switch=None):
     """Reference: one system at a time, the plain FSAL Dormand-Prince loop on a 1-D state.
 
     Shares the step control, error norm, initial-step guess and stage sums
     with the lockstep loop, and reads its step limits from the module at call
-    time, as the loops do; returns (times, states, stats) of the accepted steps.
+    time, as the loops do; returns (times, states, stats, crossed) of the
+    accepted steps.  It straddles kinks: ``crossed`` says whether some trial
+    changed the sign of a value of ``switch`` strictly, from the values at
+    the trial's start (winners picked there), where the package's loops
+    would land on the crossing instead.
     """
     t = 0.0
     z = np.asarray(z0, dtype=float).copy()
@@ -465,6 +628,9 @@ def _dopri5(fun, z0, t_final, cfg):
     accepted = rejected = 0
     err_prev = 1.0
     terms = np.zeros((8, z.size))
+    crossed = False
+    if switch is not None:
+        marks, win, _ = switch(z.tolist(), None, None)
     while t < t_final:
         if accepted + rejected >= odesens.MAX_STEPS:
             raise IntegrationError(f"step limit {odesens.MAX_STEPS} exceeded at t = {t:.6g}", time=t)
@@ -480,6 +646,8 @@ def _dopri5(fun, z0, t_final, cfg):
         err = float(_error_norm(h * _combine(_E, k, terms), z, z_new, cfg))
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite state at t = {t:.6g}", time=t)
+        if switch is not None:
+            crossed |= any(map(_strictly_opposite, marks, switch(z_new.tolist(), win, None)[0]))
         if err <= 1.0:
             t = t_final if last else t + h
             z = z_new
@@ -487,10 +655,12 @@ def _dopri5(fun, z0, t_final, cfg):
             states.append(z.copy())
             accepted += 1
             k[0] = k[6]
+            if switch is not None:
+                marks, win, _ = switch(z.tolist(), None, None)
         else:
             rejected += 1
         h, err_prev = _control(h, err, err_prev)
-    return times, states, StepStats(accepted=accepted, rejected=rejected, rhs_evals=evals)
+    return times, states, StepStats(accepted=accepted, rejected=rejected, rhs_evals=evals), crossed
 
 
 _ROW_PROBLEMS = {
@@ -519,20 +689,30 @@ def test_batch_sizes_take_both_loops():
     assert _SIZES[0] <= odesens.SCALAR_ROWS < _SIZES[1]
 
 
-def _assert_rows_match_the_reference(fun, Z0, t_final, config):
-    """Every row of ``Z0`` on both loops against the reference alone.
+def _assert_rows_match_the_reference(fun, Z0, t_final, config, switch=None) -> int:
+    """Every row of ``Z0`` on both loops against the reference alone; returns the rows that cross.
 
-    The float loop's trajectory and :class:`StepStats` for each row, and the
-    final state of each row of one lockstep batch of all rows.
+    A row whose trials change no sign of a switching value: the float loop's
+    trajectory and :class:`StepStats` against the reference's, bit for bit.
+    A row that crosses lands on the crossing, so the reference, which
+    straddles it, no longer applies: its steps still end on t_final and cost
+    2 + 6 per attempted step.  Every row of one lockstep batch of all rows
+    ends where the float loop ends it alone.
     """
-    final, errors = _dopri5_lockstep(fun, Z0, t_final, config)
+    final, errors = _dopri5_lockstep(fun, Z0, t_final, config, switch)
     assert errors == [None] * len(Z0) and final.shape == Z0.shape
+    crossing = 0
     for z0, z in zip(Z0, final):
-        want_times, want_states, want_stats = _dopri5(_on_arrays(fun), z0, t_final, config)
-        times, states, stats = _dopri5_floats(fun, z0.tolist(), t_final, config)
-        assert np.array(times).tobytes() == np.array(want_times).tobytes()
-        assert np.array(states).tobytes() == np.array(want_states).tobytes() and stats == want_stats
-        assert z.tobytes() == want_states[-1].tobytes()
+        want_times, want_states, want_stats, crossed = _dopri5(_on_arrays(fun), z0, t_final, config, switch)
+        times, states, stats = _dopri5_floats(fun, z0.tolist(), t_final, config, switch)
+        if crossed:
+            crossing += 1
+            assert times[-1] == t_final and stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+        else:
+            assert np.array(times).tobytes() == np.array(want_times).tobytes()
+            assert np.array(states).tobytes() == np.array(want_states).tobytes() and stats == want_stats
+        assert z.tobytes() == np.array(states[-1]).tobytes()
+    return crossing
 
 
 @pytest.mark.parametrize("size", _SIZES)
@@ -541,16 +721,29 @@ def _assert_rows_match_the_reference(fun, Z0, t_final, config):
 def test_lockstep_rows_match_one_row_integrations(size, name, data):
     problem, config = _ROW_PROBLEMS[name], IntegrationConfig()
     P = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=size, max_size=size)))
+    _assert_batches_match_one_row_integrations(problem, P, config)
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_rows_that_cross_leave_the_lockstep_batch_and_land_alone(bundled_problem, size):
+    P = np.array((_CROSSING + _QUIET) * (size // 8) + _CROSSING[:size % 8])[:size]
+    assert _assert_batches_match_one_row_integrations(bundled_problem, P, IntegrationConfig()) >= size // 2
+
+
+def _assert_batches_match_one_row_integrations(problem, P, config) -> int:
+    """The rows of ``P`` in batches and one at a time, and P[0] on every entry point; returns the crossing rows."""
+    switch = problem.rhs.switch
     # state rows, and coupled state/tangent rows along the compass directions in turn
     Z0 = _at_rows(problem.init.value, P)
-    _assert_rows_match_the_reference(problem.rhs.value, Z0, problem.t_final, config)
+    crossing = _assert_rows_match_the_reference(problem.rhs.value, Z0, problem.t_final, config, switch)
+    size = len(P)
     directions = np.tile(np.array(probe_directions(np.eye(2))), (size // 4 + 1, 1))[:size]
     coupled = _at_rows(problem.init.tangent, np.hstack([P, directions]))
-    _assert_rows_match_the_reference(problem.rhs.tangent, coupled, problem.t_final, config)
+    crossing += _assert_rows_match_the_reference(problem.rhs.tangent, coupled, problem.t_final, config, switch)
     costs = ode_cost_value(problem, P, config)
     assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
     # a single integration, with its trajectory
-    times, states, one_row = _dopri5(_on_arrays(problem.rhs.value), Z0[0], problem.t_final, config)
+    times, states, one_row = _dopri5_floats(problem.rhs.value, Z0[0].tolist(), problem.t_final, config, switch)
     got = integrate_state(problem, P[0], config)
     assert got[0].tobytes() == np.array(times).tobytes() and got[1].tobytes() == np.array(states).tobytes()
     assert got[2] == one_row
@@ -560,7 +753,7 @@ def test_lockstep_rows_match_one_row_integrations(size, name, data):
     assert len(trajectories) == 4
     for pr, traj in zip(result.probes, trajectories):
         z0 = problem.init.tangent(p.tolist() + pr.direction.tolist())
-        times, states, stats = _dopri5(_on_arrays(problem.rhs.tangent), z0, problem.t_final, config)
+        times, states, stats = _dopri5_floats(problem.rhs.tangent, z0, problem.t_final, config, switch)
         times, states = np.array(times), np.array(states)
         for got in (traj, integrate_coupled(problem, p, pr.direction, config)):
             assert got.direction.tobytes() == pr.direction.tobytes()
@@ -570,6 +763,25 @@ def test_lockstep_rows_match_one_row_integrations(size, name, data):
             assert got.stats == stats
         x, y = states[-1, :n], states[-1, n:]
         assert pr.value == problem.cost.dir_deriv(np.concatenate([p, x]), np.concatenate([pr.direction, y]))
+    return crossing
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_two_crossings_in_one_step_land_in_turn(size):
+    # x0 is time from p1; x1' = |x0 - 1/2| + |x0 - 0.5005|, piecewise linear,
+    # so each smooth piece is integrated exactly: a first step of 0.2 or more
+    # sees both kinks change sign, lands on the earlier one, then the later
+    problem = problem_from_json({
+        "n_state": 2, "rhs_expr": ["(const 1)", "(add (abs (sub (var 0) (const 0.5))) (abs (sub (var 0) (const 0.5005))))"],
+        "init_expr": ["(var 0)", "(const 0)"], "cost_expr": "(var 3)", "t_final": 1.0})
+    assert getattr(problem.rhs.switch, "columns", None) is None  # read row by row in lockstep
+    times, states, stats = integrate_state(problem, [0.0, 0.0])
+    # each crossing step ends at most rel_tol times the step before it past the kink
+    assert stats.events == 2 and all(any(0.0 < t - kink <= 1e-8 for t in times) for kink in (0.5, 0.5005))
+    assert abs(states[-1][1] - (0.25 + (0.5005 ** 2 + 0.4995 ** 2) / 2)) < 1e-14
+    P = np.column_stack([np.linspace(-0.3, 0.45, size), np.zeros(size)])
+    Z0 = _at_rows(problem.init.value, P)
+    assert _assert_rows_match_the_reference(problem.rhs.value, Z0, 1.0, IntegrationConfig(), problem.rhs.switch) == size
 
 
 @pytest.mark.parametrize("size", _SIZES)
@@ -614,7 +826,7 @@ def test_ode_cost_value_shapes(bundled_problem):
     assert type(one) is float and one == float.fromhex("0x1.3a0fe3eca10b4p+1")
     batch = ode_cost_value(bundled_problem, [[0.3, -0.7], [-0.952, 1.312]])
     assert batch.shape == (2,)
-    assert batch.tolist() == [float.fromhex("0x1.3a0fe3eca10b4p+1"), float.fromhex("0x1.43566172cadd7p-4")]
+    assert batch.tolist() == [float.fromhex("0x1.3a0fe3eca10b4p+1"), float.fromhex("0x1.4319085c3b1fap-4")]
     assert ode_cost_value(bundled_problem, np.empty((0, 2))).shape == (0,)
     for bad in ([[0.0, 0.0], [1.0]], [[0.0, 0.0, 0.0]], [0.0, 0.0, 0.0], [[[0.0, 0.0]]], "ab"):
         with pytest.raises(InputError, match="shape"):
@@ -664,7 +876,7 @@ def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
     failed = []
     for i, z0 in enumerate(Z0):
         try:
-            want = _dopri5(_on_arrays(fun), z0, 1.0, config)
+            want = _dopri5(_on_arrays(fun), z0, 1.0, config)[:3]
         except IntegrationError as alone:
             failed.append(i)
             with pytest.raises(IntegrationError) as floats:

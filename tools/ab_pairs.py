@@ -10,8 +10,11 @@ runs on a machine warmed (or tired) by the other.  For each end-to-end metric
 in the change tree's ``BENCHMARK.json`` it prints the median and quartiles
 per side, the ratio of the medians (change / parent), and the pairs the
 change won (ties count for neither side), then the ops attempted and failed
-per side.  The exit code is 1 if any run was not ``correct``, and 2 if a
-run could not be read.  Standard library only.
+per side.  A metric whose median is worse than the parent's by more than
+its ``bound`` (a share of the parent's median, in the metric's ``better``
+direction) is marked ``BEYOND``.  The exit code is 1 if any run was not
+``correct``, else 3 if any metric is beyond its bound, and 2 if a run could
+not be read.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     """Per-metric comparison of ``(parent, change)`` result pairs.
 
     ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``: each
-    names a metric and whether ``"lower"`` or ``"higher"`` is better.
+    names a metric, whether ``"lower"`` or ``"higher"`` is better, and its
+    ``bound``.
     """
     rows = []
     for m in metrics:
@@ -55,9 +59,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs]
         parent, change = quartiles([p for p, _ in got]), quartiles([c for _, c in got])
         wins = sum(c < p if lower else c > p for p, c in got)
+        ratio = change[1] / parent[1] if parent[1] else float("nan")
+        beyond = ratio > 1.0 + m["bound"] if lower else ratio < 1.0 - m["bound"]
         rows.append({"name": name, "unit": m["unit"], "better": m["better"], "parent": parent,
-                     "change": change, "ratio": change[1] / parent[1] if parent[1] else float("nan"),
-                     "wins": wins})
+                     "change": change, "ratio": ratio, "wins": wins, "bound": m["bound"], "beyond": beyond})
     summary = {"pairs": len(pairs), "metrics": rows}
     for k, label in enumerate(("parent", "change")):
         runs = [pair[k] for pair in pairs]
@@ -71,11 +76,13 @@ def format_summary(workload: str, summary: dict) -> str:
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
     n = summary["pairs"]
-    lines = ["| workload | metric | better | parent median [q1, q3] | change median [q1, q3] | ratio | change won |",
-             "|---|---|---|---|---|---|---|"]
+    lines = ["| workload | metric | better | parent median [q1, q3] | change median [q1, q3] | ratio | change won "
+             "| bound |",
+             "|---|---|---|---|---|---|---|---|"]
     for r in summary["metrics"]:
         lines.append(f"| {workload} | {r['name']} [{r['unit']}] | {r['better']} | {cell(r['parent'])} | "
-                     f"{cell(r['change'])} | {r['ratio']:.3f} | {r['wins']}/{n} |")
+                     f"{cell(r['change'])} | {r['ratio']:.3f} | {r['wins']}/{n} | {r['bound']:g}"
+                     f"{' BEYOND' if r['beyond'] else ''} |")
     for label in ("parent", "change"):
         s = summary[label]
         lines.append(f"{label}: {s['attempted']} ops attempted, {s['failed']} failed, "
@@ -117,7 +124,9 @@ def main(argv=None) -> int:
         return 2
     summary = summarize(pairs, metrics)
     print(format_summary(args.workload, summary))
-    return 1 if summary["parent"]["incorrect"] or summary["change"]["incorrect"] else 0
+    if summary["parent"]["incorrect"] or summary["change"]["incorrect"]:
+        return 1
+    return 3 if any(r["beyond"] for r in summary["metrics"]) else 0
 
 
 if __name__ == "__main__":
