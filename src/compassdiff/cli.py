@@ -51,11 +51,9 @@ EXIT_EVAL = 3
 EXIT_NUMERIC = 4
 
 #: Largest ``ode --surface`` count: the surface is one ``ode_cost_value``
-#: batch of count ** 2 + 1 points, in numpy lockstep once it has more than
-#: ``odesens.SCALAR_ROWS`` rows.  A row whose state crosses a kink leaves
-#: the batch where it crosses and lands on the crossing on the float loop,
-#: at about 2.4 times the lockstep loop's cost per step: 47 of the 442
-#: rows of example46 on -1:1:21.
+#: batch of count ** 2 + 1 points, integrated one after another, at about
+#: 0.15 to 0.2 ms per state row of example46 on -1:1:51 (2602 rows in 0.4
+#: to 0.5 s on a shared 2-vCPU machine, ``tools/surface_report.py``).
 MAX_SURFACE_COUNT = 100
 
 

@@ -352,10 +352,7 @@ PointMap = Callable[[list], list]
 #: makes it NaN.  ``crossed`` is whether some value changes sign strictly
 #: from ``start``, the values of an earlier call with the same winners (a
 #: zero or NaN never does); False when ``start`` is None.  The size of the
-#: generated code stays linear in the node count.  When every switching
-#: value is a variable (``abs`` of variables only), the map carries their
-#: indices as its attribute ``columns``, so that a batch of points in an
-#: array can read them off as columns.
+#: generated code stays linear in the node count.
 SwitchMap = Callable[[list, Optional[tuple], Optional[list]], tuple[list, tuple, bool]]
 
 
@@ -407,10 +404,7 @@ def compile_rows(exprs: Sequence[NonsmoothExpr], dim: int) -> tuple[PointMap, Po
     namespace = {"sqrt": math.sqrt, "abs": abs, "NAN": math.nan, "INF": math.inf, **gen.consts}
     exec(_code("\n".join(lines)), namespace)
     # popped, so that the functions' globals do not hold them: no reference cycle for the collector to find
-    switch = namespace.pop("switch", None)
-    if switch is not None and all(name in xs for name in gen.switches):
-        switch.columns = [xs.index(name) for name in gen.switches]
-    return namespace.pop("value"), namespace.pop("tangent"), switch
+    return namespace.pop("value"), namespace.pop("tangent"), namespace.pop("switch", None)
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)

@@ -12,19 +12,22 @@ phi, and the compass difference of psi (four integrations) is a guaranteed
 subgradient of phi for p in the plane.
 
 Integrator: an explicit Dormand-Prince 5(4) embedded pair with PI step-size
-control, written here to keep runs dependency-free and deterministic, in two
-loops with the same arithmetic.  :func:`_dopri5_floats` integrates one
-system on Python floats and records its accepted steps; it runs
-:func:`integrate_state`, :func:`integrate_coupled` and each compass probe of
-:func:`ode_subgradient`, which integrates its own direction when psi is
-asked for it.  :func:`ode_cost_value` runs a batch of at most
-:data:`SCALAR_ROWS` points on it one after another, and a larger batch,
-such as the ``ode --surface`` grid, in numpy lockstep
-(:func:`_dopri5_lockstep`).  Either way a row takes the steps it would take
-alone, bit for bit.  The rhs is a point map on lists of floats
-(:class:`VectorOracle`); for a problem file it is one generated function
-that evaluates every component as flat statements
-(:func:`compassdiff.expr.compile_rows`).  The loops are
+control, written here to keep runs dependency-free and deterministic, as one
+step loop on Python floats (:func:`_dopri5_floats`) that integrates one
+system and records its accepted steps.  It holds the step control, the
+landing on kink crossings and the failures; the arithmetic of one trial
+step (the six stage sums, the new state, the error estimate and its norm)
+is a function it is given, generated from one source
+(:func:`_trial_source`) in two forms.  :data:`_trial` serves every width;
+it runs :func:`integrate_state`, :func:`integrate_coupled` and each compass
+probe of :func:`ode_subgradient`, which integrates its own direction when
+psi is asked for it.  :func:`ode_cost_value`, which runs the rows of an
+``ode --surface`` grid, integrates its points one after another on the
+state width's own trial, straight-line code (:func:`_trial_of_width`).
+Both trials give the same bits, so a row takes the same steps on either.
+The rhs is a point map on lists of floats (:class:`VectorOracle`); for a
+problem file it is one generated function that evaluates every component
+as flat statements (:func:`compassdiff.expr.compile_rows`).  The loop is
 first-same-as-last: the seventh stage of an accepted step is evaluated at
 the new state and becomes the next step's first, so a row costs
 2 + 6 * (accepted + rejected) right-hand-side evaluations.
@@ -55,9 +58,7 @@ steps, and gives exactly the bits, it would take without a switching map,
 as does every row of a hand-written :class:`VectorOracle`, which has none.
 Zeros and NaN never count as a sign, so a value that stays at zero or only
 touches it never fires.  A row locates at most MAX_EVENTS crossings, and
-straddles later ones.  In lockstep, a row whose trial crosses leaves the
-batch and the float loop takes it over, retaking that trial
-(:func:`_steps`), so it ends as it would alone, bit for bit.
+straddles later ones.
 
 The default tolerances (1e-8 absolute and relative) are deliberately tight
 so compass differences inherit roughly six accurate digits; they are the
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -84,9 +86,8 @@ class IntegrationError(RuntimeError):
     :func:`integrate_coupled`, the parameter direction, or from
     :func:`ode_cost_value`, the index of the failing point.
 
-    A failure does not depend on the batch: a failing row leaves the
-    lockstep batch while the others run on, and ``ode_cost_value`` raises
-    the lowest failing row's error.
+    ``ode_cost_value`` integrates its rows one after another and raises the
+    first failing row's error, the one that row raises alone.
     """
 
     def __init__(self, message: str, time: float, direction=None, row: Optional[int] = None):
@@ -191,11 +192,6 @@ _ERROR_WEIGHTS = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 # the weights of the fourth-order continuous extension (Hairer, Norsett and Wanner, Solving ODEs I, II.6)
 _DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
           701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
-# the same as column vectors for the lockstep loop, so that ``k[:s] * row`` scales stage j by its coefficient
-_A = tuple(np.array(row).reshape(-1, 1) for row in _STAGES)
-_B5 = np.array(_WEIGHTS).reshape(-1, 1)
-_E = np.array(_ERROR_WEIGHTS).reshape(-1, 1)
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -212,39 +208,14 @@ _ITERATIONS = 60
 _MARGIN = 1e-2
 _TRIES = 16
 
-#: Most points :func:`ode_cost_value` integrates one after another on Python
-#: floats; a larger batch runs in numpy lockstep.  The measured crossover on
-#: example46's state rows (surface grids over seeded ranges, landing on
-#: crossings in both loops): the float loop takes 0.73 of the lockstep
-#: loop's time on 10 rows, 1.02 on 17 and 1.17 on 26, so the loops break even
-#: at about 17 to 20 rows.
-SCALAR_ROWS = 20
-
-
-def _rms(v: np.ndarray, scale: np.ndarray):
-    """Root mean square of ``v / scale`` over the last axis: one value per row.
-
-    The squares are summed left to right, as :func:`_rms_floats` sums them
-    (``np.add.reduce`` sums 8 or more components pairwise).  Finite
-    components far beyond their scale overflow it to inf, which the step
-    control reads as a rejected step.
-    """
-    q = v / scale
-    return np.sqrt(np.add.accumulate(q * q, axis=-1)[..., -1] / v.shape[-1])
-
 
 def _rms_floats(v: list, scale: list) -> float:
-    """:func:`_rms` of one row on Python floats, bit for bit."""
+    """Root mean square of ``v / scale``, the squares summed left to right from +0.0."""
     s = 0.0
     for a, b in zip(v, scale):
         q = a / b
         s += q * q
     return math.sqrt(s / len(v))
-
-
-def _error_norm(err: np.ndarray, z_old: np.ndarray, z_new: np.ndarray, cfg: IntegrationConfig):
-    # tolerances near the float limit overflow the scale to inf, and the error then counts as zero
-    return _rms(err, cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z_old), np.abs(z_new)))
 
 
 def _first_guess(d0: float, d1: float, t_final: float) -> float:
@@ -284,172 +255,110 @@ def _control(h: float, err: float, err_prev: float) -> tuple[float, float]:
     return h * max(0.1, _SAFETY * err ** (-1.0 / _ORDER)), err_prev
 
 
-def _combine(coeffs: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum(coeffs[j] * k[j]) in the builtin ``sum``'s order: from +0.0, left to right.
-
-    ``terms`` is a work buffer of shape (8, n) whose row 0 stays zero; the products
-    go into the rows after it and one ``add.accumulate`` adds them in order.
-    """
-    s = coeffs.shape[0]
-    np.multiply(k[:s], coeffs, out=terms[1:s + 1])
-    return np.add.accumulate(terms[:s + 1], axis=0)[s]
+def _wrong_width(what: str, out, width: int) -> InputError:
+    return InputError(f"{what} returned {len(out)} components for a point, expected {width}")
 
 
 def _point(point_map, x: list, width: int, what: str) -> list:
     """``point_map`` at one point ``x``, a list of floats.
 
     An output of another width than ``width`` is an :class:`InputError`,
-    which the loops' zip would otherwise truncate in silence.
+    which a ``zip`` would otherwise truncate in silence.
     """
     out = point_map(x)
     if len(out) != width:
-        raise InputError(f"{what} returned {len(out)} components for a point, expected {width}")
+        raise _wrong_width(what, out, width)
     return out
 
 
-def _batch(point_map, points: list, width: int, what: str) -> np.ndarray:
-    """``point_map`` at each of ``points`` (lists of floats), as a (len(points), width) array.
+def _trial_source(n: Optional[int]) -> str:
+    """The source of ``trial``, one trial step, for states of ``n`` components, or of any width when n is None.
 
-    Outputs of another width than ``width`` are an :class:`InputError`, which
-    would otherwise be broadcast or truncated in silence, unless their widths
-    add up to the expected total.
+    ``trial(fun, z, k1, h, atol, rtol) -> (z_new, err, ks)`` steps from the
+    state ``z`` with ``k1`` = fun(z), lists of floats.  ``z_new`` is the
+    fifth-order state after ``h``, ``err`` the error estimate's root mean
+    square over ``atol + rtol * max(|z|, |z_new|)``, or NaN when a component
+    of z_new or of the error estimate is not finite, and ``ks`` the seven
+    stages, the last one at z_new.  Every stage sum starts from +0.0 and runs
+    left to right, with each coefficient a literal and the 0.0 weights of b5
+    and of the error estimate kept (0.0 * inf is NaN); the squares of the
+    norm are summed left to right.  Both forms do these operations in the
+    same order, so they give the same bits.  The form of any width runs one
+    comprehension per stage and one loop over the components; the form of n
+    components unpacks the state and each stage into locals and computes
+    every component as its own statement.  An rhs output of another width
+    than the state's is an :class:`InputError`.
     """
-    out = []
-    for x in points:
-        out += point_map(x)
-    if len(out) != len(points) * width:
-        raise InputError(f"{what} returned {len(out)} components for {len(points)} points, expected {width} each")
-    return np.array(out).reshape(len(points), width)
+    def terms(coeffs: tuple, stage) -> str:  # stage(j) names the component of stage j
+        return "0.0" + "".join(f" + {c!r} * {stage(j)}" for j, c in enumerate(coeffs, start=1))
+
+    def component(x: str, y: str, e: str, stage) -> list[str]:
+        """The new state's component ``y`` of ``x``, the error estimate's ``e``, and their shares of the norm."""
+        return [f"{y} = {x} + h * ({terms(_WEIGHTS, stage)})", f"{e} = h * ({terms(_ERROR_WEIGHTS, stage)})",
+                f"nonfinite += {y} * 0.0 + {e} * 0.0",  # zero for finite components, NaN otherwise
+                f"old, new = abs({x}), abs({y})", f"{e} /= atol + rtol * (old if old >= new else new)",
+                f"q += {e} * {e}"]
+
+    lines = ["def trial(fun, z, k1, h, atol, rtol):"]
+    if n is None:
+        lines.append("n = len(z)")
+        for s, row in enumerate(_STAGES[1:], start=2):
+            ps, ks = (", ".join(f"{c}{j}" for j in range(1, s)) for c in "pk")
+            lines += [f"if len(k{s} := fun([a + h * ({terms(row, 'p{}'.format)}) for a, {ps} in zip(z, {ks})])) != n:",
+                      f"    raise wrong(k{s}, n)"]
+        lines += ["z_new = []", "q = nonfinite = 0.0",
+                  "for a, p1, p2, p3, p4, p5, p6, p7 in zip(z, k1, k2, k3, k4, k5, k6, k7):",
+                  *(f"    {line}" for line in component("a", "b", "e", "p{}".format)), "    z_new.append(b)"]
+        z_new = "z_new"
+    else:
+        def names(prefix: str) -> str:
+            return "".join(f"{prefix}{i}, " for i in range(n))
+
+        lines += [f"{names('x')}= z", f"{names('k1_')}= k1"]
+        for s, row in enumerate(_STAGES[1:], start=2):
+            point = ", ".join(f"x{i} + h * ({terms(row, lambda j: f'k{j}_{i}')})" for i in range(n))
+            lines += [f"k{s} = fun([{point}])", "try:", f"    {names(f'k{s}_')}= k{s}", "except ValueError:",
+                      f"    raise wrong(k{s}, {n}) from None"]
+        lines.append("q = nonfinite = 0.0")
+        for i in range(n):
+            lines += component(f"x{i}", f"y{i}", f"e{i}", lambda j: f"k{j}_{i}")
+        z_new = f"[{names('y')}]"
+    width = "n" if n is None else n
+    lines.append(f"return {z_new}, sqrt(q / {width}) + nonfinite, (k1, k2, k3, k4, k5, k6, k7)")
+    return "\n    ".join(lines)
 
 
-def _dopri5_lockstep(fun, Z0: np.ndarray, t_final: float, cfg: IntegrationConfig, switch=None):
-    """:func:`_dopri5_floats` on every row of ``Z0``, in numpy lockstep.
+def _compile_trial(n: Optional[int]):
+    namespace = {"sqrt": math.sqrt, "wrong": partial(_wrong_width, "the right-hand side")}
+    width = "n" if n is None else n
+    exec(compile(_trial_source(n), f"<compassdiff.odesens trial of width {width}>", "exec"), namespace)
+    return namespace.pop("trial")
 
-    The stage arithmetic is elementwise on all rows still running, the step
-    control scalar per row, each row with its own t, h, error history and
-    accept/reject decision; a row leaves the batch when it reaches t_final
-    or fails.  Every operation is the float loop's on that row, in the same
-    order: the stage sums from +0.0, left to right, with the 0.0 weights of
-    b5 and of the error estimate kept (0.0 * inf is NaN); the error norm's
-    squares summed left to right; the guesses and the step control by the
-    same functions.  So a row ends or fails as it would alone, bit for bit.
-    A row whose trial changes the sign of a switching value (``switch``, see
-    :func:`_dopri5_floats`) leaves the batch before that trial counts, with
-    its own t, state, step size, error history and steps: the float loop
-    (:func:`_steps`) takes it from there, so it lands on the crossing as it
-    would alone.
 
-    Returns ``(final, errors)``: the final states, shape (N, n), a failing
-    row's left at its initial state; and per row its
-    :class:`IntegrationError`, or None.
+#: One trial step on states of any width (see :func:`_trial_source`).
+_trial = _compile_trial(None)
+
+#: Widest state that gets its own trial (:func:`_trial_of_width`); wider
+#: states take :data:`_trial`.  The generated source grows by about 1.3 KB
+#: per component, and so do its compile() time and memory.  Measured on
+#: CPython 3.11 on a shared 2-vCPU machine, as compile time (the range over
+#: quiet and loaded runs) / tracemalloc peak / time per trial against
+#: :data:`_trial`'s: width 3, 1.2-2.2 ms / 0.36 MB / 0.50-0.55; width 6,
+#: 1.8-3.6 ms / 0.56 MB / 0.57-0.64; width 64, 17-33 ms / 5.6 MB /
+#: 0.84-0.88; width 512, 174-276 ms / 44 MB / 0.95-1.00.  Past 64
+#: components the trial gains little for its compile time and memory.
+MAX_TRIAL_WIDTH = 64
+
+
+@lru_cache(maxsize=8)
+def _trial_of_width(n: int):
+    """The trial step of states of ``n`` components, compiled on the first call for ``n``.
+
+    It gives the bits :data:`_trial` gives, and calls the right-hand side
+    once per stage on a list of floats, as :data:`_trial` does.  Above
+    MAX_TRIAL_WIDTH components it is :data:`_trial` itself.
     """
-    final = np.array(Z0, dtype=float)
-    N, n = final.shape
-
-    def rhs(Z):
-        return _batch(fun, Z.tolist(), n, "the right-hand side")
-
-    errors: list = [None] * N
-    with np.errstate(over="ignore", invalid="ignore"):
-        f0 = rhs(final)
-        good = np.isfinite(f0).all(axis=1)
-        for i in np.flatnonzero(~good).tolist():  # the step-size guess would divide by zero
-            errors[i] = IntegrationError("non-finite state derivative at t = 0", time=0.0)
-        rows = np.flatnonzero(good)  # original index of each running row
-        z, f0 = final[rows], f0[rows]
-        scale = cfg.abs_tol + cfg.rel_tol * np.abs(z)
-        d1 = _rms(f0, scale).tolist()
-        h0 = [_first_guess(a, b, t_final) for a, b in zip(_rms(z, scale).tolist(), d1)]
-        df = _rms(rhs(z + np.array(h0).reshape(-1, 1) * f0) - f0, scale).tolist()
-        h = np.array([_second_guess(*guess, t_final) for guess in zip(h0, d1, df)])
-        # per running row; elementwise numpy arithmetic rounds as scalar arithmetic does
-        t = np.zeros(rows.size)
-        err_prev = np.ones(rows.size)
-        steps = 0  # attempted steps, the same for every running row
-        k = np.empty((7, rows.size, n))
-        k[0] = f0
-        bad = False  # rows whose last step went non-finite
-        terms = np.zeros((8, rows.size * n))
-        # per running row: its switching values, its winners (None for a
-        # vector without extrema), and whether its last trial crossed one
-        if switch is not None:
-            columns = getattr(switch, "columns", None)
-            marks = [switch(x, None, None) for x in z.tolist()]
-            S = np.array([values for values, _, _ in marks]).reshape(rows.size, -1)
-            wins = [win for _, win, _ in marks] if marks and marks[0][1] else None
-        alone = np.zeros(rows.size, dtype=bool)
-        while rows.size:
-            rest = t_final - t
-            last = h >= rest
-            h = np.where(last, rest, h)
-            # a finished row (t >= t_final) has h = 0 here
-            stop = bad | alone | (h < MIN_STEP) | (steps >= MAX_STEPS)
-            if stop.any():  # rows leave the batch, finished, failed or to go alone
-                for i in np.flatnonzero(stop).tolist():
-                    row = int(rows[i])
-                    if alone[i]:  # the float loop takes the row over, and retakes its last trial
-                        try:
-                            final[row] = _steps(fun, switch, z[i].tolist(), k[0, i].tolist(), float(t[i]), float(h[i]),
-                                                float(err_prev[i]), steps - 1, t_final, cfg)[1][-1]
-                        except IntegrationError as error:
-                            errors[row] = error
-                    elif rest[i] <= 0.0:
-                        final[row] = z[i]
-                    elif errors[row] is None:
-                        errors[row] = _limit_error(steps, float(h[i]), float(t[i]))
-                keep = ~stop
-                rows, z, t, h, last, err_prev, alone = (x[keep] for x in (rows, z, t, h, last, err_prev, alone))
-                if switch is not None:
-                    S = S[keep]
-                    if wins is not None:
-                        wins = [win for win, kept in zip(wins, keep.tolist()) if kept]
-                # contiguous, so that the flat view below is a view
-                k = np.ascontiguousarray(k[:, keep])
-                terms = np.zeros((8, rows.size * n))
-                if not rows.size:
-                    break
-            m = rows.size
-            hs = h.reshape(-1, 1)
-            # the stage sums run on the flattened (7, m * n) view: one buffer for all rows
-            flat = k.reshape(7, m * n)
-            for s in range(1, 7):
-                k[s] = rhs(z + hs * _combine(_A[s], flat, terms).reshape(m, n))
-            z_new = z + hs * _combine(_B5, flat, terms).reshape(m, n)
-            err_vec = hs * _combine(_E, flat, terms).reshape(m, n)
-            err = _error_norm(err_vec, z, z_new, cfg)
-            ok = err <= 1.0
-            bad = False
-            # a cheap test first: the sum is non-finite with any non-finite component (and rarely without)
-            if not np.isfinite(z_new + err_vec).all():
-                bad = ~(np.isfinite(z_new).all(axis=1) & np.isfinite(err_vec).all(axis=1))
-                for i in np.flatnonzero(bad).tolist():
-                    errors[rows[i]] = _state_error(float(t[i]))
-                ok &= ~bad
-            if switch is not None:  # every trial, as the float loop checks it
-                if columns is not None:
-                    S_new = z_new[:, columns]
-                else:
-                    points = z_new.tolist()
-                    S_new = np.array([switch(x, win, None)[0] for x, win in zip(points, wins or [()] * m)]).reshape(S.shape)
-                alone = (((S < 0.0) & (S_new > 0.0)) | ((S > 0.0) & (S_new < 0.0))).any(axis=1) & np.logical_not(bad)
-                ok &= ~alone
-                if wins is None:
-                    S = np.where(ok.reshape(-1, 1), S_new, S)
-                else:
-                    for i in np.flatnonzero(ok).tolist():
-                        values, wins[i], _ = switch(points[i], None, None)
-                        S[i] = values
-            # land exactly on t_final: t + (t_final - t) can round past it
-            t = np.where(ok, np.where(last, t_final, t + h), t)
-            steps += 1
-            accept = ok.reshape(-1, 1)
-            z = np.where(accept, z_new, z)
-            np.copyto(k[0], k[6], where=accept)  # the last stage was evaluated at z_new (its row of _A is _B5)
-            trial = h, err_prev
-            h, err_prev = np.array(list(map(_control, h.tolist(), err.tolist(), err_prev.tolist()))).T
-            if alone.any():  # those rows leave with the trial they retake
-                h, err_prev = np.where(alone, trial[0], h), np.where(alone, trial[1], err_prev)
-    return final, errors
+    return _trial if n > MAX_TRIAL_WIDTH else _compile_trial(n)
 
 
 def _limit_error(steps: int, h: float, t: float) -> IntegrationError:
@@ -531,48 +440,35 @@ def _aim(before: float, past: float, close: float) -> tuple[float, bool]:
     return step, False
 
 
-def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, switch=None):
+def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, switch=None, trial=_trial):
     """Integrate dz/dt = fun(z) from 0 to t_final from ``z0``, a list of n floats.
 
     ``fun`` is a point map: a state, a list of n floats, to its derivative;
-    ``switch``, if given, its switching map (:data:`compassdiff.expr.SwitchMap`).
-    A run costs 6 rhs evaluations per attempted step, plus f(z0) and one
-    more for the step-size guess.  It raises an :class:`IntegrationError` on
-    a non-finite derivative at t = 0, a non-finite state or error-estimate
-    component, MAX_STEPS attempted steps or a step below MIN_STEP; an error
-    norm that overflows from finite components only rejects the step, and
-    overflow is quiet.  An rhs output of another width than n is an
-    :class:`InputError`.  Returns ``(times, states, stats)``: the accepted
-    steps from t = 0, as two lists, and the :class:`StepStats`.
+    ``switch``, if given, its switching map (:data:`compassdiff.expr.SwitchMap`);
+    ``trial`` takes each trial step (:data:`_trial`, or the width's own from
+    :func:`_trial_of_width`, which gives the same bits).  This loop is the
+    one definition of the step control, the landing on kink crossings and
+    the failures.  A run costs 6 rhs evaluations per attempted step, plus
+    f(z0) and one more for the step-size guess.  It raises an
+    :class:`IntegrationError` on a non-finite derivative at t = 0, a
+    non-finite state or error-estimate component, MAX_STEPS attempted steps
+    or a step below MIN_STEP; an error norm that overflows from finite
+    components only rejects the step, and overflow is quiet.  An rhs output
+    of another width than n is an :class:`InputError`.  Returns
+    ``(times, states, stats)``: the accepted steps from t = 0, as two lists,
+    and the :class:`StepStats`.
     """
     n = len(z0)
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    atol, rtol, max_steps, min_step = cfg.abs_tol, cfg.rel_tol, MAX_STEPS, MIN_STEP
     k1 = _point(fun, z0, n, "the right-hand side")
     if not all(map(math.isfinite, k1)):  # the step-size guess would divide by zero
         raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
     scale = [atol + rtol * abs(a) for a in z0]
     d1 = _rms_floats(k1, scale)
     h0 = _first_guess(_rms_floats(z0, scale), d1, t_final)
-    df = _rms_floats([b - a for a, b in zip(k1, fun([a + h0 * b for a, b in zip(z0, k1)]))], scale)
-    return _steps(fun, switch, z0, k1, 0.0, _second_guess(h0, d1, df, t_final), 1.0, 0, t_final, cfg)
-
-
-def _steps(fun, switch, z: list, k1: list, t: float, h: float, err_prev: float, steps: int, t_final: float,
-           cfg: IntegrationConfig):
-    """The step loop of :func:`_dopri5_floats`, from state ``z`` at ``t`` with ``k1`` = fun(z).
-
-    ``h``, ``err_prev`` and ``steps`` are the next step size, the error
-    history and the steps attempted so far; the lockstep loop hands a row
-    over with its own.  Returns ``(times, states, stats)`` from ``t`` on,
-    the stats counting the accepted steps from ``t`` and the attempted ones
-    from ``steps``.
-    """
-    n = len(z)
-    atol, rtol, max_steps, min_step = cfg.abs_tol, cfg.rel_tol, MAX_STEPS, MIN_STEP
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), \
-        (a71, a72, a73, a74, a75, a76) = _STAGES[1:]
-    b1, b2, b3, b4, b5, b6, b7 = _WEIGHTS
-    e1, e2, e3, e4, e5, e6, e7 = _ERROR_WEIGHTS
+    f1 = _point(fun, [a + h0 * b for a, b in zip(z0, k1)], n, "the right-hand side")
+    h = _second_guess(h0, d1, _rms_floats([b - a for a, b in zip(k1, f1)], scale), t_final)
+    z, t, err_prev, steps = z0, 0.0, 1.0, 0
     times, states = [t], [z]
     if switch is not None:
         s, win, _ = switch(z, None, None)
@@ -588,32 +484,9 @@ def _steps(fun, switch, z: list, k1: list, t: float, h: float, err_prev: float, 
             h = rest
         if h < min_step or steps >= max_steps:  # a finished row has h = 0 here
             break
-        k2 = fun([a + h * (0.0 + a21 * p1) for a, p1 in zip(z, k1)])
-        k3 = fun([a + h * (0.0 + a31 * p1 + a32 * p2) for a, p1, p2 in zip(z, k1, k2)])
-        k4 = fun([a + h * (0.0 + a41 * p1 + a42 * p2 + a43 * p3) for a, p1, p2, p3 in zip(z, k1, k2, k3)])
-        k5 = fun([a + h * (0.0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                  for a, p1, p2, p3, p4 in zip(z, k1, k2, k3, k4)])
-        k6 = fun([a + h * (0.0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                  for a, p1, p2, p3, p4, p5 in zip(z, k1, k2, k3, k4, k5)])
-        k7 = fun([a + h * (0.0 + a71 * p1 + a72 * p2 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
-                  for a, p1, p2, p3, p4, p5, p6 in zip(z, k1, k2, k3, k4, k5, k6)])
-        # z_new, the error estimate's components e and the error norm in one
-        # pass; ``x * 0.0`` is zero for finite x and NaN otherwise, so
-        # ``nonfinite`` stays zero unless a component of z_new or e is not finite
-        z_new = []
-        q = nonfinite = 0.0
-        for a, p1, p2, p3, p4, p5, p6, p7 in zip(z, k1, k2, k3, k4, k5, k6, k7):
-            b = a + h * (0.0 + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6 + b7 * p7)
-            e = h * (0.0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-            z_new.append(b)
-            nonfinite += b * 0.0 + e * 0.0
-            # _error_norm: the scale from the larger magnitude of the old and new state
-            old, new = abs(a), abs(b)
-            e /= atol + rtol * (old if old >= new else new)
-            q += e * e
-        if nonfinite != 0.0:
+        z_new, err, ks = trial(fun, z, k1, h, atol, rtol)
+        if err != err:  # NaN: a component of z_new or of the error estimate is not finite
             raise _state_error(t)
-        err = math.sqrt(q / n)
         steps += 1
         landed = False
         if switch is not None:
@@ -629,7 +502,7 @@ def _steps(fun, switch, z: list, k1: list, t: float, h: float, err_prev: float, 
                 elif tries > _TRIES:  # the trial goes on as any other, and straddles the crossing
                     resume = None
                 elif crossed:  # retake it short of the crossing, or just past it if that is close
-                    before, past, track = _locate(switch, win, s, s_new, z, z_new, h, (k1, k2, k3, k4, k5, k6, k7))
+                    before, past, track = _locate(switch, win, s, s_new, z, z_new, h, ks)
                     h, hop = _aim(before, past, rtol * resume[0])
                     continue
                 elif err > 1.0:  # a stage passed the crossing, or the step was too long
@@ -638,7 +511,7 @@ def _steps(fun, switch, z: list, k1: list, t: float, h: float, err_prev: float, 
         if err <= 1.0:
             # land exactly on t_final: t + (t_final - t) can round past it
             t = t_final if last else t + h
-            z, k1 = z_new, k7  # the last stage was evaluated at z_new
+            z, k1 = z_new, ks[6]  # the last stage was evaluated at z_new
             times.append(t)
             states.append(z)
             if switch is not None:
@@ -697,12 +570,12 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
     """phi(p) = g(p, x(T, p)) by one state integration.
 
     ``p`` is one point of shape (2,), which returns a float, or a batch of
-    shape (N, 2), which returns shape (N,).  A batch of at most
-    :data:`SCALAR_ROWS` points is integrated one point after another
-    (:func:`_dopri5_floats`), a larger one in one lockstep integration of
-    all rows (:func:`_dopri5_lockstep`); row i equals
-    ``ode_cost_value(problem, p[i])`` bit for bit either way.  The error of
-    the lowest-index failing row is raised, naming its point.
+    shape (N, 2), which returns shape (N,).  The rows are integrated one
+    after another on the state width's own trial
+    (:func:`_trial_of_width`), so row i equals ``ode_cost_value(problem,
+    p[i])`` bit for bit, and takes the steps :func:`integrate_state` takes
+    at p[i].  The first failing row's error is raised, naming its point and
+    index; the rows after it are not integrated.
     """
     try:
         p = np.asarray(p, dtype=float)
@@ -711,27 +584,16 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
     if p is None or p.ndim not in (1, 2) or p.shape[-1:] != (2,):
         raise InputError("parameter points must be numbers of shape (2,) or (N, 2)")
     P = p.reshape(-1, 2)
-    if not len(P):
-        return np.empty(0)
-
-    def failure(row: int, error: IntegrationError) -> IntegrationError:
-        a, b = P[row].tolist()
-        return IntegrationError(f"{error} for p = ({a:.17g}, {b:.17g})", time=error.time, row=row)
-
-    x0 = _batch(problem.init.value, P.tolist(), problem.n_state, "the initial map")
-    fun, t_final, switch = problem.rhs.value, problem.t_final, problem.rhs.switch
-    if len(P) > SCALAR_ROWS:
-        final, errors = _dopri5_lockstep(fun, x0, t_final, config, switch)
-        row = next((i for i, error in enumerate(errors) if error is not None), None)
-        if row is not None:
-            raise failure(row, errors[row])
-    else:
-        final = []
-        for row, z0 in enumerate(x0.tolist()):
-            try:
-                final.append(_dopri5_floats(fun, z0, t_final, config, switch)[1][-1])
-            except IntegrationError as error:
-                raise failure(row, error) from None
+    n = problem.n_state
+    x0 = [_point(problem.init.value, q, n, "the initial map") for q in P.tolist()]
+    fun, t_final, switch, trial = problem.rhs.value, problem.t_final, problem.rhs.switch, _trial_of_width(n)
+    final = []
+    for row, z0 in enumerate(x0):
+        try:
+            final.append(_dopri5_floats(fun, z0, t_final, config, switch, trial)[1][-1])
+        except IntegrationError as error:
+            a, b = P[row].tolist()
+            raise IntegrationError(f"{error} for p = ({a:.17g}, {b:.17g})", time=error.time, row=row) from None
     costs = [float(problem.cost.value(np.concatenate([q, x]))) for q, x in zip(P, final)]
     return np.array(costs) if p.ndim == 2 else costs[0]
 

@@ -249,8 +249,8 @@ def test_cli_surface_failure_names_the_grid_point(capsys, tmp_path):
 
 
 def test_cli_surface_failure_names_the_lowest_failing_row(capsys, tmp_path):
-    # p1 = 2 blows up at t = 0.5, in an earlier lockstep iteration than
-    # p1 = 1.25 at t = 0.8; the lower-index point is named all the same
+    # p1 = 2 blows up at t = 0.5, earlier than p1 = 1.25 at t = 0.8; the
+    # lower-index point is named all the same
     blowup = tmp_path / "blowup.json"
     blowup.write_text(json.dumps({
         "n_state": 1,
@@ -297,12 +297,16 @@ def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
 def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     from compassdiff import odesens
 
-    recorded = []  # (initial state, times, states) of each run of the row integrator
+    recorded = []  # (initial state, times, states) of each run of the step loop on the generic trial
+    surface_rows = []  # the trials of the others
     dopri5_floats = odesens._dopri5_floats
 
-    def recording(fun, z0, t_final, cfg, switch=None):
-        result = dopri5_floats(fun, z0, t_final, cfg, switch)
-        recorded.append((z0, *result[:2]))
+    def recording(fun, z0, t_final, cfg, switch=None, trial=odesens._trial):
+        result = dopri5_floats(fun, z0, t_final, cfg, switch, trial)
+        if trial is odesens._trial:
+            recorded.append((z0, *result[:2]))
+        else:
+            surface_rows.append(trial)
         return result
 
     monkeypatch.setattr(odesens, "_dopri5_floats", recording)
@@ -311,10 +315,10 @@ def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
                            "--traj", "--surface=-1:1:5", "--out", str(tmp_path))
     assert code == 0
     # the trajectories written are the subgradient's own four probes, in probe
-    # order: four coupled integrations that start at x0 and init'(p; d), and
-    # no others (the surface's 26 rows run in lockstep, and the float loop
-    # takes over a row that crosses a kink where it crosses)
+    # order: four coupled integrations that start at x0 and init'(p; d), on
+    # the generic trial; the surface's 26 rows run on the state width's own
     problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
+    assert surface_rows == [odesens._trial_of_width(problem.n_state)] * 26
     directions = [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
     assert [z0 for z0, _, _ in recorded] == [[0.0] * 3 + problem.init.tangent([0.0, 0.0, *d])[3:]
                                              for d in directions]

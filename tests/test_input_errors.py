@@ -102,9 +102,9 @@ LIBRARY_CASES = {
     "polytope dim 2.7": lambda: load_polytope_json({"dim": 2.7, "vertices": [[0, 0], [1, 0], [0, 1]]}),
     "polytope dim true": lambda: load_polytope_json({"dim": True, "vertices": [[0], [1]]}),
     "polytope description 5": lambda: load_polytope_json({"vertices": [[0, 0], [1, 0]], "description": 5}),
-    # a map's output width, on the float loop and on the lockstep loop (more than SCALAR_ROWS rows)
+    # a map's output width, for one point and for a batch
     "rhs value width": lambda: ode_cost_value(_NARROW_RHS, [1.0, 2.0]),
-    "rhs value width, lockstep": lambda: ode_cost_value(_NARROW_RHS, [[1.0, 2.0]] * 40),
+    "rhs value width, batch": lambda: ode_cost_value(_NARROW_RHS, [[1.0, 2.0]] * 40),
     "rhs tangent width": lambda: ode_subgradient(_NARROW_RHS, [1.0, 2.0]),
     "rhs value width, integrate_state": lambda: integrate_state(_NARROW_RHS, [1.0, 2.0]),
     "init value width": lambda: ode_cost_value(_NARROW_INIT, [1.0, 2.0]),

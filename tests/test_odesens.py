@@ -18,18 +18,13 @@ from compassdiff.odesens import (
     IntegrationError,
     OdeProblem,
     StepStats,
-    _A,
-    _B5,
-    _E,
-    _combine,
     _control,
     _dopri5_floats,
-    _dopri5_lockstep,
-    _error_norm,
     _first_guess,
-    _rms,
     _second_guess,
     _subgradient_and_trajectories,
+    _trial,
+    _trial_of_width,
     _vector_oracle_from_exprs,
     integrate_coupled,
     integrate_state,
@@ -357,8 +352,6 @@ def test_switching_map_matches_the_closure_pass(seed, dim, width, constants, dat
     later, same_win, crossed = switch(y, got_win, values)
     assert _same(later, _switching_reference(exprs, y, got_win)[0]) and same_win == got_win
     assert crossed == any(a < 0.0 < b or b < 0.0 < a for a, b in zip(values, later))
-    columns = getattr(switch, "columns", None)  # only when every value is a variable of the point
-    assert columns is None or _same([y[i] for i in columns], later)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +506,11 @@ def test_without_a_switching_map_steps_straddle_kinks_as_before(bundled_problem)
 # landing on kink crossings
 
 def test_example46_switches_on_x1_and_x2(bundled_problem):
-    # |x1| and |x2| are the kinks, |x2| twice; read off as columns in lockstep
+    # |x1| and |x2| are the kinks, |x2| twice
     switch = bundled_problem.rhs.switch
     assert switch([0.5, -2.0, 3.0, 1.0, 1.0, 1.0], None, None) == ([0.5, -2.0], (), False)
     assert switch([-0.5, -2.0, 3.0], (), [0.5, -2.0]) == ([-0.5, -2.0], (), True)
-    assert switch.columns == [0, 1] and bundled_problem.init.switch is None
+    assert bundled_problem.init.switch is None
 
 
 def _runs(problem, p):
@@ -576,7 +569,51 @@ def test_crossings_right_after_the_start_land_without_a_step_underflow(bundled_p
             assert traj.times[-1] == 1.0 and traj.stats.events == 1
 
 
-def test_stage_sums_keep_the_builtin_sum_order():
+# ---------------------------------------------------------------------------
+# both trials: each row is its own integration, bit for bit
+
+def _on_arrays(point_map):
+    """A point map on 1-D arrays, as the reference integrator calls it."""
+    return lambda z: np.array(point_map(z.tolist()))
+
+
+def _strictly_opposite(a: float, b: float) -> bool:
+    return a < 0.0 < b or b < 0.0 < a
+
+
+def _bits(run) -> tuple:
+    """``(times, states, stats)`` of an integration, its floats as bytes: signs of zero count."""
+    times, states, stats = run
+    return np.array(times).tobytes(), np.array(states).tobytes(), stats
+
+
+# the reference's tableau as column vectors, so that ``k[:s] * row`` scales stage j by its coefficient
+_A = tuple(np.array(row).reshape(-1, 1) for row in odesens._STAGES)
+_B5 = np.array(odesens._WEIGHTS).reshape(-1, 1)
+_E = np.array(odesens._ERROR_WEIGHTS).reshape(-1, 1)
+
+
+def _rms(v: np.ndarray, scale: np.ndarray):
+    """Root mean square of ``v / scale`` over the last axis, the squares summed left to right.
+
+    ``np.add.reduce`` would sum 8 or more components pairwise.
+    """
+    q = v / scale
+    return np.sqrt(np.add.accumulate(q * q, axis=-1)[..., -1] / v.shape[-1])
+
+
+def _combine(coeffs: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum(coeffs[j] * k[j]) in the builtin ``sum``'s order: from +0.0, left to right.
+
+    ``terms`` is a work buffer of shape (8, n) whose row 0 stays zero; the products
+    go into the rows after it and one ``add.accumulate`` adds them in order.
+    """
+    s = coeffs.shape[0]
+    np.multiply(k[:s], coeffs, out=terms[1:s + 1])
+    return np.add.accumulate(terms[:s + 1], axis=0)[s]
+
+
+def test_the_reference_stage_sums_keep_the_builtin_sum_order():
     # left to right from +0.0: a column of negative zeros sums to +0.0
     rng = np.random.default_rng(3)
     for m in (1, 3, 6, 9):
@@ -589,24 +626,12 @@ def test_stage_sums_keep_the_builtin_sum_order():
             assert got.tobytes() == expected.tobytes()
 
 
-# ---------------------------------------------------------------------------
-# both loops: each row is its own integration, bit for bit
-
-def _on_arrays(point_map):
-    """A point map on 1-D arrays, as the reference integrator calls it."""
-    return lambda z: np.array(point_map(z.tolist()))
-
-
-def _strictly_opposite(a: float, b: float) -> bool:
-    return a < 0.0 < b or b < 0.0 < a
-
-
 def _dopri5(fun, z0, t_final, cfg, switch=None):
     """Reference: one system at a time, the plain FSAL Dormand-Prince loop on a 1-D state.
 
-    Shares the step control, error norm, initial-step guess and stage sums
-    with the lockstep loop, and reads its step limits from the module at call
-    time, as the loops do; returns (times, states, stats, crossed) of the
+    Shares the step control and the initial-step guesses with the package,
+    computes the stage sums and the error norm in numpy, and reads the step
+    limits from the module at call time, as the package does; returns (times, states, stats, crossed) of the
     accepted steps.  It straddles kinks: ``crossed`` says whether some trial
     changed the sign of a value of ``switch`` strictly, from the values at
     the trial's start (winners picked there), where the package's loops
@@ -643,7 +668,8 @@ def _dopri5(fun, z0, t_final, cfg, switch=None):
             k[s] = fun(z + h * _combine(_A[s], k, terms))
         evals += 6
         z_new = z + h * _combine(_B5, k, terms)
-        err = float(_error_norm(h * _combine(_E, k, terms), z, z_new, cfg))
+        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(z_new))
+        err = float(_rms(h * _combine(_E, k, terms), tol))
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite state at t = {t:.6g}", time=t)
         if switch is not None:
@@ -680,54 +706,51 @@ _ROW_PROBLEMS = {
 # coordinates on the kink lines p1 = 0 and p2 = 0 half the time
 _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5, allow_nan=False))
 
-# batch sizes on each side of SCALAR_ROWS, where ode_cost_value switches from
-# the float loop, one point after another, to one numpy lockstep batch
 _SIZES = [4, 40]
 
 
-def test_batch_sizes_take_both_loops():
-    assert _SIZES[0] <= odesens.SCALAR_ROWS < _SIZES[1]
-
-
 def _assert_rows_match_the_reference(fun, Z0, t_final, config, switch=None) -> int:
-    """Every row of ``Z0`` on both loops against the reference alone; returns the rows that cross.
+    """Every row of ``Z0`` on both trials against the reference alone; returns the rows that cross.
 
-    A row whose trials change no sign of a switching value: the float loop's
-    trajectory and :class:`StepStats` against the reference's, bit for bit.
-    A row that crosses lands on the crossing, so the reference, which
-    straddles it, no longer applies: its steps still end on t_final and cost
-    2 + 6 per attempted step.  Every row of one lockstep batch of all rows
-    ends where the float loop ends it alone.
+    A row whose trials change no sign of a switching value: its trajectory
+    and :class:`StepStats` against the reference's, bit for bit.  A row that
+    crosses lands on the crossing, so the reference, which straddles it, no
+    longer applies: its steps still end on t_final and cost 2 + 6 per
+    attempted step.  Either way the row takes the same steps, bit for bit,
+    on the generic trial and on its width's own.
     """
-    final, errors = _dopri5_lockstep(fun, Z0, t_final, config, switch)
-    assert errors == [None] * len(Z0) and final.shape == Z0.shape
+    own = _trial_of_width(Z0.shape[1])
+    assert own is not _trial
     crossing = 0
-    for z0, z in zip(Z0, final):
+    for z0 in Z0:
         want_times, want_states, want_stats, crossed = _dopri5(_on_arrays(fun), z0, t_final, config, switch)
-        times, states, stats = _dopri5_floats(fun, z0.tolist(), t_final, config, switch)
+        times, states, stats = run = _dopri5_floats(fun, z0.tolist(), t_final, config, switch)
+        assert _bits(_dopri5_floats(fun, z0.tolist(), t_final, config, switch, own)) == _bits(run)
         if crossed:
             crossing += 1
             assert times[-1] == t_final and stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
         else:
-            assert np.array(times).tobytes() == np.array(want_times).tobytes()
-            assert np.array(states).tobytes() == np.array(want_states).tobytes() and stats == want_stats
-        assert z.tobytes() == np.array(states[-1]).tobytes()
+            assert _bits(run) == _bits((want_times, want_states, want_stats))
     return crossing
 
 
 @pytest.mark.parametrize("size", _SIZES)
 @settings(derandomize=True, max_examples=16, deadline=None)
 @given(name=st.sampled_from(sorted(_ROW_PROBLEMS)), data=st.data())
-def test_lockstep_rows_match_one_row_integrations(size, name, data):
+def test_batch_rows_match_one_row_integrations(size, name, data):
     problem, config = _ROW_PROBLEMS[name], IntegrationConfig()
     P = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=size, max_size=size)))
     _assert_batches_match_one_row_integrations(problem, P, config)
 
 
-@pytest.mark.parametrize("size", _SIZES)
-def test_rows_that_cross_leave_the_lockstep_batch_and_land_alone(bundled_problem, size):
-    P = np.array((_CROSSING + _QUIET) * (size // 8) + _CROSSING[:size % 8])[:size]
-    assert _assert_batches_match_one_row_integrations(bundled_problem, P, IntegrationConfig()) >= size // 2
+@pytest.mark.parametrize("size", [*_SIZES, 442])
+def test_rows_that_cross_land_alike_on_both_trials(bundled_problem, size):
+    # the crossing points, the quiet ones, then seeded points of [-1.5, 1.5]^2;
+    # 442 rows are as many as the README's 21 x 21 surface.  Each crossing
+    # point crosses on its coupled row, and a fifth of all rows cross or more
+    seeded = halton_in_box(size, [-1.5, -1.5], [1.5, 1.5]).tolist()
+    P = np.array(_CROSSING + _QUIET + seeded)[:size]
+    assert _assert_batches_match_one_row_integrations(bundled_problem, P, IntegrationConfig()) >= max(4, size // 5)
 
 
 def _assert_batches_match_one_row_integrations(problem, P, config) -> int:
@@ -743,10 +766,8 @@ def _assert_batches_match_one_row_integrations(problem, P, config) -> int:
     costs = ode_cost_value(problem, P, config)
     assert costs.tolist() == [ode_cost_value(problem, q, config) for q in P]
     # a single integration, with its trajectory
-    times, states, one_row = _dopri5_floats(problem.rhs.value, Z0[0].tolist(), problem.t_final, config, switch)
-    got = integrate_state(problem, P[0], config)
-    assert got[0].tobytes() == np.array(times).tobytes() and got[1].tobytes() == np.array(states).tobytes()
-    assert got[2] == one_row
+    run = _dopri5_floats(problem.rhs.value, Z0[0].tolist(), problem.t_final, config, switch)
+    assert _bits(integrate_state(problem, P[0], config)) == _bits(run)
     # the four compass probes at P[0]: four coupled integrations
     p, n = P[0], problem.n_state
     result, trajectories = _subgradient_and_trajectories(problem, p, config)
@@ -774,7 +795,6 @@ def test_two_crossings_in_one_step_land_in_turn(size):
     problem = problem_from_json({
         "n_state": 2, "rhs_expr": ["(const 1)", "(add (abs (sub (var 0) (const 0.5))) (abs (sub (var 0) (const 0.5005))))"],
         "init_expr": ["(var 0)", "(const 0)"], "cost_expr": "(var 3)", "t_final": 1.0})
-    assert getattr(problem.rhs.switch, "columns", None) is None  # read row by row in lockstep
     times, states, stats = integrate_state(problem, [0.0, 0.0])
     # each crossing step ends at most rel_tol times the step before it past the kink
     assert stats.events == 2 and all(any(0.0 < t - kink <= 1e-8 for t in times) for kink in (0.5, 0.5005))
@@ -784,29 +804,96 @@ def test_two_crossings_in_one_step_land_in_turn(size):
     assert _assert_rows_match_the_reference(problem.rhs.value, Z0, 1.0, IntegrationConfig(), problem.rhs.switch) == size
 
 
-@pytest.mark.parametrize("size", _SIZES)
-def test_stage_sums_start_from_positive_zero_on_both_loops(size):
+def _reference_trial(fun, z, k1, h, atol, rtol):
+    """One trial step straight from the tableau: each sum from +0.0, term by term, the 0.0 weights kept."""
+    def combine(coeffs, ks, i):
+        total = 0.0
+        for c, k in zip(coeffs, ks):
+            total += c * k[i]
+        return total
+
+    ks = [k1]
+    for row in odesens._STAGES[1:]:
+        ks.append(fun([a + h * combine(row, ks, i) for i, a in enumerate(z)]))
+    z_new, q, nonfinite = [], 0.0, 0.0
+    for i, a in enumerate(z):
+        b, e = a + h * combine(odesens._WEIGHTS, ks, i), h * combine(odesens._ERROR_WEIGHTS, ks, i)
+        z_new.append(b)
+        nonfinite += b * 0.0 + e * 0.0
+        e /= atol + rtol * (abs(a) if abs(a) >= abs(b) else abs(b))
+        q += e * e
+    return z_new, math.sqrt(q / len(z)) + nonfinite, tuple(ks)
+
+
+# components a trial must carry exactly: signed zeros, infinities and NaN among other floats
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(width=st.integers(1, 8), data=st.data())
+def test_each_width_has_a_trial_with_the_generic_trials_bits(width, data):
+    # the points the six stages call the rhs at, the new state, the error
+    # norm and the stages, on both trials and on the reference; the rhs
+    # returns drawn components.  A stage sum that starts from its first term
+    # turns +0.0 into -0.0, and a 0.0 weight (b2, b7, e2) dropped turns
+    # 0.0 * inf = NaN into a number
+    vector = st.lists(_COMPONENT, min_size=width, max_size=width)
+    z, k1, *outputs = (data.draw(vector) for _ in range(8))
+    h = data.draw(st.sampled_from([1.0, 1e-3]) | st.floats(1e-13, 10.0))
+    atol, rtol = data.draw(st.sampled_from([(1e-8, 1e-8), (1e-300, 1e-300), (1e308, 1e308)]))
+
+    def run(trial):
+        points = []
+
+        def fun(x):
+            points.append(x)
+            return list(outputs[len(points) - 1])
+
+        z_new, err, ks = trial(fun, list(z), list(k1), h, atol, rtol)
+        # every NaN as one NaN: CPython's specialized float operations may pick another NaN's sign
+        return [np.where(np.isnan(v), math.nan, v).tobytes() for v in map(np.array, (points, z_new, err, ks))]
+
+    assert run(_trial_of_width(width)) == run(_trial) == run(_reference_trial)
+
+
+def test_stage_sums_start_from_positive_zero_on_both_trials():
     # x0 stays -0.0 with derivative -0.0, so a stage sum from +0.0 gives a
     # stage point of +0.0 where a sum from its first term would give -0.0,
     # and x1' reads the sign of that zero
     fun = lambda x: [-0.0, math.copysign(1.0, x[0])]  # noqa: E731
-    Z0 = np.tile([-0.0, 0.0], (size, 1))
-    _assert_rows_match_the_reference(fun, Z0, 1.0, IntegrationConfig())
-    final = _dopri5_lockstep(fun, Z0, 1.0, IntegrationConfig())[0]
-    for x in (final[0].tolist(), _dopri5_floats(fun, Z0[0].tolist(), 1.0, IntegrationConfig())[1][-1]):
+    _assert_rows_match_the_reference(fun, np.array([[-0.0, 0.0]]), 1.0, IntegrationConfig())
+    for trial in (_trial, _trial_of_width(2)):
+        x = _dopri5_floats(fun, [-0.0, 0.0], 1.0, IntegrationConfig(), None, trial)[1][-1]
         assert math.copysign(1.0, x[0]) == 1.0 and x[1] > 0.0  # x0 is +0.0 after the first step
 
 
-@pytest.mark.parametrize("size", _SIZES)
-def test_the_last_step_lands_on_t_final_on_both_loops(size):
+def test_the_last_step_lands_on_t_final_on_both_trials():
     # dx/dt = 1 with steps growing fivefold: the last step starts at t = 0.3906,
     # where t + (0.9 - t) rounds to 0.9000000000000001
     problem = problem_from_json({"n_state": 1, "rhs_expr": ["(const 1)"], "init_expr": ["(var 0)"],
                                  "cost_expr": "(var 2)", "t_final": 0.9})
-    Z0 = np.zeros((size, 1))
-    _assert_rows_match_the_reference(problem.rhs.value, Z0, problem.t_final, IntegrationConfig())
+    _assert_rows_match_the_reference(problem.rhs.value, np.zeros((1, 1)), problem.t_final, IntegrationConfig())
     times = _dopri5_floats(problem.rhs.value, [0.0], problem.t_final, IntegrationConfig())[0]
     assert times[-2] == 0.3906 and 0.3906 + (0.9 - 0.3906) > 0.9 and times[-1] == 0.9
+
+
+@pytest.mark.parametrize("width", [odesens.MAX_TRIAL_WIDTH, odesens.MAX_TRIAL_WIDTH + 1])
+def test_wide_batches_match_their_single_row_integrations(width):
+    # up to MAX_TRIAL_WIDTH components a batch runs the width's own trial,
+    # past it the generic one; single integrations run the generic one
+    problem = problem_from_json({
+        "n_state": width, "rhs_expr": ["(abs (var 1))", *(f"(sub (var {i + 1}) (scale 0.5 (var {i})))"
+                                                          for i in range(width - 2)), "(neg (var 0))"],
+        "init_expr": ["(var 0)", "(var 1)", *(["(const 0.25)"] * (width - 2))], "cost_expr": "(var 2)",
+        "t_final": 1.0})
+    assert (_trial_of_width(width) is _trial) == (width > odesens.MAX_TRIAL_WIDTH)
+    P = np.array([[0.5, -0.25], [-0.3, 0.7], [0.0, -0.0]])
+    costs = ode_cost_value(problem, P)
+    for q, cost in zip(P, costs.tolist()):
+        times, states, stats = integrate_state(problem, q)
+        assert cost == problem.cost.value(np.concatenate([q, states[-1]]))
+        assert _bits(_dopri5_floats(problem.rhs.value, states[0].tolist(), 1.0, IntegrationConfig(),
+                                    problem.rhs.switch, _trial_of_width(width))) == _bits((times, states, stats))
 
 
 def test_error_norm_sums_squares_left_to_right():
@@ -860,7 +947,7 @@ _BLOWUP = problem_from_json({"n_state": 1, "rhs_expr": ["(mul (var 0) (var 0))"]
                              "cost_expr": "(var 2)", "t_final": 1.0})
 
 
-@pytest.mark.parametrize("size", [6, _SIZES[1]])  # every failure kind below, on each side of SCALAR_ROWS
+@pytest.mark.parametrize("size", [6, 40])
 @pytest.mark.parametrize("max_steps", [odesens.MAX_STEPS, 25])
 def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
     # dx/dt = x^2 from x0 = p1 blows up at t = 1 / p1; 1e200 has a non-finite
@@ -872,28 +959,24 @@ def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
     P[6:, 0] += np.linspace(-0.5, 0.5, size - 6)
     Z0 = _at_rows(_BLOWUP.init.value, P)
     fun = _BLOWUP.rhs.value
-    final, errors = _dopri5_lockstep(fun, Z0, 1.0, config)
-    failed = []
+    errors = {}  # the reference's error of each failing row
     for i, z0 in enumerate(Z0):
         try:
             want = _dopri5(_on_arrays(fun), z0, 1.0, config)[:3]
         except IntegrationError as alone:
-            failed.append(i)
-            with pytest.raises(IntegrationError) as floats:
-                _dopri5_floats(fun, z0.tolist(), 1.0, config)
-            assert (str(errors[i]), errors[i].time) == (str(floats.value), floats.value.time) == \
-                (str(alone), alone.time)
-            assert final[i].tobytes() == z0.tobytes()
+            errors[i] = alone
+            for trial in (_trial, _trial_of_width(1)):
+                with pytest.raises(IntegrationError) as floats:
+                    _dopri5_floats(fun, z0.tolist(), 1.0, config, None, trial)
+                assert (str(floats.value), floats.value.time) == (str(alone), alone.time)
         else:
-            times, states, stats = _dopri5_floats(fun, z0.tolist(), 1.0, config)
-            assert (np.array(times).tobytes(), np.array(states).tobytes(), stats) == \
-                (np.array(want[0]).tobytes(), np.array(want[1]).tobytes(), want[2])
-            assert errors[i] is None and final[i].tobytes() == want[1][-1].tobytes()
-    assert len(failed) >= 3
-    # the batch raises the lowest failing row's error, on the float loop (6 rows) or in lockstep (40)
+            for trial in (_trial, _trial_of_width(1)):
+                assert _bits(_dopri5_floats(fun, z0.tolist(), 1.0, config, None, trial)) == _bits(want)
+    assert len(errors) >= 3
+    # the batch raises the lowest failing row's error
     with pytest.raises(IntegrationError) as batch:
         ode_cost_value(_BLOWUP, P, config)
-    row = failed[0]
+    row = min(errors)
     assert (batch.value.row, batch.value.time) == (row, errors[row].time)
     assert str(batch.value).startswith(f"{errors[row]} for p = ")
 
@@ -922,35 +1005,66 @@ def test_probe_errors_come_in_probe_order():
 
 
 def test_each_entry_point_runs_its_own_loop(bundled_problem, monkeypatch):
-    calls = {"floats": 0, "lockstep": []}  # float-loop runs, and the row count of each lockstep batch
-    floats, lockstep = odesens._dopri5_floats, odesens._dopri5_lockstep
+    # single integrations run the generic trial, each row of ode_cost_value its width's own
+    trials = []  # the trial of each run of the step loop
+    floats = odesens._dopri5_floats
 
-    def count_floats(*args):
-        calls["floats"] += 1
-        return floats(*args)
-
-    def count_lockstep(fun, Z0, *args):
-        calls["lockstep"].append(len(Z0))
-        return lockstep(fun, Z0, *args)
+    def record(fun, z0, t_final, cfg, switch=None, trial=_trial):
+        trials.append(trial)
+        return floats(fun, z0, t_final, cfg, switch, trial)
 
     def runs(call):
-        calls.update(floats=0, lockstep=[])
+        trials.clear()
         call()
-        return calls["floats"], calls["lockstep"]
+        return trials
 
-    monkeypatch.setattr(odesens, "_dopri5_floats", count_floats)
-    monkeypatch.setattr(odesens, "_dopri5_lockstep", count_lockstep)
-    p, rows = [0.3, -0.7], odesens.SCALAR_ROWS
-    assert runs(lambda: integrate_state(bundled_problem, p)) == (1, [])
-    assert runs(lambda: integrate_coupled(bundled_problem, p, [1.0, 0.0])) == (1, [])
-    assert runs(lambda: ode_subgradient(bundled_problem, p)) == (4, [])
-    assert runs(lambda: ode_cost_value(bundled_problem, p)) == (1, [])
-    assert runs(lambda: ode_cost_value(bundled_problem, [p] * rows)) == (rows, [])
-    assert runs(lambda: ode_cost_value(bundled_problem, [p] * (rows + 1))) == (0, [rows + 1])
-    # x0 = 1.5 blows up at t = 2/3 along every direction: the first probe's failure ends the probes
+    monkeypatch.setattr(odesens, "_dopri5_floats", record)
+    p, own = [0.3, -0.7], _trial_of_width(bundled_problem.n_state)
+    assert own is not _trial and own is _trial_of_width(3)  # compiled once per width
+    assert runs(lambda: integrate_state(bundled_problem, p)) == [_trial]
+    assert runs(lambda: integrate_coupled(bundled_problem, p, [1.0, 0.0])) == [_trial]
+    assert runs(lambda: ode_subgradient(bundled_problem, p)) == [_trial] * 4
+    assert runs(lambda: ode_cost_value(bundled_problem, p)) == [own]
+    assert runs(lambda: ode_cost_value(bundled_problem, [p] * 21)) == [own] * 21
+    # x0 = 1.5 blows up at t = 2/3 along every direction: the first probe's
+    # failure ends the probes, and the first failing row ends a batch
     with pytest.raises(IntegrationError) as err:
         runs(lambda: ode_subgradient(_BLOWUP, [1.5, 0.0]))
-    assert calls == {"floats": 1, "lockstep": []} and err.value.direction.tolist() == [1.0, 0.0]
+    assert trials == [_trial] and err.value.direction.tolist() == [1.0, 0.0]
+    with pytest.raises(IntegrationError) as err:
+        runs(lambda: ode_cost_value(_BLOWUP, [[0.5, 0.0], [1.5, 0.0], [0.5, 0.0]]))
+    assert trials == [_trial_of_width(1)] * 2 and err.value.row == 1
+
+
+def _rhs_that_changes_width(good_calls: int, extra: int) -> OdeProblem:
+    """dx/dt = -x on two states, by a hand-written rhs that returns ``2 + extra`` components after ``good_calls``."""
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        out = [-x[0], -x[1]]
+        if len(calls) <= good_calls:
+            return out
+        return out + [0.0] if extra > 0 else out[:1]
+
+    return dataclasses.replace(_linear_problem([[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+                               rhs=VectorOracle(value=value, tangent=value, dim_in=2, dim_out=2))
+
+
+# calls before the rhs changes its width: f(z0), the step-size guess, then the first trial's stages k2 to k7
+@pytest.mark.parametrize("good_calls", [1, 2, 6, 7])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_an_rhs_that_changes_its_width_fails_on_both_trials(good_calls, extra):
+    # a zip would truncate the longer output, or the next stage's point, in silence
+    message = f"^the right-hand side returned {2 + extra} components for a point, expected 2$"
+    for run in (lambda problem: integrate_state(problem, [1.0, 2.0]),
+                lambda problem: ode_cost_value(problem, [1.0, 2.0]),
+                lambda problem: ode_cost_value(problem, [[1.0, 2.0]] * 40)):
+        with pytest.raises(InputError, match=message):
+            run(_rhs_that_changes_width(good_calls, extra))
+    # a later row of a batch
+    with pytest.raises(InputError, match=message):
+        ode_cost_value(_rhs_that_changes_width(good_calls + 200, extra), [[1.0, 2.0]] * 40)
 
 
 def test_an_overflowing_error_norm_rejects_the_step():
