@@ -27,8 +27,7 @@ class GradientHull:
 
     Either a finite generator list (``generators``), or the closed ball of
     radius ``ball_radius`` (used for the Euclidean norm at the origin, whose
-    subdifferential has no finite generating set).  A ball entry may still
-    carry sampled generators for support-inequality style checks.
+    subdifferential has no finite generating set).
     """
 
     generators: Optional[np.ndarray] = None
@@ -124,10 +123,7 @@ def _sign(t: float) -> float:
 def _hull_euclid_norm(x):
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        circle = unit_directions(64, x.size)
-        return GradientHull(generators=circle, ball_radius=1.0)
-    return singleton(x / nx)
+    return GradientHull(ball_radius=1.0) if nx == 0.0 else singleton(x / nx)
 
 
 def _hull_neg_abs_x1(x):

@@ -18,7 +18,6 @@ evaluation error, 4 numerical failure.  All JSON output is deterministic
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -108,23 +107,6 @@ def _resolve_input_path(path: str) -> str:
     raise InputError(f"no such file: {path} (and no bundled fixture of that name)")
 
 
-def _load_problem(path: str, loader, what: str):
-    """``loader`` applied to the JSON in ``path``; a malformed file is an :class:`InputError`."""
-    try:
-        with open(_resolve_input_path(path)) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise InputError(f"malformed JSON in {path}: {err}") from None
-    except (OSError, UnicodeDecodeError) as err:
-        raise InputError(f"cannot read {path}: {err}") from None
-    try:
-        return loader(data)
-    except ValueError as err:
-        raise InputError(f"bad {what}: {err}") from None
-    except (TypeError, LookupError) as err:  # a missing field or a value of the wrong type
-        raise InputError(f"bad {what}: {err!r}") from None
-
-
 def _prepare_out_dir(out_dir: str):
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -197,7 +179,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    oracle = _load_problem(args.polytope, load_polytope_json, "polytope")
+    oracle = load_polytope_json(_resolve_input_path(args.polytope))
     mid = midpoint_element(oracle)
     payload: dict = {
         "description": oracle.description,
@@ -226,7 +208,7 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    problem = _load_problem(args.problem, ode_from_json, "ODE problem")
+    problem = ode_from_json(_resolve_input_path(args.problem))
     p = _parse_point(args.at, "parameter point")
     config = IntegrationConfig(abs_tol=args.abstol, rel_tol=args.reltol)
     grid = None if args.surface is None else np.linspace(*_parse_gridspec(args.surface))
@@ -244,11 +226,8 @@ def _cmd_ode(args) -> int:
         # one integration of all rows: p, then the grid
         phi0, *phis = ode_cost_value(problem, np.vstack([p, points]), config).tolist()
         s = result.subgradient
-        lines = ["p1,p2,phi,affine"]
-        for q, phi in zip(points, phis):
-            affine = phi0 + float(s @ (q - p))
-            lines.append(",".join(format(v, ".17g") for v in (*q, phi, affine)))
-        written.append(_write_file(out_dir, "surface.csv", "\n".join(lines) + "\n"))
+        rows = ((*q, phi, phi0 + float(s @ (q - p))) for q, phi in zip(points, phis))
+        written.append(_write_file(out_dir, "surface.csv", jsonio.csv(("p1", "p2", "phi", "affine"), rows)))
     if written:
         payload["files"] = written
     _emit(args, payload)
@@ -256,7 +235,7 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_danskin(args) -> int:
-    problem = _load_problem(args.problem, danskin_from_json, "optimal-value problem")
+    problem = danskin_from_json(_resolve_input_path(args.problem))
     x_hat = _parse_point(args.at)
     active = solve_inner(problem, x_hat, args.eps_active)
     result = _subgradient_from_active(problem, x_hat, active)
@@ -272,9 +251,6 @@ def _cmd_optimize(args) -> int:
     expression = _load_expression(args)
     x0 = _parse_point(getattr(args, "from"))
     oracle = ex.as_oracle(expression, 2)
-    rules = [r for r in (args.polyak, args.constant, args.diminishing) if r is not None]
-    if len(rules) != 1:
-        raise InputError("choose exactly one of --polyak, --constant, --diminishing")
     if args.polyak is not None:
         rule = Polyak(f_star=args.polyak)
     elif args.constant is not None:
@@ -357,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--expr")
     group.add_argument("--expr-file")
     p.add_argument("--from", required=True, help="starting point x1,x2")
-    p.add_argument("--polyak", type=float, help="Polyak steps towards this known optimal value")
-    p.add_argument("--constant", type=float, help="constant step length")
-    p.add_argument("--diminishing", type=float, help="gamma0 for steps gamma0/sqrt(k+1)")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--polyak", type=float, help="Polyak steps towards this known optimal value")
+    group.add_argument("--constant", type=float, help="constant step length")
+    group.add_argument("--diminishing", type=float, help="gamma0 for steps gamma0/sqrt(k+1)")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--stop-tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_optimize)

@@ -22,7 +22,8 @@ import numpy as np
 from . import expr as ex
 from . import jsonio
 from .compass import probe
-from .oracle import UNGUARANTEED, CompassResult, InputError, require_integer, require_numbers, require_positive
+from .oracle import (UNGUARANTEED, CompassResult, InputError, require_fields, require_integer, require_numbers,
+                     require_positive, require_text)
 
 
 @dataclass(frozen=True)
@@ -280,16 +281,13 @@ def problem_from_json(source) -> OptimalValueProblem:
     The feasible set is either ``{"cloud": [[...], ...]}`` or
     ``{"box": {"lower": [...], "upper": [...], "grid": k, "refine_steps": r}}``.
     """
-    data = jsonio.load(source)
-    for key in ("objective", "grad_x", "feasible"):
-        if key not in data:
-            raise InputError(f"optimal-value problem JSON is missing {key!r}")
-    feas_data = data["feasible"]
+    data = require_fields("optimal-value problem JSON", jsonio.load(source), ("objective", "grad_x", "feasible"))
+    feas_data = require_fields("feasible", data["feasible"], ())
     if "cloud" in feas_data:
         feasible: FeasibleSet = FinitePointCloud(points=require_numbers("cloud", feas_data["cloud"]))
         m = feasible.points.shape[1]
     elif "box" in feas_data:
-        b = feas_data["box"]
+        b = require_fields("box", feas_data["box"], ("lower", "upper"))
         feasible = Box(
             lower=require_numbers("box lower", b["lower"]),
             upper=require_numbers("box upper", b["upper"]),
@@ -300,8 +298,8 @@ def problem_from_json(source) -> OptimalValueProblem:
     else:
         raise InputError("feasible set must be a 'cloud' or a 'box'")
 
-    obj_expr = ex.parse_expr(data["objective"])
-    grad_exprs = [ex.parse_expr(s) for s in data["grad_x"]]
+    obj_expr = ex.parse_expr(require_text("objective", data["objective"]))
+    grad_exprs = [ex.parse_expr(s) for s in require_text("grad_x", data["grad_x"], many=True)]
     if len(grad_exprs) != 2:
         raise InputError("grad_x needs exactly two expressions (the outer space is two-dimensional)")
     if any(ex.dimension(e) > 2 + m for e in (obj_expr, *grad_exprs)):

@@ -22,7 +22,7 @@ import numpy as np
 from . import jsonio
 from .compass import probe
 from .hulls import separation
-from .oracle import InputError, guarantee_for_dim, require_integer, require_numbers, require_positive
+from .oracle import InputError, guarantee_for_dim, require_fields, require_integer, require_numbers, require_positive
 from .sampling import unit_directions
 
 #: Unit directions an oracle known through sigma alone is tested on.
@@ -141,9 +141,7 @@ def load_polytope_json(source) -> SupportOracle:
 
     ``dim`` and ``description`` are optional.
     """
-    data = jsonio.load(source)
-    if "vertices" not in data:
-        raise InputError("polytope JSON needs a 'vertices' field")
+    data = require_fields("polytope JSON", jsonio.load(source), ("vertices",))
     vertices = require_numbers("vertices", data["vertices"])
     if vertices.ndim != 2:
         raise InputError("vertices must be a list of points")

@@ -1,9 +1,12 @@
-"""Deterministic JSON emission: floats at 17 significant digits, stable order.
+"""File text: problem files in, deterministic JSON and CSV out.
 
-Repeated runs on identical inputs must produce byte-identical output, so the
-serializer is a small explicit walker rather than ``json.dumps`` (whose float
-formatting is not pinned by contract), indenting by two spaces.  Strings do
-go through ``json.dumps``, which escapes every control character.
+:func:`load` is the one reader of problem files; a file it cannot read or
+decode is an :class:`InputError`.  :func:`dumps` and :func:`csv` write floats
+at 17 significant digits in a stable order, so repeated runs on identical
+inputs produce byte-identical output.  The JSON serializer is a small
+explicit walker rather than ``json.dumps`` (whose float formatting is not
+pinned by contract), indenting by two spaces.  Strings do go through
+``json.dumps``, which escapes every control character.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 import os
 
 import numpy as np
+
+from .oracle import InputError
 
 
 def _fmt_float(v: float) -> str:
@@ -24,11 +29,29 @@ def _fmt_float(v: float) -> str:
 
 
 def load(source):
-    """The JSON document at ``source`` if it is a path (``str`` or ``os.PathLike``), else ``source`` as is."""
-    if isinstance(source, (str, os.PathLike)):
+    """The JSON document at ``source`` if it is a path (``str`` or ``os.PathLike``), else ``source`` as is.
+
+    A file that cannot be read, is not JSON, or nests too deeply to decode is an :class:`InputError`.
+    """
+    if not isinstance(source, (str, os.PathLike)):
+        return source
+    try:
         with open(source) as fh:
-            return json.load(fh)
-    return source
+            text = fh.read()
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or a NUL in the path
+        raise InputError(f"cannot read {source}: {err}") from None
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError(f"malformed JSON in {source}: nested too deeply to decode") from None
+    except ValueError as err:  # not JSON, or an integer too long to convert
+        raise InputError(f"malformed JSON in {source}: {err}") from None
+
+
+def csv(header, rows) -> str:
+    """CSV text: a line of ``header`` names, then one line per row of numbers at 17 significant digits."""
+    lines = [",".join(header)] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def dumps(obj) -> str:

@@ -77,8 +77,8 @@ import numpy as np
 from . import expr as ex
 from . import jsonio
 from .compass import probe
-from .oracle import (CompassResult, DirectionalOracle, InputError, VectorOracle, require_integer, require_numbers,
-                     require_positive)
+from .oracle import (CompassResult, DirectionalOracle, InputError, VectorOracle, require_fields, require_integer,
+                     require_numbers, require_positive, require_text)
 
 
 class IntegrationError(RuntimeError):
@@ -169,11 +169,7 @@ class SensitivityTrajectory:
     def to_csv(self) -> str:
         n = self.states.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
-        lines = [",".join(header)]
-        for k in range(self.times.size):
-            row = [self.times[k], *self.states[k], *self.sensitivities[k]]
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        return jsonio.csv(header, np.column_stack((self.times, self.states, self.sensitivities)))
 
 
 # Dormand-Prince 5(4) tableau: the stage rows, the fifth-order weights b5,
@@ -659,16 +655,14 @@ def problem_from_json(source) -> OdeProblem:
          "cost_expr": expr          over the concatenated (p, x) variables,
          "t_final": T}
     """
-    data = jsonio.load(source)
-    for key in ("n_state", "rhs_expr", "init_expr", "cost_expr", "t_final"):
-        if key not in data:
-            raise InputError(f"ODE problem JSON is missing {key!r}")
+    data = require_fields("ODE problem JSON", jsonio.load(source),
+                          ("n_state", "rhs_expr", "init_expr", "cost_expr", "t_final"))
     n = require_integer("n_state", data["n_state"])
-    rhs_exprs = [ex.parse_expr(s) for s in data["rhs_expr"]]
-    init_exprs = [ex.parse_expr(s) for s in data["init_expr"]]
+    rhs_exprs = [ex.parse_expr(s) for s in require_text("rhs_expr", data["rhs_expr"], many=True)]
+    init_exprs = [ex.parse_expr(s) for s in require_text("init_expr", data["init_expr"], many=True)]
     if len(rhs_exprs) != n or len(init_exprs) != n:
         raise InputError(f"need exactly {n} rhs and init expressions")
-    cost_expr = ex.parse_expr(data["cost_expr"])
+    cost_expr = ex.parse_expr(require_text("cost_expr", data["cost_expr"]))
     t_final = require_numbers("t_final", data["t_final"])
     if t_final.ndim:
         raise InputError(f"t_final must be a number, got {data['t_final']!r}")

@@ -14,6 +14,7 @@ from typing import Union
 
 import numpy as np
 
+from . import jsonio
 from .compass import compass_difference
 from .oracle import DirectionalOracle, InputError, OracleError, require_positive
 
@@ -80,11 +81,8 @@ class OptTrace:
             self.best_point = it.x.copy()
 
     def to_csv(self) -> str:
-        lines = ["iter,x1,x2,f,g1,g2,step"]
-        for k, it in enumerate(self.iterates):
-            values = [*it.x, it.value, *it.subgradient, it.step]
-            lines.append(f"{k}," + ",".join(format(v, ".17g") for v in values))
-        return "\n".join(lines) + "\n"
+        return jsonio.csv(("iter", "x1", "x2", "f", "g1", "g2", "step"),
+                          ((k, *it.x, it.value, *it.subgradient, it.step) for k, it in enumerate(self.iterates)))
 
 
 def subgradient_method(oracle: DirectionalOracle, x0, rule: StepRule,

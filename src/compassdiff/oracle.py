@@ -66,7 +66,28 @@ def require_numbers(name: str, value) -> np.ndarray:
     for v in array.flat:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise InputError(f"{name} must hold JSON numbers, got {v!r}")
-    return array.astype(float)
+    try:
+        return array.astype(float)
+    except OverflowError:  # a JSON integer beyond float range
+        raise InputError(f"{name} holds an integer beyond float range") from None
+
+
+def require_fields(name: str, data, keys: tuple[str, ...]) -> dict:
+    """``data`` if it is a JSON object holding every key of ``keys``; anything else is an :class:`InputError`."""
+    if not isinstance(data, dict):
+        raise InputError(f"{name} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{name} is missing {key!r}")
+    return data
+
+
+def require_text(name: str, value, many: bool = False):
+    """``value``, a problem file's expression field: a string, or with ``many`` a list of strings."""
+    if isinstance(value, list) and all(isinstance(v, str) for v in value) if many else isinstance(value, str):
+        return value
+    raise InputError(f"{name} must be {'a list of expression strings' if many else 'an expression string'}, "
+                     f"got {type(value).__name__}")
 
 
 class OracleError(RuntimeError):

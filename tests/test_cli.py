@@ -407,6 +407,7 @@ def test_cli_optimize_polyak_one_step(capsys, tmp_path):
 
 
 def test_cli_optimize_requires_one_rule(capsys):
-    code, _, err = run_cli(capsys, "optimize", "--expr", "(abs (var 0))", "--from", "1,1")
-    assert code == 2
-    assert "choose exactly one" in err
+    with pytest.raises(SystemExit) as exc:  # argparse's required mutually exclusive group
+        main(["optimize", "--expr", "(abs (var 0))", "--from", "1,1"])
+    assert exc.value.code == 2
+    assert "one of the arguments --polyak --constant --diminishing is required" in capsys.readouterr().err

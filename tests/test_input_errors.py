@@ -6,8 +6,11 @@ and numerical failures exit 4.  The tables below pin the rules, and a
 property test draws hostile argv for every subcommand.
 """
 
+import copy
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -65,6 +68,10 @@ _NARROW_INIT = OdeProblem(rhs=VectorOracle(value=lambda x: [-x[0], -x[0]],
                                            tangent=lambda z: [-z[0], -z[0], -z[2], -z[2]], dim_in=2, dim_out=2),
                           init=VectorOracle(value=lambda p: p[:1], tangent=lambda z: z[:3], dim_in=2, dim_out=2),
                           cost=_NARROW_RHS.cost, t_final=1.0)
+
+
+_HUGE = 10**400  # a JSON integer beyond float range
+_DEEP_ARRAY = "[" * 100000 + "]" * 100000
 
 
 def _box_problem(**box):
@@ -280,15 +287,95 @@ def test_cli_non_finite_numbers_in_problem_files_exit_2(capsys, tmp_path, kind):
                                             "feasible": {"cloud": [["0", "1"], ["1", "0"]]}}),
     (["danskin", "--at=0,0", "--problem"], {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
                                             "feasible": {"box": {"lower": ["-1", False], "upper": [1, 1]}}}),
+    # integers beyond float range, one per loader and number field
+    (["ode", "--at=0,0", "--problem"], dict(_ONE_STATE, t_final=_HUGE)),
+    (["hull", "--polytope"], {"vertices": [[0, 0], [_HUGE, 0], [0, 1]]}),
+    (["danskin", "--at=0,0", "--problem"], {"objective": "(var 2)", "grad_x": ["(const 0)", "(const 0)"],
+                                            "feasible": {"cloud": [[_HUGE], [0]]}}),
+    (["danskin", "--at=0,0", "--problem"], _box_problem(lower=[-_HUGE])),
+    # a list or null where an expression string belongs
+    (["ode", "--at=0,0", "--problem"], dict(_ONE_STATE, cost_expr=[["(var 2)"]])),
+    (["danskin", "--at=0,0", "--problem"], {"objective": "(var 2)", "grad_x": [None, "(const 0)"],
+                                            "feasible": {"cloud": [[0], [1]]}}),
+    # nesting too deep to decode, as file text
+    *(pytest.param(argv, _DEEP_ARRAY, id=f"{argv[0]}-deep-array")
+      for argv in (["ode", "--at=0,0", "--problem"], ["hull", "--polytope"], ["danskin", "--at=0,0", "--problem"])),
 ])
 def test_cli_malformed_problem_files_exit_2(capsys, tmp_path, argv, data):
     # a mistyped value, a missing box bound and a flat vertex list used to end
     # in a traceback, an "n_state": true used to run as n_state 1, and a
-    # vector wider than MAX_NODES would take the compiler gigabytes
+    # vector wider than MAX_NODES would take the compiler gigabytes; a huge
+    # integer, a list for an expression and a deep array ended in an
+    # OverflowError, an AttributeError and a RecursionError traceback
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = _run(capsys, [*argv, str(path)])
     assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# each loader owns its document's shape
+
+_KEYS = ("n_state", "rhs_expr", "cost_expr", "t_final", "feasible", "cloud", "box", "lower", "upper", "grid",
+         "vertices", "dim")
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.sampled_from([_HUGE, -_HUGE, 0, 1, 2, 3])
+                | st.floats() | st.text(max_size=8)
+                | st.sampled_from(["(var 0)", "(var 1)", "(var 9)", "(const 1)", "(abs (var 2))", "(var"]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4),
+                                                                inner, max_size=4),
+    max_leaves=12)
+
+_LOADER_DOCS = {
+    "ode": (ode_from_json, _EXAMPLE46),
+    "cloud": (danskin_from_json, {"objective": "(norm (sub (var 2) (var 0)) (sub (var 3) (var 1)))",
+                                  "grad_x": ["(var 0)", "(neg (var 1))"],
+                                  "feasible": {"cloud": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]}}),
+    "box": (danskin_from_json, _box_problem(grid=3, refine_steps=2)),
+    "polytope": (load_polytope_json, json.loads(paper_fixture_path("triangle.json").read_text())),
+}
+
+
+def _paths(doc, prefix=()):
+    """The path to every object member and list item of ``doc``, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one member or item replaced by an arbitrary JSON value or removed, or a whole new document."""
+    action = draw(st.sampled_from(["replace", "remove", "whole"]))
+    if action == "whole":
+        return draw(_JSON_VALUES)
+    doc = copy.deepcopy(doc)
+    *outer, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = functools.reduce(operator.getitem, outer, doc)
+    if action == "remove":
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("kind", _LOADER_DOCS)
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_each_loader_loads_or_raises_input_error(tmp_path, monkeypatch, kind, data):
+    # the CLI hands every problem file to its loader and answers InputError with
+    # exit 2; any other exception would be a traceback (a string document is a
+    # path, read relative to an empty directory here)
+    monkeypatch.chdir(tmp_path)
+    loader, doc = _LOADER_DOCS[kind]
+    try:
+        loader(data.draw(_mutated(doc)))
+    except InputError:
+        pass
 
 
 def test_surface_count_is_capped():
