@@ -23,7 +23,7 @@ from . import expr as ex
 from . import jsonio
 from .compass import probe
 from .oracle import (UNGUARANTEED, CompassResult, InputError, require_fields, require_integer, require_numbers,
-                     require_positive, require_text)
+                     require_positive, require_text, shown)
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class Box:
         if self.grid < 2:
             raise InputError("grid resolution must be at least 2 per axis")
         if int(self.grid) ** lower.size > MAX_GRID_POINTS:
-            raise InputError(f"grid of {self.grid}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
+            raise InputError(f"grid of {shown(self.grid)}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
         if not 0 <= self.refine_steps <= MAX_REFINE_STEPS:
-            raise InputError(f"refine_steps must be between 0 and {MAX_REFINE_STEPS}, got {self.refine_steps}")
+            raise InputError(f"refine_steps must be between 0 and {MAX_REFINE_STEPS}, got {shown(self.refine_steps)}")
 
 
 FeasibleSet = Union[FinitePointCloud, Box]
@@ -246,7 +246,7 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
 def _stability(problem: OptimalValueProblem, x_hat: np.ndarray, base: ActiveSet, result: CompassResult) -> dict:
     # ``result`` is the compass difference over ``base``: its probes are psi under eps
     if not 10.0 * base.epsilon < math.inf:
-        raise InputError(f"eps_active must be positive and finite, and so must 10 * eps, got {base.epsilon!r}")
+        raise InputError(f"eps_active must be positive and finite, and so must 10 * eps, got {shown(base.epsilon)}")
     wide = solve_inner(problem, x_hat, 10.0 * base.epsilon)
     return {
         "eps_active": base.epsilon,

@@ -147,10 +147,10 @@ def load_polytope_json(source) -> SupportOracle:
         raise InputError("vertices must be a list of points")
     dim = require_integer("dim", data.get("dim", vertices.shape[1]))
     if vertices.shape[1] != dim:
-        raise InputError(f"vertices must be a list of {dim}-dimensional points")
+        raise InputError(f"dim must equal the vertices' dimension, {vertices.shape[1]}")
     description = data.get("description", "")
     if not isinstance(description, str):
-        raise InputError(f"description must be a string, got {description!r}")
+        raise InputError(f"description must be a string, got {type(description).__name__}")
     return polytope_support(vertices, description=description)
 
 

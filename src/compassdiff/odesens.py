@@ -17,14 +17,14 @@ step loop on Python floats (:func:`_dopri5_floats`) that integrates one
 system and records its accepted steps.  It holds the step control, the
 landing on kink crossings and the failures; the arithmetic of one trial
 step (the six stage sums, the new state, the error estimate and its norm)
-is a function it is given, generated from one source
-(:func:`_trial_source`) in two forms.  :data:`_trial` serves every width;
-it runs :func:`integrate_state`, :func:`integrate_coupled` and each compass
-probe of :func:`ode_subgradient`, which integrates its own direction when
-psi is asked for it.  :func:`ode_cost_value`, which runs the rows of an
-``ode --surface`` grid, integrates its points one after another on the
-state width's own trial, straight-line code (:func:`_trial_of_width`).
-Both trials give the same bits, so a row takes the same steps on either.
+is a function generated from one source (:func:`_trial_source`) in two
+forms.  Every run takes the straight-line form of its state's width,
+compiled once per width and process (:func:`_trial_of_width`); on example46
+that is width 3 for :func:`integrate_state` and the rows of
+:func:`ode_cost_value`, and 6 for :func:`integrate_coupled`, so for each
+compass probe of :func:`ode_subgradient`.  The form of any width,
+:data:`_trial`, serves only states past MAX_TRIAL_WIDTH = 64 components:
+coupled runs with n_state > 32.  Both give the same bits, and so the same steps.
 The rhs is a point map on lists of floats (:class:`VectorOracle`); for a
 problem file it is one generated function that evaluates every component
 as flat statements (:func:`compassdiff.expr.compile_rows`).  The loop is
@@ -78,7 +78,7 @@ from . import expr as ex
 from . import jsonio
 from .compass import probe
 from .oracle import (CompassResult, DirectionalOracle, InputError, VectorOracle, require_fields, require_integer,
-                     require_numbers, require_positive, require_text)
+                     require_numbers, require_positive, require_text, shown)
 
 
 class IntegrationError(RuntimeError):
@@ -324,6 +324,7 @@ def _trial_source(n: Optional[int]) -> str:
     return "\n    ".join(lines)
 
 
+@lru_cache(maxsize=None)  # None and each width up to MAX_TRIAL_WIDTH: about 4.7 MB if all are used
 def _compile_trial(n: Optional[int]):
     namespace = {"sqrt": math.sqrt, "wrong": partial(_wrong_width, "the right-hand side")}
     width = "n" if n is None else n
@@ -335,18 +336,18 @@ def _compile_trial(n: Optional[int]):
 _trial = _compile_trial(None)
 
 #: Widest state that gets its own trial (:func:`_trial_of_width`); wider
-#: states take :data:`_trial`.  The generated source grows by about 1.3 KB
-#: per component, and so do its compile() time and memory.  Measured on
-#: CPython 3.11 on a shared 2-vCPU machine, as compile time (the range over
-#: quiet and loaded runs) / tracemalloc peak / time per trial against
-#: :data:`_trial`'s: width 3, 1.2-2.2 ms / 0.36 MB / 0.50-0.55; width 6,
-#: 1.8-3.6 ms / 0.56 MB / 0.57-0.64; width 64, 17-33 ms / 5.6 MB /
-#: 0.84-0.88; width 512, 174-276 ms / 44 MB / 0.95-1.00.  Past 64
-#: components the trial gains little for its compile time and memory.
+#: states take :data:`_trial` (coupled runs with n_state > 32).  The
+#: generated source grows by about 1.3 KB per component, and so do its
+#: compile() time and memory.  Measured on CPython 3.11 on a shared 2-vCPU
+#: machine, as compile time (the range over quiet and loaded runs) /
+#: tracemalloc peak / time per trial against :data:`_trial`'s: width 3,
+#: 1.2-2.2 ms / 0.36 MB / 0.50-0.55; width 6, 1.8-3.6 ms / 0.56 MB /
+#: 0.57-0.64; width 64, 17-33 ms / 5.6 MB / 0.84-0.88; width 512, 174-276
+#: ms / 44 MB / 0.95-1.00.  Past 64 components the trial gains little for
+#: its compile time and memory.
 MAX_TRIAL_WIDTH = 64
 
 
-@lru_cache(maxsize=8)
 def _trial_of_width(n: int):
     """The trial step of states of ``n`` components, compiled on the first call for ``n``.
 
@@ -436,16 +437,15 @@ def _aim(before: float, past: float, close: float) -> tuple[float, bool]:
     return step, False
 
 
-def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, switch=None, trial=_trial):
+def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, switch=None):
     """Integrate dz/dt = fun(z) from 0 to t_final from ``z0``, a list of n floats.
 
     ``fun`` is a point map: a state, a list of n floats, to its derivative;
-    ``switch``, if given, its switching map (:data:`compassdiff.expr.SwitchMap`);
-    ``trial`` takes each trial step (:data:`_trial`, or the width's own from
-    :func:`_trial_of_width`, which gives the same bits).  This loop is the
-    one definition of the step control, the landing on kink crossings and
-    the failures.  A run costs 6 rhs evaluations per attempted step, plus
-    f(z0) and one more for the step-size guess.  It raises an
+    ``switch``, if given, its switching map (:data:`compassdiff.expr.SwitchMap`).
+    Each trial step runs on the trial of n components (:func:`_trial_of_width`).
+    This loop is the one definition of the step control, the landing on kink
+    crossings and the failures.  A run costs 6 rhs evaluations per attempted
+    step, plus f(z0) and one more for the step-size guess.  It raises an
     :class:`IntegrationError` on a non-finite derivative at t = 0, a
     non-finite state or error-estimate component, MAX_STEPS attempted steps
     or a step below MIN_STEP; an error norm that overflows from finite
@@ -455,7 +455,7 @@ def _dopri5_floats(fun, z0: list, t_final: float, cfg: IntegrationConfig, switch
     and the :class:`StepStats`.
     """
     n = len(z0)
-    atol, rtol, max_steps, min_step = cfg.abs_tol, cfg.rel_tol, MAX_STEPS, MIN_STEP
+    trial, atol, rtol, max_steps, min_step = _trial_of_width(n), cfg.abs_tol, cfg.rel_tol, MAX_STEPS, MIN_STEP
     k1 = _point(fun, z0, n, "the right-hand side")
     if not all(map(math.isfinite, k1)):  # the step-size guess would divide by zero
         raise IntegrationError("non-finite state derivative at t = 0", time=0.0)
@@ -567,11 +567,10 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
 
     ``p`` is one point of shape (2,), which returns a float, or a batch of
     shape (N, 2), which returns shape (N,).  The rows are integrated one
-    after another on the state width's own trial
-    (:func:`_trial_of_width`), so row i equals ``ode_cost_value(problem,
-    p[i])`` bit for bit, and takes the steps :func:`integrate_state` takes
-    at p[i].  The first failing row's error is raised, naming its point and
-    index; the rows after it are not integrated.
+    after another, so row i equals ``ode_cost_value(problem, p[i])`` bit
+    for bit, and takes the steps :func:`integrate_state` takes at p[i].
+    The first failing row's error is raised, naming its point and index;
+    the rows after it are not integrated.
     """
     try:
         p = np.asarray(p, dtype=float)
@@ -582,11 +581,10 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
     P = p.reshape(-1, 2)
     n = problem.n_state
     x0 = [_point(problem.init.value, q, n, "the initial map") for q in P.tolist()]
-    fun, t_final, switch, trial = problem.rhs.value, problem.t_final, problem.rhs.switch, _trial_of_width(n)
     final = []
     for row, z0 in enumerate(x0):
         try:
-            final.append(_dopri5_floats(fun, z0, t_final, config, switch, trial)[1][-1])
+            final.append(_dopri5_floats(problem.rhs.value, z0, problem.t_final, config, problem.rhs.switch)[1][-1])
         except IntegrationError as error:
             a, b = P[row].tolist()
             raise IntegrationError(f"{error} for p = ({a:.17g}, {b:.17g})", time=error.time, row=row) from None
@@ -661,11 +659,11 @@ def problem_from_json(source) -> OdeProblem:
     rhs_exprs = [ex.parse_expr(s) for s in require_text("rhs_expr", data["rhs_expr"], many=True)]
     init_exprs = [ex.parse_expr(s) for s in require_text("init_expr", data["init_expr"], many=True)]
     if len(rhs_exprs) != n or len(init_exprs) != n:
-        raise InputError(f"need exactly {n} rhs and init expressions")
+        raise InputError(f"need exactly n_state = {shown(n)} rhs and init expressions")
     cost_expr = ex.parse_expr(require_text("cost_expr", data["cost_expr"]))
     t_final = require_numbers("t_final", data["t_final"])
     if t_final.ndim:
-        raise InputError(f"t_final must be a number, got {data['t_final']!r}")
+        raise InputError(f"t_final must be a number, got {type(data['t_final']).__name__}")
     return OdeProblem(
         rhs=_vector_oracle_from_exprs(rhs_exprs, n),
         init=_vector_oracle_from_exprs(init_exprs, 2),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .compass import compass_difference
-from .oracle import DirectionalOracle, InputError, OracleError, require_positive
+from .oracle import DirectionalOracle, InputError, OracleError, require_positive, shown
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def subgradient_method(oracle: DirectionalOracle, x0, rule: StepRule,
     f(x_k) - f_star <= stop_tol.
     """
     if not max_iters >= 1:
-        raise InputError(f"max_iters must be at least 1, got {max_iters!r}")
+        raise InputError(f"max_iters must be at least 1, got {shown(max_iters)}")
     require_positive("stop_tol", stop_tol, zero_ok=True)
     x = np.asarray(x0, dtype=float).copy()
     if oracle.dim != 2 or x.size != 2:

@@ -39,11 +39,20 @@ class InputError(ValueError):
     """
 
 
+def shown(value) -> str:
+    """``repr(value)`` cut to 60 characters, or its type where that fails (an int past 4300 digits)."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= 60 else f"{text[:57]}..."
+
+
 def require_positive(name: str, value: float, zero_ok: bool = False) -> None:
     """Raise :class:`InputError` unless ``value`` is finite and positive (or zero, with ``zero_ok``); NaN never passes."""
     above = 0 <= value if zero_ok else 0 < value
     if not (above and value < math.inf):
-        raise InputError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {value!r}")
+        raise InputError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {shown(value)}")
 
 
 def require_integer(name: str, value) -> int:
@@ -52,7 +61,7 @@ def require_integer(name: str, value) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise InputError(f"{name} must be an integer, got {value!r}")
+    raise InputError(f"{name} must be an integer, got {shown(value)}")
 
 
 def require_numbers(name: str, value) -> np.ndarray:
@@ -65,7 +74,7 @@ def require_numbers(name: str, value) -> np.ndarray:
     array = np.asarray(value, dtype=object)
     for v in array.flat:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InputError(f"{name} must hold JSON numbers, got {v!r}")
+            raise InputError(f"{name} must hold JSON numbers, got {shown(v)}")
     try:
         return array.astype(float)
     except OverflowError:  # a JSON integer beyond float range

@@ -297,28 +297,33 @@ def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
 def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
     from compassdiff import odesens
 
-    recorded = []  # (initial state, times, states) of each run of the step loop on the generic trial
-    surface_rows = []  # the trials of the others
-    dopri5_floats = odesens._dopri5_floats
+    problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
+    recorded = []  # (initial state, times, states) of each coupled run of the step loop
+    trials = []  # the trial each run of the step loop takes
+    dopri5_floats, trial_of_width = odesens._dopri5_floats, odesens._trial_of_width
 
-    def recording(fun, z0, t_final, cfg, switch=None, trial=odesens._trial):
-        result = dopri5_floats(fun, z0, t_final, cfg, switch, trial)
-        if trial is odesens._trial:
+    def recording(fun, z0, t_final, cfg, switch=None):
+        result = dopri5_floats(fun, z0, t_final, cfg, switch)
+        if len(z0) == 2 * problem.n_state:
             recorded.append((z0, *result[:2]))
-        else:
-            surface_rows.append(trial)
         return result
 
+    def recording_trial(n):
+        trials.append(trial_of_width(n))
+        return trials[-1]
+
     monkeypatch.setattr(odesens, "_dopri5_floats", recording)
+    monkeypatch.setattr(odesens, "_trial_of_width", recording_trial)
     # '=' form needed for a grid starting at a negative bound
     code, out, _ = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0,0",
                            "--traj", "--surface=-1:1:5", "--out", str(tmp_path))
     assert code == 0
     # the trajectories written are the subgradient's own four probes, in probe
     # order: four coupled integrations that start at x0 and init'(p; d), on
-    # the generic trial; the surface's 26 rows run on the state width's own
-    problem = odesens.problem_from_json(paper_fixture_path("example46.json"))
-    assert surface_rows == [odesens._trial_of_width(problem.n_state)] * 26
+    # the trial of their width, 6; then the surface's 26 rows, on the state
+    # width's own, 3; neither is the generic trial
+    probes, rows = trial_of_width(2 * problem.n_state), trial_of_width(problem.n_state)
+    assert trials == [probes] * 4 + [rows] * 26 and odesens._trial not in trials
     directions = [[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]]
     assert [z0 for z0, _, _ in recorded] == [[0.0] * 3 + problem.init.tangent([0.0, 0.0, *d])[3:]
                                              for d in directions]

@@ -71,6 +71,7 @@ _NARROW_INIT = OdeProblem(rhs=VectorOracle(value=lambda x: [-x[0], -x[0]],
 
 
 _HUGE = 10**400  # a JSON integer beyond float range
+_LONG = 10**5000  # an integer past Python's 4300 digits for str(), so with no repr
 _DEEP_ARRAY = "[" * 100000 + "]" * 100000
 
 
@@ -109,6 +110,16 @@ LIBRARY_CASES = {
     "polytope dim 2.7": lambda: load_polytope_json({"dim": 2.7, "vertices": [[0, 0], [1, 0], [0, 1]]}),
     "polytope dim true": lambda: load_polytope_json({"dim": True, "vertices": [[0], [1]]}),
     "polytope description 5": lambda: load_polytope_json({"vertices": [[0, 0], [1, 0]], "description": 5}),
+    # an integer with no repr, in a decoded document: the messages used to raise ValueError making one
+    "polytope description 10**5000": lambda: load_polytope_json({"vertices": [[0, 0], [1, 0]],
+                                                                 "description": _LONG}),
+    "vertex [10**5000]": lambda: load_polytope_json({"vertices": [[0, [_LONG]], [1, 0]]}),
+    "polytope dim 10**5000": lambda: load_polytope_json({"dim": _LONG, "vertices": [[0, 0], [1, 0]]}),
+    "require_integer [10**5000]": lambda: oracle.require_integer("grid", [_LONG]),
+    "require_positive -10**5000": lambda: oracle.require_positive("t_final", -_LONG),
+    "n_state 10**5000": lambda: ode_from_json(dict(_ONE_STATE, n_state=_LONG)),
+    "box grid 10**5000": lambda: danskin_from_json(_box_problem(grid=_LONG)),
+    "box refine_steps 10**5000": lambda: danskin_from_json(_box_problem(refine_steps=_LONG)),
     # a map's output width, for one point and for a batch
     "rhs value width": lambda: ode_cost_value(_NARROW_RHS, [1.0, 2.0]),
     "rhs value width, batch": lambda: ode_cost_value(_NARROW_RHS, [[1.0, 2.0]] * 40),
@@ -139,6 +150,7 @@ LIBRARY_CASES = {
     "diminishing nan": lambda: Diminishing(gamma0=math.nan),
     "polyak nan": lambda: Polyak(f_star=math.nan),
     "max_iters -1": lambda: subgradient_method(_NORM, [3.0, 4.0], Constant(1.0), max_iters=-1),
+    "max_iters -10**5000": lambda: subgradient_method(_NORM, [3.0, 4.0], Constant(1.0), max_iters=-_LONG),
     "stop_tol nan": lambda: subgradient_method(_NORM, [3.0, 4.0], Constant(1.0), max_iters=5, stop_tol=math.nan),
     "start size": lambda: subgradient_method(_NORM, [3.0, 4.0, 5.0], Constant(1.0), max_iters=5),
     "compass point size": lambda: compass_difference(_NORM, [1.0]),
@@ -155,6 +167,15 @@ LIBRARY_CASES = {
 def test_library_rejects_a_bad_argument_with_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_messages_show_a_bounded_repr():
+    assert oracle.shown(2.5) == "2.5" and oracle.shown("x" * 100) == "'" + "x" * 56 + "..."
+    assert oracle.shown(_LONG) == "<int too long to show>" and oracle.shown([0, _LONG]) == "<list too long to show>"
+    with pytest.raises(InputError, match=r"^description must be a string, got int$"):
+        load_polytope_json({"vertices": [[0, 0], [1, 0]], "description": _LONG})
+    with pytest.raises(InputError, match=r"^vertices must hold JSON numbers, got <list too long to show>$"):
+        load_polytope_json({"vertices": [[0, [_LONG]], [1, 0]]})
 
 
 def test_one_input_error_type():
@@ -319,8 +340,9 @@ def test_cli_malformed_problem_files_exit_2(capsys, tmp_path, argv, data):
 
 _KEYS = ("n_state", "rhs_expr", "cost_expr", "t_final", "feasible", "cloud", "box", "lower", "upper", "grid",
          "vertices", "dim")
+# _LONG comes from a function: hypothesis labels a sampled_from by its elements' reprs
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.sampled_from([_HUGE, -_HUGE, 0, 1, 2, 3])
-                | st.floats() | st.text(max_size=8)
+                | st.builds(lambda: _LONG) | st.floats() | st.text(max_size=8)
                 | st.sampled_from(["(var 0)", "(var 1)", "(var 9)", "(const 1)", "(abs (var 2))", "(var"]))
 _JSON_VALUES = st.recursive(
     _JSON_LEAVES,

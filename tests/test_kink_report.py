@@ -11,9 +11,11 @@ _spec.loader.exec_module(kink_report)
 def test_report_on_five_points(capsys):
     assert kink_report.main(["--points", "5", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].startswith("| points | n | steps median / max |") and len(lines) == 4
-    assert [line.split(" | ")[0] for line in lines[2:]] == ["| crossing", "| other"]
-    assert sum(int(line.split(" | ")[1]) for line in lines[2:]) == 5
+    assert lines[0].startswith("| points | n | steps median / max |") and len(lines) == 5
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| crossing", "| other", "| p1 = 0"]
+    assert int(lines[4].split(" | ")[1]) == kink_report.KINK_POINTS
+    assert sum(int(line.split(" | ")[1]) for line in lines[2:4]) == 5
+    assert all(p1 == 0.0 and p2 != 0.0 for p1, p2 in kink_report.on_kink_points(50, 1))
     records = kink_report.measure(kink_report.seeded_points(5, 1))
     assert [sorted(r) for r in records] == [["crosses", "error", "events", "seconds", "steps"]] * 5
 

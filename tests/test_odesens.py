@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -581,6 +583,11 @@ def _strictly_opposite(a: float, b: float) -> bool:
     return a < 0.0 < b or b < 0.0 < a
 
 
+def _on_the_generic_trial():
+    """Every run of the step loop on the generic trial, whatever its width."""
+    return mock.patch.object(odesens, "_trial_of_width", lambda n: _trial)
+
+
 def _bits(run) -> tuple:
     """``(times, states, stats)`` of an integration, its floats as bytes: signs of zero count."""
     times, states, stats = run
@@ -717,15 +724,15 @@ def _assert_rows_match_the_reference(fun, Z0, t_final, config, switch=None) -> i
     crosses lands on the crossing, so the reference, which straddles it, no
     longer applies: its steps still end on t_final and cost 2 + 6 per
     attempted step.  Either way the row takes the same steps, bit for bit,
-    on the generic trial and on its width's own.
+    on its width's own trial and on the generic one.
     """
-    own = _trial_of_width(Z0.shape[1])
-    assert own is not _trial
+    assert _trial_of_width(Z0.shape[1]) is not _trial
     crossing = 0
     for z0 in Z0:
         want_times, want_states, want_stats, crossed = _dopri5(_on_arrays(fun), z0, t_final, config, switch)
         times, states, stats = run = _dopri5_floats(fun, z0.tolist(), t_final, config, switch)
-        assert _bits(_dopri5_floats(fun, z0.tolist(), t_final, config, switch, own)) == _bits(run)
+        with _on_the_generic_trial():
+            assert _bits(_dopri5_floats(fun, z0.tolist(), t_final, config, switch)) == _bits(run)
         if crossed:
             crossing += 1
             assert times[-1] == t_final and stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
@@ -862,8 +869,9 @@ def test_stage_sums_start_from_positive_zero_on_both_trials():
     # and x1' reads the sign of that zero
     fun = lambda x: [-0.0, math.copysign(1.0, x[0])]  # noqa: E731
     _assert_rows_match_the_reference(fun, np.array([[-0.0, 0.0]]), 1.0, IntegrationConfig())
-    for trial in (_trial, _trial_of_width(2)):
-        x = _dopri5_floats(fun, [-0.0, 0.0], 1.0, IntegrationConfig(), None, trial)[1][-1]
+    for trial in (_on_the_generic_trial, contextlib.nullcontext):
+        with trial():
+            x = _dopri5_floats(fun, [-0.0, 0.0], 1.0, IntegrationConfig())[1][-1]
         assert math.copysign(1.0, x[0]) == 1.0 and x[1] > 0.0  # x0 is +0.0 after the first step
 
 
@@ -877,23 +885,56 @@ def test_the_last_step_lands_on_t_final_on_both_trials():
     assert times[-2] == 0.3906 and 0.3906 + (0.9 - 0.3906) > 0.9 and times[-1] == 0.9
 
 
+def _chain_problem(n_state: int) -> OdeProblem:
+    """x0' = |x1|, x(i+1)' = x(i+1) - x(i) / 2 along a chain and the last x' = -x0, from x0(p) = (p1, p2, 1/4, ...)."""
+    return problem_from_json({
+        "n_state": n_state, "rhs_expr": ["(abs (var 1))", *(f"(sub (var {i + 1}) (scale 0.5 (var {i})))"
+                                                            for i in range(n_state - 2)), "(neg (var 0))"],
+        "init_expr": ["(var 0)", "(var 1)", *(["(const 0.25)"] * (n_state - 2))], "cost_expr": "(var 2)",
+        "t_final": 1.0})
+
+
 @pytest.mark.parametrize("width", [odesens.MAX_TRIAL_WIDTH, odesens.MAX_TRIAL_WIDTH + 1])
 def test_wide_batches_match_their_single_row_integrations(width):
-    # up to MAX_TRIAL_WIDTH components a batch runs the width's own trial,
-    # past it the generic one; single integrations run the generic one
-    problem = problem_from_json({
-        "n_state": width, "rhs_expr": ["(abs (var 1))", *(f"(sub (var {i + 1}) (scale 0.5 (var {i})))"
-                                                          for i in range(width - 2)), "(neg (var 0))"],
-        "init_expr": ["(var 0)", "(var 1)", *(["(const 0.25)"] * (width - 2))], "cost_expr": "(var 2)",
-        "t_final": 1.0})
+    # up to MAX_TRIAL_WIDTH components every run takes the width's own trial,
+    # past it the generic one; the single integration on the generic trial
+    # checks both against it
+    problem = _chain_problem(width)
     assert (_trial_of_width(width) is _trial) == (width > odesens.MAX_TRIAL_WIDTH)
     P = np.array([[0.5, -0.25], [-0.3, 0.7], [0.0, -0.0]])
     costs = ode_cost_value(problem, P)
     for q, cost in zip(P, costs.tolist()):
         times, states, stats = integrate_state(problem, q)
         assert cost == problem.cost.value(np.concatenate([q, states[-1]]))
-        assert _bits(_dopri5_floats(problem.rhs.value, states[0].tolist(), 1.0, IntegrationConfig(),
-                                    problem.rhs.switch, _trial_of_width(width))) == _bits((times, states, stats))
+        with _on_the_generic_trial():
+            generic = _dopri5_floats(problem.rhs.value, states[0].tolist(), 1.0, IntegrationConfig(),
+                                     problem.rhs.switch)
+        assert _bits(generic) == _bits((times, states, stats))
+
+
+@pytest.mark.parametrize("n_state", [odesens.MAX_TRIAL_WIDTH // 2, odesens.MAX_TRIAL_WIDTH // 2 + 1])
+def test_probes_at_the_widest_trial_match_the_generic_trial(n_state):
+    # a probe integrates 2 * n_state components: up to n_state 32 on the
+    # width's own trial, past it on the generic one.  Either way the
+    # subgradient, its probe values and each coupled integration are those
+    # of the generic trial, bit for bit
+    problem = _chain_problem(n_state)
+    assert (_trial_of_width(2 * n_state) is _trial) == (2 * n_state > odesens.MAX_TRIAL_WIDTH)
+
+    def runs() -> list:
+        out = []
+        for p in ([1.0, 0.2], [-0.3, 0.7], [0.0, -0.0]):
+            result = ode_subgradient(problem, p)
+            out.append((result.subgradient.tobytes(), [pr.value for pr in result.probes]))
+            for d in probe_directions(np.eye(2)):
+                traj = integrate_coupled(problem, p, d)
+                out.append((traj.times.tobytes(), traj.states.tobytes(), traj.sensitivities.tobytes(), traj.stats))
+        return out
+
+    own = runs()
+    with _on_the_generic_trial():
+        assert runs() == own
+    assert sum(stats.events for *_, stats in own[1:5]) == 4  # x1 changes sign along each probe at (1, 0.2)
 
 
 def test_error_norm_sums_squares_left_to_right():
@@ -965,13 +1006,14 @@ def test_failing_rows_fail_as_they_would_alone(size, max_steps, monkeypatch):
             want = _dopri5(_on_arrays(fun), z0, 1.0, config)[:3]
         except IntegrationError as alone:
             errors[i] = alone
-            for trial in (_trial, _trial_of_width(1)):
-                with pytest.raises(IntegrationError) as floats:
-                    _dopri5_floats(fun, z0.tolist(), 1.0, config, None, trial)
+            for trial in (_on_the_generic_trial, contextlib.nullcontext):
+                with trial(), pytest.raises(IntegrationError) as floats:
+                    _dopri5_floats(fun, z0.tolist(), 1.0, config)
                 assert (str(floats.value), floats.value.time) == (str(alone), alone.time)
         else:
-            for trial in (_trial, _trial_of_width(1)):
-                assert _bits(_dopri5_floats(fun, z0.tolist(), 1.0, config, None, trial)) == _bits(want)
+            for trial in (_on_the_generic_trial, contextlib.nullcontext):
+                with trial():
+                    assert _bits(_dopri5_floats(fun, z0.tolist(), 1.0, config)) == _bits(want)
     assert len(errors) >= 3
     # the batch raises the lowest failing row's error
     with pytest.raises(IntegrationError) as batch:
@@ -1005,35 +1047,36 @@ def test_probe_errors_come_in_probe_order():
 
 
 def test_each_entry_point_runs_its_own_loop(bundled_problem, monkeypatch):
-    # single integrations run the generic trial, each row of ode_cost_value its width's own
+    # each run of the step loop takes the trial of its width: 3 for a state
+    # integration or a row of ode_cost_value, 6 for a coupled one or a probe
     trials = []  # the trial of each run of the step loop
-    floats = odesens._dopri5_floats
+    trial_of_width = odesens._trial_of_width
 
-    def record(fun, z0, t_final, cfg, switch=None, trial=_trial):
-        trials.append(trial)
-        return floats(fun, z0, t_final, cfg, switch, trial)
+    def record(n):
+        trials.append(trial_of_width(n))
+        return trials[-1]
 
     def runs(call):
         trials.clear()
         call()
         return trials
 
-    monkeypatch.setattr(odesens, "_dopri5_floats", record)
-    p, own = [0.3, -0.7], _trial_of_width(bundled_problem.n_state)
-    assert own is not _trial and own is _trial_of_width(3)  # compiled once per width
-    assert runs(lambda: integrate_state(bundled_problem, p)) == [_trial]
-    assert runs(lambda: integrate_coupled(bundled_problem, p, [1.0, 0.0])) == [_trial]
-    assert runs(lambda: ode_subgradient(bundled_problem, p)) == [_trial] * 4
+    monkeypatch.setattr(odesens, "_trial_of_width", record)
+    p, own, coupled = [0.3, -0.7], trial_of_width(bundled_problem.n_state), trial_of_width(6)
+    assert _trial not in (own, coupled) and own is trial_of_width(3)  # compiled once per width
+    assert runs(lambda: integrate_state(bundled_problem, p)) == [own]
+    assert runs(lambda: integrate_coupled(bundled_problem, p, [1.0, 0.0])) == [coupled]
+    assert runs(lambda: ode_subgradient(bundled_problem, p)) == [coupled] * 4
     assert runs(lambda: ode_cost_value(bundled_problem, p)) == [own]
     assert runs(lambda: ode_cost_value(bundled_problem, [p] * 21)) == [own] * 21
     # x0 = 1.5 blows up at t = 2/3 along every direction: the first probe's
     # failure ends the probes, and the first failing row ends a batch
     with pytest.raises(IntegrationError) as err:
         runs(lambda: ode_subgradient(_BLOWUP, [1.5, 0.0]))
-    assert trials == [_trial] and err.value.direction.tolist() == [1.0, 0.0]
+    assert trials == [trial_of_width(2)] and err.value.direction.tolist() == [1.0, 0.0]
     with pytest.raises(IntegrationError) as err:
         runs(lambda: ode_cost_value(_BLOWUP, [[0.5, 0.0], [1.5, 0.0], [0.5, 0.0]]))
-    assert trials == [_trial_of_width(1)] * 2 and err.value.row == 1
+    assert trials == [trial_of_width(1)] * 2 and err.value.row == 1
 
 
 def _rhs_that_changes_width(good_calls: int, extra: int) -> OdeProblem:
@@ -1060,8 +1103,9 @@ def test_an_rhs_that_changes_its_width_fails_on_both_trials(good_calls, extra):
     for run in (lambda problem: integrate_state(problem, [1.0, 2.0]),
                 lambda problem: ode_cost_value(problem, [1.0, 2.0]),
                 lambda problem: ode_cost_value(problem, [[1.0, 2.0]] * 40)):
-        with pytest.raises(InputError, match=message):
-            run(_rhs_that_changes_width(good_calls, extra))
+        for trial in (_on_the_generic_trial, contextlib.nullcontext):
+            with trial(), pytest.raises(InputError, match=message):
+                run(_rhs_that_changes_width(good_calls, extra))
     # a later row of a batch
     with pytest.raises(InputError, match=message):
         ode_cost_value(_rhs_that_changes_width(good_calls + 200, extra), [[1.0, 2.0]] * 40)

@@ -5,7 +5,9 @@
 draws seeded points p uniformly in [-1.5, 1.5]^2 and computes the
 subgradient of the bundled ``example46.json`` at each.  A point "crosses"
 when x1 changes sign strictly between two accepted states of its
-``integrate_state`` trajectory.  For crossing and other points separately it
+``integrate_state`` trajectory.  A third row draws KINK_POINTS = 20 seeded
+points on the kink line p1 = 0 (p2 != 0), where x1(0) = 0 and every probe
+starts on the kink of |x1|.  For crossing, other and p1 = 0 points it
 prints the median and max of the attempted steps per subgradient (accepted
 and rejected, over its four probes), of the landed crossings
 (``StepStats.events``, 0 where the package has none) and of the absolute
@@ -27,6 +29,9 @@ from pathlib import Path
 
 from compassdiff.demos import paper_fixture_path
 from compassdiff.odesens import _subgradient_and_trajectories, IntegrationConfig, integrate_state, problem_from_json
+
+#: Seeded points of the p1 = 0 row.
+KINK_POINTS = 20
 
 _spec = importlib.util.spec_from_file_location("exact", Path(__file__).resolve().parent.parent / "bench" / "exact.py")
 exact = importlib.util.module_from_spec(_spec)
@@ -59,11 +64,13 @@ def measure(points: list) -> list[dict]:
     return out
 
 
-def table(records: list[dict]) -> str:
+def table(records: list[dict], on_kink: list[dict]) -> str:
+    """The rows of ``records`` that cross, the others, and ``on_kink``, the records of points on p1 = 0."""
     lines = ["| points | n | steps median / max | events median / max | abs error median / max | ms in all |",
              "| --- | --- | --- | --- | --- | --- |"]
-    for label, crossing in (("crossing", True), ("other", False)):
-        rows = [r for r in records if r["crosses"] == crossing]
+    groups = (("crossing", [r for r in records if r["crosses"]]), ("other", [r for r in records if not r["crosses"]]),
+              ("p1 = 0", on_kink))
+    for label, rows in groups:
         if not rows:
             lines.append(f"| {label} | 0 | - | - | - | - |")
             continue
@@ -82,12 +89,18 @@ def seeded_points(count: int, seed: int) -> list[tuple[float, float]]:
     return [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(count)]
 
 
+def on_kink_points(count: int, seed: int) -> list[tuple[float, float]]:
+    """Seeded points on the kink line p1 = 0, with p2 uniform in [-1.5, 1.5] and never 0."""
+    rng = random.Random(f"kink_report:p1=0:{seed}")
+    return [(0.0, rng.uniform(-1.5, 1.5) or 1.0) for _ in range(count)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--points", type=int, default=400)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    print(table(measure(seeded_points(args.points, args.seed))))
+    print(table(measure(seeded_points(args.points, args.seed)), measure(on_kink_points(KINK_POINTS, args.seed))))
     return 0
 
 
