@@ -10,17 +10,11 @@ from .catalog import (
     catalog,
     catalog_entry,
     clarke_membership_check,
-    sample_limiting_gradients,
 )
 from .compass import (
-    VerificationReport,
     basis_compass_difference,
     compass_difference,
     compass_from_psi,
-    finite_difference_compass,
-    univariate_clarke_interval,
-    verification_points,
-    verify_subgradient_inequality,
 )
 from .danskin import (
     ActiveSet,
@@ -77,9 +71,9 @@ from .oracle import (
     CompassResult,
     DirectionalOracle,
     InputError,
+    NumericalError,
     OracleError,
     Probe,
-    UnivariateClarkeInterval,
     VectorOracle,
 )
 
@@ -105,6 +99,7 @@ __all__ = [
     "MembershipReport",
     "MidpointResult",
     "NonsmoothExpr",
+    "NumericalError",
     "OdeProblem",
     "OptTrace",
     "OptimalValueProblem",
@@ -115,9 +110,7 @@ __all__ = [
     "StepRule",
     "SupportOracle",
     "UNGUARANTEED",
-    "UnivariateClarkeInterval",
     "VectorOracle",
-    "VerificationReport",
     "as_oracle",
     "basis_compass_difference",
     "catalog",
@@ -128,7 +121,6 @@ __all__ = [
     "danskin_subgradient",
     "eval_dir_deriv",
     "eval_value",
-    "finite_difference_compass",
     "format_expr",
     "integrate_coupled",
     "interval_hull",
@@ -141,11 +133,7 @@ __all__ = [
     "parse_expr",
     "polytope_support",
     "psi",
-    "sample_limiting_gradients",
     "solve_inner",
     "subgradient_method",
     "three_probe_ambiguity",
-    "univariate_clarke_interval",
-    "verification_points",
-    "verify_subgradient_inequality",
 ]

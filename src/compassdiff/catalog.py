@@ -18,7 +18,6 @@ import numpy as np
 from . import expr as ex
 from .hulls import separation
 from .oracle import DirectionalOracle, require_positive
-from .sampling import unit_directions
 
 
 @dataclass(frozen=True)
@@ -78,39 +77,6 @@ def clarke_membership_check(s, hull: GradientHull, tol: float = 1e-9) -> bool:
     if hull.ball_radius is not None:
         return bool(np.linalg.norm(s) <= hull.ball_radius + tol)
     return separation(s, hull.generators)[0] <= tol
-
-
-def sample_limiting_gradients(entry_or_expr, x) -> np.ndarray:
-    """Brute-force essentially-active gradients near ``x``, by perturbed probing.
-
-    Samples 64 points on the sphere of radius 1e-3 around ``x``, keeps those
-    where the function is (numerically) differentiable, reads the gradient
-    off the coordinate directional derivatives, and drops repeats within 1e-6
-    (max norm).  For piecewise functions the result spans the Clarke
-    generalized gradient at ``x`` and is independent of any hand-derived formula.
-    """
-    e = entry_or_expr.expr if isinstance(entry_or_expr, CatalogEntry) else entry_or_expr
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    grads: list[np.ndarray] = []
-    for u in unit_directions(64, n):
-        p = x + 1e-3 * u
-        g = np.empty(n)
-        smooth = True
-        for i in range(n):
-            d = np.zeros(n)
-            d[i] = 1.0
-            plus = ex.eval_dir_deriv(e, p, d)
-            minus = ex.eval_dir_deriv(e, p, -d)
-            if abs(plus + minus) > 1e-9 * (1.0 + abs(plus)):
-                smooth = False
-                break
-            g[i] = plus
-        if not smooth:
-            continue
-        if all(np.max(np.abs(g - h)) > 1e-6 for h in grads):
-            grads.append(g)
-    return np.array(grads)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,12 @@ from .demos import DEMO_NAMES, paper_fixture_path, run_demo
 from .geometry import load_polytope_json, membership_check, midpoint_element
 from .odesens import (
     IntegrationConfig,
-    IntegrationError,
     _subgradient_and_trajectories,
     ode_cost_value,
     problem_from_json as ode_from_json,
 )
 from .optimize import Constant, Diminishing, Polyak, rule_label, subgradient_method
-from .oracle import CompassResult, InputError, OracleError, UNGUARANTEED
+from .oracle import CompassResult, InputError, NumericalError, OracleError, UNGUARANTEED
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except IntegrationError as err:
+    except NumericalError as err:
         direction = "" if err.direction is None else f" while probing direction {err.direction.tolist()}"
         print(f"numerical failure: {err}{direction}", file=sys.stderr)
         return EXIT_NUMERIC

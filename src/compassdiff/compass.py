@@ -4,9 +4,9 @@ The compass difference of f at x is the vector with components
 (f'(x; e_i) - f'(x; -e_i)) / 2.  For functions of one or two variables it is
 always a Clarke subgradient; for three or more variables it is computed but
 flagged as carrying no membership guarantee.  A change of probing basis and a
-centered finite-difference approximation are provided alongside, plus a
-verification harness for the defining subgradient inequality of convex
-functions.
+centered finite-difference approximation are provided alongside.  In one
+variable the two probes give the whole Clarke generalized gradient: it is
+the interval between f'(x; 1) and -f'(x; -1).
 
 All of the compass arithmetic lives in one kernel, :func:`probe`: given a
 directional map psi and a basis V it evaluates psi(+v_1), psi(-v_1),
@@ -20,7 +20,6 @@ are the interval hull (``geometry``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +29,9 @@ from .oracle import (
     InputError,
     OracleError,
     Probe,
-    UnivariateClarkeInterval,
     guarantee_for_dim,
     require_positive,
 )
-from .sampling import halton_in_box, unit_directions
 
 #: Bases with |det| below this are rejected as numerically singular; the
 #: conditioning of the transposed-inverse solve dominates the error.
@@ -135,7 +132,9 @@ def basis_compass_difference(oracle: DirectionalOracle, x, V) -> CompassResult:
 def finite_difference_probes(value_fn, x, delta: float) -> tuple[np.ndarray, tuple[Probe, ...]]:
     """Centered-difference compass approximation plus the sampled values.
 
-    The compass kernel applied to psi(d) = f(x + delta d), divided by delta.
+    The compass kernel applied to psi(d) = f(x + delta d), divided by delta:
+    it converges to the compass difference as delta decreases.  It serves
+    the CLI's ``compass --fd``.
     """
     require_positive("delta", delta)
     x = np.asarray(x, dtype=float)
@@ -151,111 +150,13 @@ def finite_difference_probes(value_fn, x, delta: float) -> tuple[np.ndarray, tup
     return result.subgradient / delta, result.probes
 
 
-def finite_difference_compass(value_fn, x, delta: float) -> np.ndarray:
-    """Centered finite-difference approximation of the compass difference.
-
-    Component i is (f(x + delta e_i) - f(x - delta e_i)) / (2 delta); it
-    converges to the compass difference as delta decreases, and is exact at
-    any delta for piecewise-linear functions probed inside one conical piece.
-    """
-    approx, _ = finite_difference_probes(value_fn, x, delta)
-    return approx
-
-
-def univariate_clarke_interval(oracle: DirectionalOracle, x) -> UnivariateClarkeInterval:
-    """The whole Clarke generalized gradient of a univariate function at ``x``.
-
-    This is the convex hull of f'(x; 1) and -f'(x; -1).
-    """
-    if oracle.dim != 1:
-        raise ValueError(f"univariate interval needs a one-dimensional oracle, got dim {oracle.dim}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    plus, minus = probe(_oracle_psi(oracle, x), np.eye(1)).probes
-    endpoints = (plus.value, -minus.value)
-    return UnivariateClarkeInterval(lo=min(endpoints), hi=max(endpoints))
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of a subgradient-inequality check over a sample set.
-
-    ``violations[k]`` is f(x) + <s, y_k - x> - f(y_k); the check passes when
-    the largest violation does not exceed ``slack``.  A pass certifies ``s``
-    (up to slack) only when f is convex; for nonconvex f it is merely
-    consistent with membership, never a certificate.
-    """
-
-    passed: bool
-    slack: float
-    max_violation: float
-    worst_point: np.ndarray
-    n_samples: int
-    violations: np.ndarray
-    note: str = (
-        "pass certifies the subgradient up to slack only for convex f; "
-        "for nonconvex f a pass is consistent-with, never a certificate"
-    )
-
-
-def _sample_values(value_fn, samples: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(value_fn(samples), dtype=float)
-        if vals.shape == (samples.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(value_fn(y)) for y in samples])
-
-
-def verify_subgradient_inequality(value_fn, x, s, samples, slack: float) -> VerificationReport:
-    """Check f(y) >= f(x) + <s, y - x> over the given sample points.
-
-    ``value_fn`` may accept a batch of shape (N, n) for vectorised
-    evaluation; otherwise it is called one point at a time.
-    """
-    require_positive("slack", slack, zero_ok=True)
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise InputError("sample list must not be empty")
-    if s.size != x.size or samples.ndim != 2 or samples.shape[1] != x.size:
-        raise InputError(f"sizes of x {x.size}, s {s.size} and samples {samples.shape} do not match")
-    f_x = float(value_fn(x))
-    values = _sample_values(value_fn, samples)
-    violations = f_x + (samples - x) @ s - values
-    worst = int(np.argmax(violations))
-    max_violation = float(violations[worst])
-    return VerificationReport(
-        passed=max_violation <= slack,
-        slack=slack,
-        max_violation=max_violation,
-        worst_point=samples[worst].copy(),
-        n_samples=samples.shape[0],
-        violations=violations,
-    )
-
-
-def verification_points(x, lower, upper, count: int) -> np.ndarray:
-    """Standard sample set for :func:`verify_subgradient_inequality`.
-
-    Low-discrepancy points in the box [lower, upper], plus the 2n axis points
-    x +- e_i, plus 64 points on a sphere of radius 1e-3 around x; the mix
-    catches both global and local violations.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    box = halton_in_box(count, lower, upper)
-    axis = np.vstack([x + e for e in np.eye(n)] + [x - e for e in np.eye(n)])
-    ring = x + 1e-3 * unit_directions(64, n)
-    return np.vstack([box, axis, ring])
-
-
 def compass_from_psi(psi_fn) -> CompassResult:
     """Assemble a planar compass difference from a directional map d -> psi(d).
 
     Used when psi is itself the directional derivative of some function
     (an ODE cost, an optimal-value function): the compass difference of psi
-    at the origin is then a subgradient of that function.
+    at the origin is then a subgradient of that function.  The package's
+    front ends call :func:`probe` directly; this name stays because the
+    traced benchmark (``bench/spans.py``) binds it as a span target.
     """
     return probe(psi_fn, np.eye(2))

@@ -129,13 +129,6 @@ def polytope_support(vertices, description: str = "") -> SupportOracle:
                          vertices=v)
 
 
-def ball_support(radius: float = 1.0, dim: int = 2) -> SupportOracle:
-    def sigma(d):
-        return radius * float(np.linalg.norm(d))
-
-    return SupportOracle(dim=dim, sigma=sigma, description=f"ball of radius {radius}")
-
-
 def load_polytope_json(source) -> SupportOracle:
     """Load a polytope oracle from ``{"dim": n, "vertices": [[...], ...], "description": text}``.
 
@@ -204,7 +197,9 @@ def membership_check(oracle: SupportOracle, p, tol: float = 1e-9) -> MembershipR
     With a vertex list the verdict is exact (:func:`hulls.separation`, no
     sigma call).  Otherwise SAMPLED_DIRECTIONS fixed unit vectors are tested: a
     separating witness is still a certificate, but ``member=True`` only
-    reports that no sampled direction separates.
+    reports that no sampled direction separates.  No command reaches that
+    branch; it serves a library caller's set known through sigma alone, the
+    paper's general case.
     """
     require_positive("tol", tol, zero_ok=True)
     p = np.asarray(p, dtype=float)

@@ -5,9 +5,9 @@ plane it tests the outward edge normals of :func:`convex_hull_2d` and the
 coordinate directions.  In higher dimensions its direction points from the
 nearest point of the hull, found by Wolfe's algorithm, to the point.  That
 direction stands only when its gap, recomputed from the vertices, certifies
-it; otherwise the direction is the dual solution of the LP behind
-:func:`hull_distance`, the l-inf distance to the hull.  Only that fallback
-and :func:`hull_distance` import scipy.
+it; otherwise membership is undecided and a :class:`NumericalError` is
+raised.  No LP is solved.  :func:`hull_distance`, the l-inf distance by an
+LP, is the tests' independent reference and alone imports scipy.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import InputError
+from .oracle import InputError, NumericalError
 
 # Point and vertices are scaled into [-1, 1] first (_scaled).  A convex
 # combination of the vertices this close to the point puts it in the hull up
-# to rounding; Wolfe's algorithm gives up after this many minor cycles and
-# leaves the direction to the LP.
+# to rounding; Wolfe's algorithm gives up after this many minor cycles.
 _ROUNDING = 2.0 ** -40
 _MAX_WOLFE_STEPS = 500
 
@@ -56,11 +55,19 @@ def _unscaled(value: float, e: int) -> float:
         return math.copysign(math.inf, value)
 
 
-def _hull_lp(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
-    """The l-inf distance t* from p to conv(g), and a dual direction d (l1 norm 1) separating by t* > 0."""
-    # imported here: importing scipy takes longer than most commands, and only the LP needs it
+def hull_distance(point, generators) -> float:
+    """l-inf distance from ``point`` to the convex hull of ``generators``, by a HiGHS LP.
+
+    The tests' independent reference for :func:`separation`; it needs scipy,
+    which only the ``dev`` extra installs.  It stays in the package because
+    the traced benchmark (``bench/spans.py``) binds it as a span target.
+    Not ground truth on nearly flat sets: there it can be off by about 1e-8
+    of the coordinates even at HiGHS's smallest tolerances, where
+    ``highs-ipm`` and Wolfe's weights read 0.
+    """
     from scipy.optimize import linprog
 
+    p, g = _as_point_and_generators(point, generators)
     p, g, e = _scaled(p, g)
     k, n = g.shape
     # variables: lambda_1..lambda_k, t;  minimize t
@@ -81,19 +88,7 @@ def _hull_lp(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
                   options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError(f"hull distance LP failed: {res.message}")
-    y = res.ineqlin.marginals
-    return _unscaled(res.fun, e), y[:n] - y[n:]
-
-
-def hull_distance(point, generators) -> float:
-    """l-inf distance from ``point`` to the convex hull of ``generators``, by a HiGHS LP.
-
-    Not ground truth on nearly flat sets: there it can be off by about 1e-8
-    of the coordinates even at HiGHS's smallest tolerances, where
-    ``highs-ipm`` and Wolfe's weights read 0.
-    """
-    p, g = _as_point_and_generators(point, generators)
-    return _hull_lp(p, g)[0]
+    return _unscaled(res.fun, e)
 
 
 def _affine_nearest(qs: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -172,7 +167,8 @@ def _nearest_direction(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     least ``1/sqrt(2)`` of the bound on the distance: the bound is the norm
     of a convex combination of the vertices, the gap of any unit direction a
     lower bound.  With the bound at rounding level p is in the hull and no
-    row is needed.  Otherwise the LP's dual direction is returned.
+    row is needed.  Otherwise membership is undecided: a
+    :class:`NumericalError`.
     """
     found = _nearest_point(g - p)
     if found is not None:
@@ -184,9 +180,7 @@ def _nearest_direction(p: np.ndarray, g: np.ndarray) -> np.ndarray:
             d = -x / norm
             if float(d @ p) - float(np.max(g @ d)) >= bound / math.sqrt(2.0):
                 return d[None, :]
-    d = _hull_lp(p, g)[1]
-    norm = float(np.linalg.norm(d))
-    return d[None, :] / norm if norm > 0.0 else np.empty((0, p.size))
+    raise NumericalError("membership undecided: Wolfe's nearest point gave no certified separating direction")
 
 
 def separation(point, generators) -> tuple[float, np.ndarray]:
@@ -196,8 +190,9 @@ def separation(point, generators) -> tuple[float, np.ndarray]:
     positive gap lies between ``1/sqrt(2)`` times the l-inf distance to the
     hull and the Euclidean distance, and ``d`` separates by it.  In three and
     more dimensions ``d`` comes from the nearest point of the hull, certified
-    from the vertices, and from the LP only where that certificate fails.
-    Distances below about ``1e-12`` of the largest coordinate are rounding.
+    from the vertices; where that certificate fails, a
+    :class:`NumericalError` says that membership is undecided.  Distances
+    below about ``1e-12`` of the largest coordinate are rounding.
     """
     p, g = _as_point_and_generators(point, generators)
     p, g, e = _scaled(p, g)

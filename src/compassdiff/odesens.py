@@ -77,11 +77,11 @@ import numpy as np
 from . import expr as ex
 from . import jsonio
 from .compass import probe
-from .oracle import (CompassResult, DirectionalOracle, InputError, VectorOracle, require_fields, require_integer,
-                     require_numbers, require_positive, require_text, shown)
+from .oracle import (CompassResult, DirectionalOracle, InputError, NumericalError, VectorOracle, require_fields,
+                     require_integer, require_numbers, require_positive, require_text, shown)
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalError):
     """Adaptive integration failed; carries the failure time and, from
     :func:`integrate_coupled`, the parameter direction, or from
     :func:`ode_cost_value`, the index of the failing point.
@@ -600,7 +600,11 @@ def _cost_dirderiv(problem: OdeProblem, p: np.ndarray, traj: SensitivityTrajecto
 
 def ode_cost_dirderiv(problem: OdeProblem, p, d,
                       config: IntegrationConfig = IntegrationConfig()) -> float:
-    """psi(d) = g'((p, x(T)); (d, y(T, d))) by one coupled integration."""
+    """psi(d) = g'((p, x(T)); (d, y(T, d))) by one coupled integration.
+
+    :func:`ode_subgradient` builds its own psi; this name stays because the
+    traced benchmark (``bench/spans.py``) binds it as a span target.
+    """
     p = np.asarray(p, dtype=float)
     return _cost_dirderiv(problem, p, integrate_coupled(problem, p, d, config))
 

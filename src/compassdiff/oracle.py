@@ -13,8 +13,8 @@ read-only use.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,7 +51,7 @@ def shown(value) -> str:
 def require_positive(name: str, value: float, zero_ok: bool = False) -> None:
     """Raise :class:`InputError` unless ``value`` is finite and positive (or zero, with ``zero_ok``); NaN never passes."""
     above = 0 <= value if zero_ok else 0 < value
-    if not (above and value < math.inf):
+    if not (above and value <= sys.float_info.max):  # an int past the largest float is still below inf
         raise InputError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {shown(value)}")
 
 
@@ -97,6 +97,15 @@ def require_text(name: str, value, many: bool = False):
         return value
     raise InputError(f"{name} must be {'a list of expression strings' if many else 'an expression string'}, "
                      f"got {type(value).__name__}")
+
+
+class NumericalError(RuntimeError):
+    """Valid input without a trustworthy result: a failed integration, an undecided membership (exit code 4).
+
+    ``direction`` is the probe direction that failed, where one is known.
+    """
+
+    direction: Optional[np.ndarray] = None
 
 
 class OracleError(RuntimeError):
@@ -184,19 +193,6 @@ class CompassResult:
     def dim(self) -> int:
         return self.subgradient.shape[0]
 
-    def recompute_subgradient(self) -> np.ndarray:
-        """Re-derive the subgradient from the stored probes and basis.
-
-        Runs the compass kernel's own arithmetic on the stored values, so the
-        result reproduces ``subgradient`` exactly.
-        """
-        from .compass import _pair_subgradient  # compass imports this module
-
-        n = self.dim
-        if len(self.probes) != 2 * n:
-            raise ValueError(f"expected {2 * n} probes, found {len(self.probes)}")
-        return _pair_subgradient(self.probes, self.basis)
-
     def to_json_dict(self) -> dict:
         return {
             "subgradient": self.subgradient.tolist(),
@@ -206,18 +202,3 @@ class CompassResult:
             "basis": None if self.basis is None else self.basis.tolist(),
             "guarantee": self.guarantee,
         }
-
-
-@dataclass(frozen=True)
-class UnivariateClarkeInterval:
-    """The full Clarke generalized gradient of a univariate function, [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-    def contains(self, s: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= s <= self.hi + tol

@@ -32,15 +32,6 @@ def halton(count: int, dim: int, start: int = 1) -> np.ndarray:
     return out
 
 
-def halton_in_box(count: int, lower, upper, start: int = 1) -> np.ndarray:
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or np.any(lower > upper):
-        raise ValueError("invalid box bounds")
-    u = halton(count, lower.size, start=start)
-    return lower + u * (upper - lower)
-
-
 def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:
     """Deterministic, roughly uniform unit vectors; ``seed`` shifts the sequence.
 

@@ -1,6 +1,8 @@
 import numpy as np
 
 from compassdiff import expr as ex
+from compassdiff.geometry import SupportOracle
+from compassdiff.sampling import halton, unit_directions
 
 # ODE problem whose state overflows: dx/dt = x, x0 = 1e300 p1 + 1e308 p2.  At
 # p = 0 the tangent along e2 overflows at once, along e1 only at t = 16.56.
@@ -82,3 +84,50 @@ def random_expr(rng: np.random.Generator, dim: int, depth: int, constants=()) ->
     if kind == "scale":
         return ex.scale(literal(-2, 3), random_expr(rng, dim, depth - 1, constants))
     return ex.abs_(random_expr(rng, dim, depth - 1, constants))
+
+
+def halton_in_box(count: int, lower, upper, start: int = 1) -> np.ndarray:
+    """The first ``count`` Halton points from index ``start``, mapped into the box [lower, upper]."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    return lower + halton(count, lower.size, start=start) * (upper - lower)
+
+
+def ball_support(radius: float = 1.0, dim: int = 2) -> SupportOracle:
+    """The ball of ``radius`` about the origin, known through its support function alone (no vertices)."""
+    return SupportOracle(dim=dim, sigma=lambda d: radius * float(np.linalg.norm(d)),
+                         description=f"ball of radius {radius}")
+
+
+def max_violation(f, x, s, samples) -> float:
+    """Largest f(x) + <s, y - x> - f(y) over the rows y of ``samples``; ``f`` also takes a batch of rows.
+
+    At most 0 (up to evaluation error) when ``s`` is a subgradient of a
+    convex ``f`` at ``x``; for a nonconvex ``f`` that is never a certificate.
+    """
+    samples = np.asarray(samples, dtype=float)
+    return float(np.max(f(x) + (samples - x) @ s - np.asarray(f(samples), dtype=float)))
+
+
+def sample_limiting_gradients(expr: ex.NonsmoothExpr, x) -> np.ndarray:
+    """Brute-force essentially-active gradients near ``x``, by perturbed probing: a test reference.
+
+    Samples 64 points on the sphere of radius 1e-3 around ``x``, keeps those
+    where the function is (numerically) differentiable, reads the gradient
+    off the coordinate directional derivatives, and drops repeats within 1e-6
+    (max norm).  For piecewise functions whose pieces all meet that sphere
+    the result spans the Clarke generalized gradient at ``x``, independent
+    of any hand-derived formula.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    grads: list[np.ndarray] = []
+    for u in unit_directions(64, n):
+        p = x + 1e-3 * u
+        plus = np.array([ex.eval_dir_deriv(expr, p, e) for e in np.eye(n)])
+        minus = np.array([ex.eval_dir_deriv(expr, p, -e) for e in np.eye(n)])
+        if np.any(np.abs(plus + minus) > 1e-9 * (1.0 + np.abs(plus))):
+            continue
+        if all(np.max(np.abs(plus - h)) > 1e-6 for h in grads):
+            grads.append(plus)
+    return np.array(grads)

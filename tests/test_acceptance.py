@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
+from conftest import halton_in_box, max_violation
 from compassdiff import expr as ex
 from compassdiff.catalog import catalog, catalog_entry
 from compassdiff.compass import (
     basis_compass_difference,
     compass_difference,
-    finite_difference_compass,
-    verify_subgradient_inequality,
+    finite_difference_probes,
 )
 from compassdiff.demos import paper_fixture_path, run_demo
 from compassdiff.geometry import midpoint_element, polytope_support
@@ -25,7 +25,6 @@ from compassdiff.odesens import IntegrationConfig, ode_cost_value, ode_subgradie
 from compassdiff.danskin import danskin_subgradient, optimal_value
 from compassdiff.danskin import problem_from_json as danskin_from_json
 from compassdiff.optimize import Polyak, subgradient_method
-from compassdiff.sampling import halton_in_box
 
 
 def _passline(text: str):
@@ -81,16 +80,15 @@ def test_criterion_3_convex_subgradient_inequality_suite():
         value_fn = lambda y: ex.eval_value(entry.expr, y)
         for x in base_points:
             s = compass_difference(entry.oracle, x).subgradient
-            report = verify_subgradient_inequality(value_fn, x, s, samples, slack=1e-9)
-            assert report.passed, (entry.name, x.tolist(), report.max_violation)
+            violation = max_violation(value_fn, x, s, samples)
+            assert violation <= 1e-9, (entry.name, x.tolist(), violation)
             checked += 1
     problem = problem_from_json(paper_fixture_path("example46.json"))
     config = IntegrationConfig(abs_tol=1e-8, rel_tol=1e-8)
     s = ode_subgradient(problem, [0.0, 0.0], config).subgradient
     ode_samples = halton_in_box(200, [-1.0, -1.0], [1.0, 1.0])
-    report = verify_subgradient_inequality(
-        lambda q: ode_cost_value(problem, q, config), np.zeros(2), s, ode_samples, slack=1e-4)
-    assert report.passed, report.max_violation
+    violation = max_violation(lambda q: ode_cost_value(problem, q, config), np.zeros(2), s, ode_samples)
+    assert violation <= 1e-4, violation
     _passline(f"criterion 3: subgradient inequality holds at {checked} convex base points "
               f"(slack 1e-9) and for the ODE cost on 200 samples (slack 1e-4)")
 
@@ -132,8 +130,8 @@ def test_criterion_6_finite_difference_convergence():
     deltas = [2.0 ** -k for k in range(3, 17)]
     assert deltas[0] > 1e-1 and 1e-5 / 2 < deltas[-1] < 1e-4
     errors = [
-        float(np.max(np.abs(finite_difference_compass(
-            lambda q: ex.eval_value(entry.expr, q), x, delta) - compass)))
+        float(np.max(np.abs(finite_difference_probes(
+            lambda q: ex.eval_value(entry.expr, q), x, delta)[0] - compass)))
         for delta in deltas
     ]
     for prev, nxt in zip(errors, errors[1:]):
@@ -177,7 +175,7 @@ def test_criterion_8_optimal_value_examples():
     for problem, x_hat, expected in cases:
         s = danskin_subgradient(problem, x_hat).subgradient
         assert np.max(np.abs(s - expected)) <= 1e-3
-        fd = finite_difference_compass(lambda q: optimal_value(problem, q), x_hat, 1e-5)
+        fd = finite_difference_probes(lambda q: optimal_value(problem, q), x_hat, 1e-5)[0]
         assert np.max(np.abs(s - fd)) <= 1e-3
     _passline("criterion 8: the three optimal-value examples match their targets and "
               "finite differences of the numerical value function within 1e-3")

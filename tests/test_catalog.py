@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import sample_limiting_gradients
 from compassdiff import expr as ex
 from compassdiff.catalog import (
     GradientHull,
     catalog,
     catalog_entry,
     clarke_membership_check,
-    sample_limiting_gradients,
 )
 from compassdiff.hulls import convex_hull_2d, hull_distance, separation
 
@@ -94,10 +94,10 @@ def test_clarke_hull_singletons_match_probed_gradients():
 
 def test_limiting_gradient_sampler_recovers_known_sets():
     max0min = catalog_entry("max0_min")
-    gens = sample_limiting_gradients(max0min, np.zeros(2))
+    gens = sample_limiting_gradients(max0min.expr, np.zeros(2))
     assert sorted(map(tuple, gens.tolist())) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
     neg = catalog_entry("neg_abs_x1")
-    gens = sample_limiting_gradients(neg, np.zeros(2))
+    gens = sample_limiting_gradients(neg.expr, np.zeros(2))
     assert sorted(map(tuple, gens.tolist())) == [(-1.0, 0.0), (1.0, 0.0)]
 
 

@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
 
+from conftest import halton_in_box, max_violation, sample_limiting_gradients
 from compassdiff import expr as ex
 from compassdiff.catalog import catalog, catalog_entry, clarke_membership_check
 from compassdiff.compass import (
+    _pair_subgradient,
     basis_compass_difference,
     compass_difference,
-    finite_difference_compass,
-    univariate_clarke_interval,
-    verification_points,
-    verify_subgradient_inequality,
+    finite_difference_probes,
 )
+from compassdiff.hulls import hull_distance
 from compassdiff.oracle import GUARANTEED, UNGUARANTEED, DirectionalOracle, OracleError
-from compassdiff.sampling import halton_in_box, unit_directions
+from compassdiff.sampling import unit_directions
 
 
 def _value_fn(entry):
     return lambda y: ex.eval_value(entry.expr, y)
+
+
+def _fd(value_fn, x, delta):
+    return finite_difference_probes(value_fn, x, delta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -38,16 +42,13 @@ def test_compass_neg_abs_at_origin():
 
 
 def test_compass_max0min_at_origin_with_bruteforce_cross_check():
-    from compassdiff.catalog import sample_limiting_gradients
-    from compassdiff.hulls import hull_distance
-
     entry = catalog_entry("max0_min")
     res = compass_difference(entry.oracle, np.zeros(2))
     # the four probe values are max(0, min(+-1, 0)) = 0 in every direction
     assert [p.value for p in res.probes] == [0.0, 0.0, 0.0, 0.0]
     assert np.array_equal(res.subgradient, np.zeros(2))
     # independent oracle: gradients sampled on a small ring around the origin
-    gens = sample_limiting_gradients(entry, np.zeros(2))
+    gens = sample_limiting_gradients(entry.expr, np.zeros(2))
     assert sorted(map(tuple, gens.tolist())) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
     assert hull_distance(res.subgradient, gens) <= 1e-12
 
@@ -56,7 +57,7 @@ def test_compass_norm_at_smooth_point():
     entry = catalog_entry("euclid_norm_2d")
     res = compass_difference(entry.oracle, np.array([3.0, 4.0]))
     assert res.subgradient == pytest.approx([0.6, 0.8], abs=1e-15)
-    fd = finite_difference_compass(_value_fn(entry), np.array([3.0, 4.0]), 1e-6)
+    fd = _fd(_value_fn(entry), np.array([3.0, 4.0]), 1e-6)
     assert res.subgradient == pytest.approx(fd, abs=1e-9)
 
 
@@ -75,7 +76,7 @@ def test_compass_probes_recompute_bitwise():
         x = rng.uniform(-2, 2, entry.dim)
         res = compass_difference(entry.oracle, x)
         assert len(res.probes) == 2 * entry.dim
-        assert np.array_equal(res.recompute_subgradient(), res.subgradient)
+        assert np.array_equal(_pair_subgradient(res.probes, res.basis), res.subgradient)
 
 
 def test_compass_membership_property():
@@ -153,7 +154,7 @@ def test_basis_rotated_probes_on_max():
     res = basis_compass_difference(entry.oracle, np.zeros(2), V)
     assert [p.value for p in res.probes] == [0.0, 0.0, 0.0, 1.0]
     assert res.subgradient == pytest.approx([0.5, 0.0], abs=0.0)
-    assert np.array_equal(res.recompute_subgradient(), res.subgradient)
+    assert np.array_equal(_pair_subgradient(res.probes, res.basis), res.subgradient)
 
 
 def test_basis_recovers_gradient_of_linear_function():
@@ -190,24 +191,24 @@ def test_basis_rejects_singular_matrices():
 
 
 # ---------------------------------------------------------------------------
-# finite_difference_compass
+# finite_difference_probes
 
 def test_fd_symmetric_kink_is_exact_at_any_delta():
     entry = catalog_entry("neg_abs_x1")
     for delta in (1.0, 1e-3, 1e-8):
-        fd = finite_difference_compass(_value_fn(entry), np.zeros(2), delta)
+        fd = _fd(_value_fn(entry), np.zeros(2), delta)
         assert np.array_equal(fd, np.zeros(2))
 
 
 def test_fd_piecewise_linear_exact_inside_cone():
     entry = catalog_entry("maxx1_0")
-    fd = finite_difference_compass(_value_fn(entry), np.zeros(2), 0.1)
+    fd = _fd(_value_fn(entry), np.zeros(2), 0.1)
     assert fd[0] == 0.5 and fd[1] == 0.0
 
 
 def test_fd_norm_at_smooth_point():
     entry = catalog_entry("euclid_norm_2d")
-    fd = finite_difference_compass(_value_fn(entry), np.array([3.0, 4.0]), 1e-5)
+    fd = _fd(_value_fn(entry), np.array([3.0, 4.0]), 1e-5)
     assert fd == pytest.approx([0.6, 0.8], abs=1e-5)
 
 
@@ -224,7 +225,7 @@ def test_fd_error_monotone_under_dyadic_halving():
         for x in points:
             comp = compass_difference(entry.oracle, x).subgradient
             errs = [
-                float(np.max(np.abs(finite_difference_compass(_value_fn(entry), x, 2.0 ** -k) - comp)))
+                float(np.max(np.abs(_fd(_value_fn(entry), x, 2.0 ** -k) - comp)))
                 for k in range(3, 21)
             ]
             assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1)), (entry.name, x, errs)
@@ -233,75 +234,63 @@ def test_fd_error_monotone_under_dyadic_halving():
 def test_fd_rejects_bad_inputs():
     entry = catalog_entry("euclid_norm_2d")
     with pytest.raises(ValueError, match="delta must be positive"):
-        finite_difference_compass(_value_fn(entry), np.zeros(2), 0.0)
+        finite_difference_probes(_value_fn(entry), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="sample point"):
-        finite_difference_compass(lambda y: np.nan, np.zeros(2), 0.1)
+        finite_difference_probes(lambda y: np.nan, np.zeros(2), 0.1)
 
 
 # ---------------------------------------------------------------------------
-# univariate_clarke_interval
+# the univariate Clarke generalized gradient, read off the two probes
+
+def _univariate_interval(oracle, x):
+    plus, minus = compass_difference(oracle, [x]).probes
+    return sorted([-minus.value, plus.value])
+
 
 def test_univariate_interval_abs():
     oracle = catalog_entry("abs_univariate").oracle
-    at_kink = univariate_clarke_interval(oracle, 0.0)
-    assert (at_kink.lo, at_kink.hi) == (-1.0, 1.0)
-    smooth = univariate_clarke_interval(oracle, 2.0)
-    assert (smooth.lo, smooth.hi) == (1.0, 1.0)
+    assert _univariate_interval(oracle, 0.0) == [-1.0, 1.0]
+    assert _univariate_interval(oracle, 2.0) == [1.0, 1.0]
+    # a concave kink: psi(1) = -1 is the left end, -psi(-1) = 1 the right
+    assert _univariate_interval(ex.as_oracle(ex.neg(ex.abs_(ex.var(0))), 1), 0.0) == [-1.0, 1.0]
 
 
 def test_univariate_interval_two_slopes():
-    expr = ex.max_(ex.var(0), ex.scale(2.0, ex.var(0)))
-    interval = univariate_clarke_interval(ex.as_oracle(expr, 1), 0.0)
-    assert (interval.lo, interval.hi) == (1.0, 2.0)
-    # cross-check: gradients sampled on either side of the kink
-    oracle = ex.as_oracle(expr, 1)
-    left = compass_difference(oracle, [-1e-6]).subgradient[0]
-    right = compass_difference(oracle, [1e-6]).subgradient[0]
-    assert interval.contains(left, tol=1e-12) and interval.contains(right, tol=1e-12)
-
-
-def test_univariate_interval_requires_dim_one():
-    with pytest.raises(ValueError):
-        univariate_clarke_interval(catalog_entry("euclid_norm_2d").oracle, 0.0)
+    oracle = ex.as_oracle(ex.max_(ex.var(0), ex.scale(2.0, ex.var(0))), 1)
+    lo, hi = _univariate_interval(oracle, 0.0)
+    assert (lo, hi) == (1.0, 2.0)
+    # cross-check: the gradients on either side of the kink, and the compass difference, the midpoint
+    for x in (-1e-6, 1e-6):
+        assert lo <= compass_difference(oracle, [x]).subgradient[0] <= hi
+    assert compass_difference(oracle, [0.0]).subgradient[0] == 1.5
 
 
 # ---------------------------------------------------------------------------
-# verify_subgradient_inequality
+# the subgradient inequality f(y) >= f(x) + <s, y - x> of convex functions
 
-def test_verify_norm_zero_subgradient_passes_with_zero_slack():
+def test_norm_zero_subgradient_has_no_violation():
     entry = catalog_entry("euclid_norm_2d")
     rng = np.random.default_rng(11)
     samples = rng.uniform(-2, 2, size=(10_000, 2))
-    report = verify_subgradient_inequality(_value_fn(entry), np.zeros(2), np.zeros(2), samples, 0.0)
-    assert report.passed
-    assert report.max_violation <= 0.0
+    assert max_violation(_value_fn(entry), np.zeros(2), np.zeros(2), samples) <= 0.0
 
 
-def test_verify_detects_bad_subgradient_with_witness():
+def test_a_bad_subgradient_violates_the_inequality():
     entry = catalog_entry("euclid_norm_2d")
     samples = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    report = verify_subgradient_inequality(_value_fn(entry), np.zeros(2), np.array([1.1, 0.0]), samples, 1e-12)
-    assert not report.passed
-    assert report.max_violation == pytest.approx(0.1, abs=1e-12)
-    assert np.array_equal(report.worst_point, [1.0, 0.0])
+    assert max_violation(_value_fn(entry), np.zeros(2), np.array([1.1, 0.0]), samples) == pytest.approx(0.1, abs=1e-12)
 
 
-def test_verify_fails_for_nonconvex_even_with_true_clarke_subgradient():
+def test_a_true_clarke_subgradient_of_a_nonconvex_function_fails_the_inequality():
     # (0, 0) is a Clarke subgradient of -|x1| at the origin, yet the convex
     # subgradient inequality fails along the x1 axis: a pass is only
-    # meaningful for convex functions, and the report says so
-    entry = catalog_entry("neg_abs_x1")
-    axis_samples = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0], [0.0, 1.0], [0.0, -2.0]])
-    report = verify_subgradient_inequality(_value_fn(entry), np.zeros(2), np.zeros(2), axis_samples, 1e-9)
-    assert not report.passed
-    assert report.max_violation == pytest.approx(1.0)
-    violations = dict(zip(map(tuple, axis_samples.tolist()), report.violations))
-    assert violations[(0.0, 1.0)] <= 0.0 and violations[(0.0, -2.0)] <= 0.0
-    assert violations[(1.0, 0.0)] == pytest.approx(1.0)
-    assert "nonconvex" in report.note
+    # meaningful for convex functions
+    f = _value_fn(catalog_entry("neg_abs_x1"))
+    assert max_violation(f, np.zeros(2), np.zeros(2), [[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]) == pytest.approx(1.0)
+    assert max_violation(f, np.zeros(2), np.zeros(2), [[0.0, 1.0], [0.0, -2.0]]) <= 0.0
 
 
-def test_verify_convex_catalog_entries_pass():
+def test_convex_catalog_entries_satisfy_the_inequality():
     rng = np.random.default_rng(21)
     for entry in [e for e in catalog() if e.convex and e.dim <= 2]:
         n = entry.dim
@@ -309,25 +298,8 @@ def test_verify_convex_catalog_entries_pass():
         for _ in range(5):
             x = rng.uniform(-2, 2, n)
             s = compass_difference(entry.oracle, x).subgradient
-            report = verify_subgradient_inequality(_value_fn(entry), x, s, samples, 1e-9)
-            assert report.passed, (entry.name, x, report.max_violation)
-
-
-def test_verify_rejects_empty_samples():
-    entry = catalog_entry("euclid_norm_2d")
-    with pytest.raises(ValueError, match="empty"):
-        verify_subgradient_inequality(_value_fn(entry), np.zeros(2), np.zeros(2), np.zeros((0, 2)), 0.0)
-
-
-def test_verification_points_structure():
-    x = np.array([0.5, -0.5])
-    pts = verification_points(x, [-2, -2], [2, 2], count=100)
-    assert pts.shape == (100 + 4 + 64, 2)
-    ring = pts[-64:]
-    assert np.linalg.norm(ring - x, axis=1) == pytest.approx(1e-3 * np.ones(64))
-    # axis points sit one unit from x along each axis
-    axis = pts[100:104]
-    assert sorted(np.linalg.norm(axis - x, axis=1).tolist()) == pytest.approx([1.0] * 4)
+            violation = max_violation(_value_fn(entry), x, s, samples)
+            assert violation <= 1e-9, (entry.name, x, violation)
 
 
 def test_unit_directions_are_unit_and_deterministic():

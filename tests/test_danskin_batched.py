@@ -12,6 +12,7 @@ included.
 import json
 import math
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from compassdiff import danskin as dk
 from compassdiff import expr as ex
 from compassdiff.cli import main
 from compassdiff.compass import compass_from_psi
-from compassdiff.demos import paper_fixture_path
+from compassdiff.demos import DEMO_NAMES, paper_fixture_path
 
 # ---------------------------------------------------------------------------
 # reference: the per-point solver
@@ -327,29 +328,38 @@ def test_cli_danskin_solves_the_inner_problem_twice(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# scipy stays out of runs that never solve the LP
+# no command needs scipy
 
-def test_scipy_is_imported_only_for_the_lp():
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _tour() -> list:
+    """The argv of each ``compassdiff`` line of the README's command line tour."""
+    with open(README) as f:
+        text = f.read().split("## Command line tour", 1)[1]
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines() if line.startswith("compassdiff ")]
+
+
+def test_no_command_needs_scipy(tmp_path):
+    # importing the CLI loads no scipy module; then, with every scipy import
+    # made to fail, each command of the tour still exits 0
+    tour = _tour()
+    assert len(tour) == 14 and [["demo", name] for name in DEMO_NAMES] == [a for a in tour if a[0] == "demo"]
+    assert ["ode", "--problem", "example46.json", "--at", "0,0", "--traj", "--surface=-1:1:21", "--out",
+            "results"] in tour
     script = (
-        "import sys, contextlib, io\n"
+        "import contextlib, io, json, sys\n"
         "import compassdiff.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['danskin', '--problem', 'danskin_circle.json', '--at', '1,0']) == 0\n"
-        "    assert cli.main(['ode', '--problem', 'example46.json', '--at', '0,0']) == 0\n"
-        "    assert cli.main(['hull', '--polytope', 'triangle.json', '--midpoint', '--point', '1.5,1.5']) == 0\n"
-        "    assert cli.main(['demo', 'example41']) == 0\n"
-        "    assert cli.main(['demo', 'footnote1']) == 0\n"
-        "    assert cli.main(['demo', 'example43']) == 0\n"
-        "    assert cli.main(['hull', '--polytope', 'example43_c1.json', '--midpoint']) == 0\n"
-        "    assert cli.main(['hull', '--polytope', 'example43_c2.json', '--midpoint']) == 0\n"
-        "from compassdiff.hulls import hull_distance, separation\n"
-        "c1 = [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, 1]]\n"
-        "assert separation([0, 0, 0], c1)[0] > 0\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "assert hull_distance([0, 0, 0], c1) > 0\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "sys.modules['scipy'] = None\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(tour)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path / "results")) == ["surface.csv", "traj_minus_e1.csv", "traj_minus_e2.csv",
+                                                        "traj_plus_e1.csv", "traj_plus_e2.csv"]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import ball_support
 from compassdiff.demos import paper_fixture_path
 from compassdiff.geometry import (
-    ball_support,
     interval_hull,
     load_polytope_json,
     membership_check,

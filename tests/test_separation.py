@@ -22,12 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ball_support
 from compassdiff import cli, geometry, hulls, sampling
 from compassdiff.catalog import GradientHull, catalog_entry, clarke_membership_check
 from compassdiff.cli import main
 from compassdiff.demos import DEMO_NAMES, paper_fixture_path
-from compassdiff.geometry import ball_support, membership_check, polytope_support
+from compassdiff.geometry import membership_check, polytope_support
 from compassdiff.hulls import convex_hull_2d, hull_distance, separation
+from compassdiff.oracle import NumericalError
 
 TOL = 1e-9
 
@@ -137,15 +139,11 @@ def test_spatial_separation_agrees_with_the_lp(seed, n, kind, scale):
     _check_against_lp(_spatial_probe_points(gens, scale, rng), gens, scale, TOL * scale)
 
 
-def test_a_sliver_keeps_its_nearest_point_direction(monkeypatch):
+def test_a_sliver_keeps_its_nearest_point_direction():
     # a triangle 1e-12 to 1e-6 wide, turned and moved at random, and a point
     # delta above its plane over the middle line: the distance is delta.  The
     # direction comes from the nearest point of the affine hull of two or
     # three vertices, whose part along the sliver must not be rounding
-    def refuse(p, g):
-        raise AssertionError("LP fallback")
-
-    monkeypatch.setattr(hulls, "_hull_lp", refuse)
     rng = np.random.default_rng(1)
     for _ in range(6):
         rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
@@ -164,11 +162,7 @@ def _example43_sets() -> list:
                                 for name in ("example43_f", "example43_phi")]
 
 
-def test_the_example43_sets_never_reach_the_lp(monkeypatch):
-    def refuse(p, g):
-        raise AssertionError("LP fallback")
-
-    monkeypatch.setattr(hulls, "_hull_lp", refuse)
+def test_the_example43_sets_are_decided_by_the_nearest_point():
     for gens in _example43_sets():
         assert separation(np.zeros(3), gens)[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
         assert separation(gens.mean(axis=0), gens)[0] < 0.0
@@ -179,17 +173,17 @@ def test_the_example43_sets_never_reach_the_lp(monkeypatch):
         assert main(argv) == 0
 
 
-def test_an_uncertified_direction_falls_back_to_the_lp(monkeypatch):
-    # no drawn set needs the fallback; with no step allowed, Wolfe's
-    # algorithm gives up at its first minor cycle
-    calls = []
-    lp = hulls._hull_lp
-    monkeypatch.setattr(hulls, "_hull_lp", lambda p, g: calls.append(len(g)) or lp(p, g))
+def test_an_uncertified_direction_leaves_membership_undecided(monkeypatch, capsys):
+    # no drawn set gets here; with no step allowed, Wolfe's algorithm gives
+    # up at its first minor cycle, and no other direction is sought
     monkeypatch.setattr(hulls, "_MAX_WOLFE_STEPS", 0)
-    gap, d = separation([0.0, 0.0, 0.0], _example43_sets()[0])
-    assert calls == [4]
-    # the LP's dual direction, exactly symmetric
-    assert d.tolist() == [-0.5773502691896257] * 3 and gap == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+    with pytest.raises(NumericalError, match="^membership undecided"):
+        separation([0.0, 0.0, 0.0], _example43_sets()[0])
+    assert main(["hull", "--polytope", "example43_c1.json", "--point", "0,0,0"]) == cli.EXIT_NUMERIC == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: membership undecided") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_separation_of_degenerate_sets():
