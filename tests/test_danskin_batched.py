@@ -363,3 +363,27 @@ def test_no_command_needs_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert sorted(os.listdir(tmp_path / "results")) == ["surface.csv", "traj_minus_e1.csv", "traj_minus_e2.csv",
                                                         "traj_plus_e1.csv", "traj_plus_e2.csv"]
+
+
+def test_every_module_imports_without_scipy():
+    # scipy is a test dependency: only hulls.hull_distance imports it, when called
+    package = os.path.join(os.path.dirname(README), "src", "compassdiff")
+    modules = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
+    assert "hulls" in modules and "cli" in modules
+    script = ("import importlib, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module('compassdiff.' + name if name != '__init__' else 'compassdiff')\n")
+    src = os.path.dirname(package)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *modules], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(README), "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["dev"])

@@ -186,6 +186,27 @@ def test_an_uncertified_direction_leaves_membership_undecided(monkeypatch, capsy
     assert "Traceback" not in err
 
 
+_C1 = [[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("caller", [
+    lambda: membership_check(polytope_support(_C1), [0.0, 0.0, 0.0]),
+    lambda: clarke_membership_check([0.0, 0.0, 0.0], GradientHull(generators=np.array(_C1))),
+], ids=["membership_check", "clarke_membership_check"])
+def test_an_undecided_membership_reaches_the_library_caller(monkeypatch, caller):
+    # no verdict is made up from an uncertified direction: the caller sees the error
+    monkeypatch.setattr(hulls, "_MAX_WOLFE_STEPS", 0)
+    with pytest.raises(NumericalError, match="^membership undecided"):
+        caller()
+
+
+def test_an_undecided_membership_makes_demo_example43_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(hulls, "_MAX_WOLFE_STEPS", 0)
+    assert main(["demo", "example43"]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: membership undecided") and err.count("\n") == 1
+
+
 def test_separation_of_degenerate_sets():
     # a single point: the coordinate directions give the l-inf distance
     gap, d = separation([1.0, 3.0], [[0.0, 0.0]])
