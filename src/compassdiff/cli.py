@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 input error (any :class:`InputError`: the library
 checks each argument it uses, this module only what it parses itself), 3
-evaluation error, 4 numerical failure.  All JSON output is deterministic
-(fixed float formatting), so identical inputs give byte-identical output.
+evaluation error, 4 numerical failure.  stdout carries one JSON document and
+nothing else; the summaries of ``demo`` and ``optimize`` and the 3-D
+``compass`` warning go to stderr.  All JSON output is deterministic (fixed
+float formatting), so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,15 +33,10 @@ from .compass import (
     compass_difference,
     finite_difference_probes,
 )
-from .danskin import _stability, _subgradient_from_active, problem_from_json as danskin_from_json, solve_inner
+from .danskin import danskin_report, problem_from_json as danskin_from_json
 from .demos import DEMO_NAMES, paper_fixture_path, run_demo
 from .geometry import load_polytope_json, membership_check, midpoint_element
-from .odesens import (
-    IntegrationConfig,
-    _subgradient_and_trajectories,
-    ode_cost_value,
-    problem_from_json as ode_from_json,
-)
+from .odesens import IntegrationConfig, ode_cost_value, ode_probes, problem_from_json as ode_from_json
 from .optimize import Constant, Diminishing, Polyak, rule_label, subgradient_method
 from .oracle import CompassResult, InputError, NumericalError, OracleError, UNGUARANTEED
 
@@ -57,11 +54,9 @@ MAX_SURFACE_COUNT = 100
 
 def _parse_point(text: str, what: str = "point") -> np.ndarray:
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",")]
     except ValueError as err:
         raise InputError(f"bad {what} {text!r}: {err}") from None
-    if not values:
-        raise InputError(f"bad {what} {text!r}: no coordinates")
     if not all(math.isfinite(v) for v in values):
         raise InputError(f"bad {what} {text!r}: coordinates must be finite")
     return np.array(values)
@@ -115,10 +110,9 @@ def _prepare_out_dir(out_dir: str):
         raise InputError(f"output directory not writable: {out_dir}")
 
 
-def _emit(args, payload: dict, human_lines: list[str] | None = None):
-    if human_lines and not args.json:
-        for line in human_lines:
-            print(line)
+def _emit(payload: dict, human_lines=()):
+    for line in human_lines:
+        print(line, file=sys.stderr)
     print(jsonio.dumps(payload))
 
 
@@ -146,7 +140,7 @@ def _cmd_compass(args) -> int:
         approx, probes = finite_difference_probes(oracle.value, x, args.fd)
         payload = CompassResult(approx, probes, None, "approximate (centered finite differences)").to_json_dict()
         payload["delta"] = args.fd
-        _emit(args, payload)
+        _emit(payload)
         return EXIT_OK
     if args.basis is not None:
         result = basis_compass_difference(oracle, x, _parse_matrix(args.basis))
@@ -158,20 +152,18 @@ def _cmd_compass(args) -> int:
             "membership guarantee (the example43 demo shows it can fail)",
             file=sys.stderr,
         )
-    _emit(args, result.to_json_dict())
+    _emit(result.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_demo(args) -> int:
     report = run_demo(args.name)
-    human = []
-    if not args.json:
-        human.append(f"demo {args.name}: {'all checks passed' if report['passed'] else 'CHECKS FAILED'}")
-        for check in report["checks"]:
-            mark = "ok " if check["passed"] else "FAIL"
-            detail = f"  [{check['detail']}]" if check["detail"] else ""
-            human.append(f"  [{mark}] {check['name']}{detail}")
-    _emit(args, report, human)
+    human = [f"demo {args.name}: {'all checks passed' if report['passed'] else 'CHECKS FAILED'}"]
+    for check in report["checks"]:
+        mark = "ok " if check["passed"] else "FAIL"
+        detail = f"  [{check['detail']}]" if check["detail"] else ""
+        human.append(f"  [{mark}] {check['name']}{detail}")
+    _emit(report, human)
     if args.out:
         _write_file(args.out, f"demo_{args.name}.json", jsonio.dumps(report) + "\n")
     return EXIT_OK if report["passed"] else EXIT_EVAL
@@ -202,7 +194,7 @@ def _cmd_hull(args) -> int:
             "witness": None if member.witness is None else member.witness.tolist(),
             "detail": member.message(),
         }
-    _emit(args, payload)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -211,7 +203,7 @@ def _cmd_ode(args) -> int:
     p = _parse_point(args.at, "parameter point")
     config = IntegrationConfig(abs_tol=args.abstol, rel_tol=args.reltol)
     grid = None if args.surface is None else np.linspace(*_parse_gridspec(args.surface))
-    result, trajectories = _subgradient_and_trajectories(problem, p, config)
+    result, trajectories = ode_probes(problem, p, config)
     payload = result.to_json_dict()
     payload["parameters"] = p.tolist()
     payload["tolerances"] = {"abs": args.abstol, "rel": args.reltol}
@@ -229,20 +221,13 @@ def _cmd_ode(args) -> int:
         written.append(_write_file(out_dir, "surface.csv", jsonio.csv(("p1", "p2", "phi", "affine"), rows)))
     if written:
         payload["files"] = written
-    _emit(args, payload)
+    _emit(payload)
     return EXIT_OK
 
 
 def _cmd_danskin(args) -> int:
     problem = danskin_from_json(_resolve_input_path(args.problem))
-    x_hat = _parse_point(args.at)
-    active = solve_inner(problem, x_hat, args.eps_active)
-    result = _subgradient_from_active(problem, x_hat, active)
-    payload = result.to_json_dict()
-    payload["optimal_value"] = active.optimal_value
-    payload["active_set_size"] = int(active.minimizers.shape[0])
-    payload["stability"] = _stability(problem, x_hat, active, result)
-    _emit(args, payload)
+    _emit(danskin_report(problem, _parse_point(args.at), args.eps_active))
     return EXIT_OK
 
 
@@ -264,16 +249,14 @@ def _cmd_optimize(args) -> int:
         "best_point": trace.best_point.tolist(),
         "stop_reason": trace.stop_reason,
     }
-    human = None
-    if not args.json:
-        human = [
-            f"{rule_label(rule)}: best value {trace.best_value:.6g} at "
-            f"{np.array2string(trace.best_point, precision=6)} after {len(trace.iterates)} iterates "
-            f"({trace.stop_reason})"
-        ]
+    human = [
+        f"{rule_label(rule)}: best value {trace.best_value:.6g} at "
+        f"{np.array2string(trace.best_point, precision=6)} after {len(trace.iterates)} iterates "
+        f"({trace.stop_reason})"
+    ]
     if args.out:
         payload["trace_file"] = _write_file(args.out, "trace.csv", trace.to_csv())
-    _emit(args, payload, human)
+    _emit(payload, human)
     return EXIT_OK
 
 
@@ -287,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="", help="directory for CSV/JSON artifacts")
-    common.add_argument("--json", action="store_true", help="machine-readable output only")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,7 @@ second-order conditions are required; f only needs a continuous gradient in x.
 
 The exact minimizer set is replaced numerically by an epsilon-active set.
 When the inner problem has near-ties this makes psi sensitive to the
-activation tolerance; :func:`stability_probe` reports psi under eps and
+activation tolerance; :func:`danskin_report` reports psi under eps and
 10 * eps so instability is visible.
 """
 
@@ -243,29 +243,40 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
     return _subgradient_from_active(problem, x_hat, solve_inner(problem, x_hat, eps_active))
 
 
-def _stability(problem: OptimalValueProblem, x_hat: np.ndarray, base: ActiveSet, result: CompassResult) -> dict:
-    # ``result`` is the compass difference over ``base``: its probes are psi under eps
+def danskin_report(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> dict:
+    """The ``danskin`` command's output, from two inner solves.
+
+    The :class:`CompassResult` fields, ``optimal_value``, ``active_set_size``
+    and ``stability``: psi in the compass directions under eps (the
+    subgradient's probes) and 10 * eps, with both active-set sizes.
+    """
+    x_hat = np.asarray(x_hat, dtype=float)
+    base = solve_inner(problem, x_hat, eps_active)
+    result = _subgradient_from_active(problem, x_hat, base)
     if not 10.0 * base.epsilon < math.inf:
         raise InputError(f"eps_active must be positive and finite, and so must 10 * eps, got {shown(base.epsilon)}")
     wide = solve_inner(problem, x_hat, 10.0 * base.epsilon)
-    return {
+    report = result.to_json_dict()
+    report["optimal_value"] = base.optimal_value
+    report["active_set_size"] = int(base.minimizers.shape[0])
+    report["stability"] = {
         "eps_active": base.epsilon,
-        "active_size": int(base.minimizers.shape[0]),
+        "active_size": report["active_set_size"],
         "active_size_10eps": int(wide.minimizers.shape[0]),
         "psi": [p.value for p in result.probes],
         "psi_10eps": [p.value for p in _subgradient_from_active(problem, x_hat, wide).probes],
     }
+    return report
 
 
 def stability_probe(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> dict:
     """psi in the compass directions under eps and 10 * eps activation.
 
     Large differences flag near-ties in the inner problem, where the reported
-    subgradient depends on the activation tolerance.
+    subgradient depends on the activation tolerance.  :func:`danskin_report`'s
+    ``stability``.
     """
-    x_hat = np.asarray(x_hat, dtype=float)
-    base = solve_inner(problem, x_hat, eps_active)
-    return _stability(problem, x_hat, base, _subgradient_from_active(problem, x_hat, base))
+    return danskin_report(problem, x_hat, eps_active)["stability"]
 
 
 # ---------------------------------------------------------------------------

@@ -609,8 +609,8 @@ def ode_cost_dirderiv(problem: OdeProblem, p, d,
     return _cost_dirderiv(problem, p, integrate_coupled(problem, p, d, config))
 
 
-def _subgradient_and_trajectories(problem: OdeProblem, p, config: IntegrationConfig
-                                  ) -> tuple[CompassResult, list[SensitivityTrajectory]]:
+def ode_probes(problem: OdeProblem, p, config: IntegrationConfig = IntegrationConfig()
+               ) -> tuple[CompassResult, list[SensitivityTrajectory]]:
     """:func:`ode_subgradient` plus the coupled integrations behind its probes, in probe order.
 
     psi(d) integrates its own direction (:func:`integrate_coupled`) when
@@ -635,7 +635,7 @@ def ode_subgradient(problem: OdeProblem, p,
 
     Four coupled integrations, one per compass direction.
     """
-    return _subgradient_and_trajectories(problem, p, config)[0]
+    return ode_probes(problem, p, config)[0]
 
 
 # ---------------------------------------------------------------------------

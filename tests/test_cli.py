@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,19 +19,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def last_json(out: str) -> dict:
-    # payload is the trailing JSON object; human-readable lines precede it
-    start = out.index("{")
-    return json.loads(out[start:])
-
-
 # ---------------------------------------------------------------------------
 # compass
 
 def test_cli_compass_neg_abs(capsys):
     code, out, err = run_cli(capsys, "compass", "--expr", "(neg (abs (var 0)))", "--at", "0,0")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["subgradient"] == [0.0, 0.0]
     assert payload["guarantee"] == "guaranteed"
     assert len(payload["probes"]) == 4
@@ -39,7 +35,7 @@ def test_cli_compass_three_variables_warns(capsys):
     expr = "(max (add (var 0) (var 1) (neg (var 2))) (add (var 1) (var 2) (neg (var 0))) (add (var 2) (var 0) (neg (var 1))))"
     code, out, err = run_cli(capsys, "compass", "--expr", expr, "--at", "0,0,0")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["subgradient"] == [0.0, 0.0, 0.0]
     assert payload["guarantee"] == "unguaranteed"
     assert "warning" in err
@@ -49,7 +45,7 @@ def test_cli_compass_finite_difference(capsys):
     code, out, _ = run_cli(capsys, "compass", "--expr", "(norm (var 0) (var 1))",
                            "--at", "3,4", "--fd", "1e-5")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["subgradient"] == pytest.approx([0.6, 0.8], abs=1e-5)
     assert payload["delta"] == 1e-5
 
@@ -58,7 +54,7 @@ def test_cli_compass_with_basis(capsys):
     code, out, _ = run_cli(capsys, "compass", "--expr", "(max (var 0) (const 0))",
                            "--at", "0,0", "--basis", "0,-1;1,0")
     assert code == 0
-    assert last_json(out)["subgradient"] == [0.5, 0.0]
+    assert json.loads(out)["subgradient"] == [0.5, 0.0]
 
 
 def test_cli_compass_expression_from_file(capsys, tmp_path):
@@ -66,7 +62,7 @@ def test_cli_compass_expression_from_file(capsys, tmp_path):
     source.write_text("(add (abs (var 0)) (abs (var 1)))\n")
     code, out, _ = run_cli(capsys, "compass", "--expr-file", str(source), "--at", "1,-2")
     assert code == 0
-    assert last_json(out)["subgradient"] == [1.0, -1.0]
+    assert json.loads(out)["subgradient"] == [1.0, -1.0]
 
 
 def test_cli_ode_bad_tolerance_exits_2(capsys):
@@ -123,10 +119,10 @@ def test_cli_output_is_byte_identical_across_runs(capsys):
 
 @pytest.mark.parametrize("name", ["example41", "example42", "example43", "example44", "footnote1"])
 def test_cli_demo_passes(capsys, name):
-    code, out, _ = run_cli(capsys, "demo", name)
+    code, out, err = run_cli(capsys, "demo", name)
     assert code == 0
-    assert "all checks passed" in out
-    payload = last_json(out)
+    assert "all checks passed" in err
+    payload = json.loads(out)
     assert payload["passed"] is True
 
 
@@ -137,7 +133,7 @@ def test_cli_demo_unknown_name_exits_2(capsys):
 
 
 def test_cli_demo_writes_certificate(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, "demo", "example42", "--out", str(tmp_path), "--json")
+    code, _, _ = run_cli(capsys, "demo", "example42", "--out", str(tmp_path))
     assert code == 0
     written = json.loads((tmp_path / "demo_example42.json").read_text())
     assert written["passed"] is True
@@ -149,7 +145,7 @@ def test_cli_demo_writes_certificate(capsys, tmp_path):
 def test_cli_hull_midpoint(capsys):
     code, out, _ = run_cli(capsys, "hull", "--polytope", "triangle.json", "--midpoint")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["hull"] == {"lower": [0.0, 0.0], "upper": [2.0, 2.0]}
     assert payload["midpoint"]["point"] == [1.0, 1.0]
     assert payload["midpoint"]["member"] is True
@@ -160,7 +156,7 @@ def test_cli_hull_membership_point(capsys):
     code, out, _ = run_cli(capsys, "hull", "--polytope", "example43_c1.json",
                            "--point", "0,0,0")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["membership"]["member"] is False
     assert payload["membership"]["witness"] is not None
 
@@ -169,7 +165,7 @@ def test_cli_hull_escapes_control_characters(capsys, tmp_path):
     description = "tab\there, \x01 and a \"quote\" \\ ok"
     path = tmp_path / "tabbed.json"
     path.write_text(json.dumps({"dim": 2, "description": description, "vertices": [[0, 0], [2, 0], [0, 2]]}))
-    code, out, _ = run_cli(capsys, "hull", "--polytope", str(path), "--json")
+    code, out, _ = run_cli(capsys, "hull", "--polytope", str(path))
     assert code == 0
     assert "\t" not in out and "\x01" not in out
     assert json.loads(out)["description"] == description
@@ -194,7 +190,7 @@ def test_cli_hull_missing_file_exits_2(capsys):
 def test_cli_ode_bundled_problem(capsys):
     code, out, _ = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0,0")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["subgradient"] == pytest.approx([3.489822, 0.771540], abs=1e-5)
     assert payload["guarantee"] == "guaranteed"
 
@@ -206,7 +202,7 @@ def test_cli_ode_on_a_wide_problem_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "ode", "--problem", str(wide), "--at", "0.3,-0.2")
     assert code == 0, err
     assert "Traceback" not in err
-    assert last_json(out)["guarantee"] == "guaranteed"
+    assert json.loads(out)["guarantee"] == "guaranteed"
 
 
 def test_cli_ode_malformed_json_exits_2(capsys, tmp_path):
@@ -291,7 +287,7 @@ def test_cli_ode_huge_tolerances_are_quiet(capsys, tmp_path, extra):
     code, out, err = run_cli(capsys, "ode", "--problem", "example46.json", "--at", "0.3,0.2",
                              "--abstol", "1e308", "--reltol", "1e308", "--out", str(tmp_path), *extra)
     assert code == 0 and err == ""
-    assert last_json(out)["guarantee"] == "guaranteed"
+    assert json.loads(out)["guarantee"] == "guaranteed"
 
 
 def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
@@ -331,7 +327,7 @@ def test_cli_ode_trajectories_and_surface(capsys, tmp_path, monkeypatch):
         rows = (tmp_path / f"traj_{label}.csv").read_text().strip().split("\n")[1:]
         assert [float(row.split(",")[0]) for row in rows] == times
         assert [[float(v) for v in row.split(",")[1:]] for row in rows] == states
-    payload = last_json(out)
+    payload = json.loads(out)
     assert len(payload["files"]) == 5
     surface = (tmp_path / "surface.csv").read_text().strip().split("\n")
     assert surface[0] == "p1,p2,phi,affine"
@@ -365,7 +361,7 @@ def test_cli_ode_bad_gridspec_exits_2(capsys):
 def test_cli_danskin_circle(capsys):
     code, out, _ = run_cli(capsys, "danskin", "--problem", "danskin_circle.json", "--at", "0,0")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["subgradient"] == pytest.approx([0.0, 0.0], abs=1e-3)
     assert payload["active_set_size"] == 360
     assert payload["optimal_value"] == pytest.approx(0.0, abs=1e-12)
@@ -375,8 +371,8 @@ def test_cli_danskin_circle(capsys):
 def test_cli_danskin_offset_point(capsys):
     code, out, _ = run_cli(capsys, "danskin", "--problem", "danskin_circle.json", "--at", "1,0")
     assert code == 0
-    assert last_json(out)["subgradient"] == pytest.approx([-1.0, 0.0], abs=1e-3)
-    assert last_json(out)["guarantee"] == "guaranteed"
+    assert json.loads(out)["subgradient"] == pytest.approx([-1.0, 0.0], abs=1e-3)
+    assert json.loads(out)["guarantee"] == "guaranteed"
 
 
 def test_cli_danskin_box_is_unguaranteed(capsys, tmp_path):
@@ -390,7 +386,7 @@ def test_cli_danskin_box_is_unguaranteed(capsys, tmp_path):
         "feasible": {"box": {"lower": [-1], "upper": [1], "grid": 21, "refine_steps": 30}}}))
     code, out, _ = run_cli(capsys, "danskin", "--problem", str(well), "--at", "0.3,0")
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["guarantee"] == "unguaranteed"
     assert payload["subgradient"] == [-1.0, 0.0] and payload["optimal_value"] == pytest.approx(0.2)
 
@@ -402,7 +398,7 @@ def test_cli_optimize_polyak_one_step(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "optimize", "--expr", "(norm (var 0) (var 1))",
                            "--from", "3,4", "--polyak", "0", "--out", str(tmp_path))
     assert code == 0
-    payload = last_json(out)
+    payload = json.loads(out)
     assert payload["best_value"] == 0.0
     assert payload["best_point"] == [0.0, 0.0]
     assert payload["iterations"] == 2
@@ -416,3 +412,26 @@ def test_cli_optimize_requires_one_rule(capsys):
         main(["optimize", "--expr", "(abs (var 0))", "--from", "1,1"])
     assert exc.value.code == 2
     assert "one of the arguments --polyak --constant --diminishing is required" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one owner for each command's output
+
+def _private_imports(path: Path) -> list:
+    """The underscore-prefixed names that ``path`` imports from a compassdiff module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "compassdiff"):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "compassdiff"
+                      and any(part.startswith("_") for part in a.name.split("."))]
+    return found
+
+
+def test_no_module_or_tool_imports_a_private_name():
+    # the CLI and the tools call the library through its public names alone
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "compassdiff").glob("*.py")) + sorted((root / "tools").glob("*.py"))
+    assert {"cli.py", "danskin.py", "odesens.py", "kink_report.py"} <= {p.name for p in paths}
+    assert {p.name: names for p in paths if (names := _private_imports(p))} == {}

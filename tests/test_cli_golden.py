@@ -53,26 +53,26 @@ GOLDEN = [
      {}),
     ('demo_example41',
      ['demo', 'example41'],
-     0, '567791cfc4d9fd1bcb91f06923733b37e0a880c0aab99ed8049c97f966c3c2b9',
+     0, 'ce5761647f72413a0db2bb03426c66c255816814412ce0db676612eed625809c',
      {}),
     ('demo_example42',
      ['demo', 'example42'],
-     0, '043cd5b87cee91a7f6b12d8005782b66219cd9ce1558fefa0d262d8d9514d387',
+     0, '4d665b46e7318776c9ec224d1d5ceca3def1dfaf782c3a3b136b4e0c9d8a1dbc',
      {}),
     ('demo_example43',
      ['demo', 'example43'],
-     0, '17c7484513b8090b7195b0c09c17c1810cf4ba1eba6a0271843c5675cc0213bd',
+     0, '0b84b847f896333268c51a57cc9ea032cfb72bbb0ff9d352031ac9d0c6ec3c0c',
      {}),
     ('demo_example44',
      ['demo', 'example44'],
-     0, '9845cbe1b600e00fdc0502534c8deda6c5df1f0d4012afda7fbdaab8c40dd6c7',
+     0, '87f0e13dac0c19b0447368a95db758f44fbce27aae029a847603797101607b0f',
      {}),
     ('demo_footnote1',
      ['demo', 'footnote1'],
-     0, '0ff20abfb2fc4e9be08a559ac23cffb631eeab220217f80e36d58015b6356a82',
+     0, 'ffe60f5d6e1fecaec116665665682647351044636d257d3f296ab8874e4f6870',
      {}),
     ('demo_example43_out',
-     ['demo', 'example43', '--json', '--out', 'results'],
+     ['demo', 'example43', '--out', 'results'],
      0, '0b84b847f896333268c51a57cc9ea032cfb72bbb0ff9d352031ac9d0c6ec3c0c',
      {'results/demo_example43.json':
           '0b84b847f896333268c51a57cc9ea032cfb72bbb0ff9d352031ac9d0c6ec3c0c'}),
@@ -134,17 +134,17 @@ GOLDEN = [
      {}),
     ('optimize_polyak',
      ['optimize', '--expr', '(norm (var 0) (var 1))', '--from', '3,4', '--polyak', '0'],
-     0, '2b74bc5e5318ae310b5d692c0c97fa8f90e02be7210d92c5a3134dbafc34e063',
+     0, '0a9ff6b543c81752d8bfeedc006c9a0bfb7b3aa5d290672cdbe4e1a0e9020291',
      {}),
     ('optimize_constant_out',
      ['optimize', '--expr', '(add (abs (var 0)) (abs (var 1)))', '--from', '1,-2', '--constant', '0.1',
       '--max-iters', '20', '--out', 'results'],
-     0, 'abb7141ce92661e174ae669e0bf20ec0d90f33400d0062c4cdae45731f37b477',
+     0, '652dfaa50f22d3fa1309bb51c356716b465fe99603c4d3acb6a3ccd75a51b6ee',
      {'results/trace.csv':
           '697ea739b379a4ed34e599cda9b6368810df1ceb1d064e887661c8fc4cc75613'}),
     ('optimize_diminishing',
      ['optimize', '--expr', '(max (var 0) (neg (var 1)))', '--from', '0.5,0.5', '--diminishing', '1',
-      '--max-iters', '30', '--json'],
+      '--max-iters', '30'],
      0, 'b32b5d2705e37e7834fe04ea8b3d909c693c213654fc73e611aabdf779c09537',
      {}),
 ]

@@ -199,7 +199,13 @@ def test_batched_solver_matches_per_point_reference(data, x, eps):
     assert array_bits(result.subgradient) == array_bits(ref_result.subgradient)
     assert [bits(p.value) for p in result.probes] == [bits(p.value) for p in ref_result.probes]
 
-    assert stability_bits(dk.stability_probe(batched, x, eps)) == stability_bits(ref_stability(reference, x, eps))
+    report, ref_report = dk.danskin_report(batched, x, eps), ref_stability(reference, x, eps)
+    assert [bits(v) for v in report["subgradient"]] == [bits(v) for v in ref_result.subgradient]
+    assert [bits(p["value"]) for p in report["probes"]] == [bits(p.value) for p in ref_result.probes]
+    assert bits(report["optimal_value"]) == bits(ref_active.optimal_value)
+    assert report["active_set_size"] == ref_active.minimizers.shape[0]
+    assert stability_bits(report["stability"]) == stability_bits(ref_report)
+    assert stability_bits(dk.stability_probe(batched, x, eps)) == stability_bits(report["stability"])
 
 
 # subgradient and probe values of the bundled clouds, taken from the per-point solver
@@ -309,8 +315,6 @@ def test_cli_rejects_an_oversized_box_with_exit_2(tmp_path, capsys):
 # the CLI's inner solves
 
 def test_cli_danskin_solves_the_inner_problem_twice(monkeypatch, capsys):
-    import compassdiff.cli as cli
-
     calls = []
     solve = dk.solve_inner
 
@@ -319,8 +323,7 @@ def test_cli_danskin_solves_the_inner_problem_twice(monkeypatch, capsys):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(dk, "solve_inner", counting)
-    monkeypatch.setattr(cli, "solve_inner", counting)
-    assert main(["danskin", "--problem", "danskin_sqdist.json", "--at", "0.25,-0.5", "--json"]) == 0
+    assert main(["danskin", "--problem", "danskin_sqdist.json", "--at", "0.25,-0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(calls) == 2  # the base active set, then the stability report's 10 * eps one
     problem = dk.problem_from_json(paper_fixture_path("danskin_sqdist.json"))
@@ -342,7 +345,8 @@ def _tour() -> list:
 
 def test_no_command_needs_scipy(tmp_path):
     # importing the CLI loads no scipy module; then, with every scipy import
-    # made to fail, each command of the tour still exits 0
+    # made to fail, each command of the tour still exits 0, its whole stdout
+    # one JSON document
     tour = _tour()
     assert len(tour) == 14 and [["demo", name] for name in DEMO_NAMES] == [a for a in tour if a[0] == "demo"]
     assert ["ode", "--problem", "example46.json", "--at", "0,0", "--traj", "--surface=-1:1:21", "--out",
@@ -353,8 +357,10 @@ def test_no_command_needs_scipy(tmp_path):
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "sys.modules['scipy'] = None\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
         "        assert cli.main(argv) == 0, argv\n"
+        "    assert isinstance(json.loads(out.getvalue()), dict), argv\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

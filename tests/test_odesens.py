@@ -25,7 +25,6 @@ from compassdiff.odesens import (
     _dopri5_floats,
     _first_guess,
     _second_guess,
-    _subgradient_and_trajectories,
     _trial,
     _trial_of_width,
     _vector_oracle_from_exprs,
@@ -33,6 +32,7 @@ from compassdiff.odesens import (
     integrate_state,
     ode_cost_dirderiv,
     ode_cost_value,
+    ode_probes,
     ode_subgradient,
     problem_from_json,
 )
@@ -437,8 +437,8 @@ def test_wide_and_deep_problem_files_match_the_closure_pass(data):
     _assert_maps_match_the_closure_pass(problem.rhs, rhs, Z)
     reference = dataclasses.replace(problem, rhs=_closure_oracle(rhs, n), init=_closure_oracle(init, 2))
     p = [0.3, 0.0]  # x1 stays 0: the abs kink and, in the wide file, a 5000-way tie all the way
-    got, got_trajectories = _subgradient_and_trajectories(problem, p, IntegrationConfig())
-    want, want_trajectories = _subgradient_and_trajectories(reference, p, IntegrationConfig())
+    got, got_trajectories = ode_probes(problem, p, IntegrationConfig())
+    want, want_trajectories = ode_probes(reference, p, IntegrationConfig())
     assert got.subgradient.tobytes() == want.subgradient.tobytes()
     for a, b in zip(got_trajectories, want_trajectories):
         assert a.stats == b.stats and a.states.tobytes() == b.states.tobytes()
@@ -515,7 +515,7 @@ def test_example46_switches_on_x1_and_x2(bundled_problem):
 
 
 def _runs(problem, p):
-    result, trajectories = _subgradient_and_trajectories(problem, p, IntegrationConfig())
+    result, trajectories = ode_probes(problem, p, IntegrationConfig())
     return result.subgradient.tobytes(), [(tr.stats, tr.times.tobytes(), tr.states.tobytes(),
                                            tr.sensitivities.tobytes()) for tr in trajectories]
 
@@ -776,7 +776,7 @@ def _assert_batches_match_one_row_integrations(problem, P, config) -> int:
     assert _bits(integrate_state(problem, P[0], config)) == _bits(run)
     # the four compass probes at P[0]: four coupled integrations
     p, n = P[0], problem.n_state
-    result, trajectories = _subgradient_and_trajectories(problem, p, config)
+    result, trajectories = ode_probes(problem, p, config)
     assert len(trajectories) == 4
     for pr, traj in zip(result.probes, trajectories):
         z0 = problem.init.tangent(p.tolist() + pr.direction.tolist())

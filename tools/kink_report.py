@@ -14,7 +14,7 @@ and rejected, over its four probes), of the landed crossings
 error against ``bench/exact.py``'s ``compass_of`` (largest component), and
 the time the subgradients took.  It reads ``bench/exact.py`` and writes
 nothing, so pointing ``PYTHONPATH`` at another checkout's ``src`` compares
-two versions on the same points.
+two versions on the same points (any version with ``odesens.ode_probes``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from compassdiff.demos import paper_fixture_path
-from compassdiff.odesens import _subgradient_and_trajectories, IntegrationConfig, integrate_state, problem_from_json
+from compassdiff.odesens import IntegrationConfig, integrate_state, ode_probes, problem_from_json
 
 #: Seeded points of the p1 = 0 row.
 KINK_POINTS = 20
@@ -51,7 +51,7 @@ def measure(points: list) -> list[dict]:
     out = []
     for p in points:
         t0 = time.perf_counter()
-        result, trajectories = _subgradient_and_trajectories(problem, p, config)
+        result, trajectories = ode_probes(problem, p, config)
         seconds = time.perf_counter() - t0
         ref = exact.compass_of(exact.example46_cost, p)
         out.append({
