@@ -163,9 +163,9 @@ def _cmd_demo(args) -> int:
         mark = "ok " if check["passed"] else "FAIL"
         detail = f"  [{check['detail']}]" if check["detail"] else ""
         human.append(f"  [{mark}] {check['name']}{detail}")
-    _emit(report, human)
     if args.out:
         _write_file(args.out, f"demo_{args.name}.json", jsonio.dumps(report) + "\n")
+    _emit(report, human)
     return EXIT_OK if report["passed"] else EXIT_EVAL
 
 

@@ -8,7 +8,8 @@ second-order conditions are required; f only needs a continuous gradient in x.
 The exact minimizer set is replaced numerically by an epsilon-active set.
 When the inner problem has near-ties this makes psi sensitive to the
 activation tolerance; :func:`danskin_report` reports psi under eps and
-10 * eps so instability is visible.
+10 * eps so instability is visible.  Both tolerances share one grid or cloud
+pass and one refinement per box grid candidate.
 """
 
 from __future__ import annotations
@@ -142,20 +143,19 @@ def _rows(what: str, values, ys: np.ndarray, width: Optional[int] = None) -> np.
     return values
 
 
-def _active(problem: OptimalValueProblem, x_hat: np.ndarray, ys: np.ndarray, eps_active: Optional[float]) -> ActiveSet:
-    """The points of ``ys`` within the activation tolerance of their least objective value."""
-    vals = _rows("objective value", problem.objective(x_hat, ys), ys)
+def _active(ys: np.ndarray, vals: np.ndarray, eps_active: Optional[float]) -> tuple[ActiveSet, np.ndarray]:
+    """The points of ``ys`` within the activation tolerance of their least value, and their indices."""
     opt = float(np.min(vals))
     eps = eps_active if eps_active is not None else _default_eps(opt)
-    return ActiveSet(minimizers=ys[vals <= opt + eps], optimal_value=opt, epsilon=eps)
+    within = np.flatnonzero(vals <= opt + eps)
+    return ActiveSet(minimizers=ys[within], optimal_value=opt, epsilon=eps), within
 
 
-def _refine_in_box(problem: OptimalValueProblem, x_hat: np.ndarray, y: np.ndarray, box: Box,
-                   step0: np.ndarray) -> np.ndarray:
-    # one-row batches: each move depends on the one before it
+def _refine_in_box(problem: OptimalValueProblem, x_hat: np.ndarray, y: np.ndarray, box: Box) -> np.ndarray:
+    # one-row batches: each move depends on the one before it; the first step is the grid spacing
     y = y[np.newaxis, :].copy()
     best = float(problem.objective(x_hat, y)[0])
-    step = step0.copy()
+    step = (box.upper - box.lower) / (box.grid - 1)
     for _ in range(box.refine_steps):
         for j in range(y.shape[1]):
             for sign in (1.0, -1.0):
@@ -177,14 +177,9 @@ def _dedup(points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return np.array(kept)
 
 
-def solve_inner(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> ActiveSet:
-    """Minimise the inner objective over the feasible set at ``x_hat``.
-
-    Point clouds are enumerated exactly.  Boxes are evaluated on the grid;
-    grid points within the activation tolerance of the grid minimum are
-    refined by fixed-count coordinate descent, deduplicated, and re-filtered
-    against the refined minimum.
-    """
+def _active_sets(problem: OptimalValueProblem, x_hat,
+                 eps_active: Optional[float]) -> tuple[ActiveSet, Callable[[float], ActiveSet]]:
+    """The active set under ``eps_active``, and the function that gives it under any tolerance."""
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.size != 2:
         raise InputError("the outer parameter space is two-dimensional")
@@ -192,14 +187,34 @@ def solve_inner(problem: OptimalValueProblem, x_hat, eps_active: Optional[float]
         require_positive("eps_active", eps_active)
     feas = problem.feasible
     if isinstance(feas, FinitePointCloud):
-        return _active(problem, x_hat, feas.points, eps_active)
+        ys = feas.points
+    else:
+        axes = [np.linspace(feas.lower[j], feas.upper[j], feas.grid) for j in range(problem.m)]
+        ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, problem.m)
+    vals = _rows("objective value", problem.objective(x_hat, ys), ys)  # one pass for every tolerance
+    refined: dict[int, np.ndarray] = {}  # coordinate descent is deterministic: once per grid candidate
 
-    axes = [np.linspace(feas.lower[j], feas.upper[j], feas.grid) for j in range(problem.m)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, problem.m)
-    candidates = _active(problem, x_hat, mesh, eps_active).minimizers
-    spacing = (feas.upper - feas.lower) / (feas.grid - 1)
-    refined = _dedup(np.array([_refine_in_box(problem, x_hat, y, feas, spacing) for y in candidates]))
-    return _active(problem, x_hat, refined, eps_active)
+    def active(eps: Optional[float]) -> ActiveSet:
+        grid_active, within = _active(ys, vals, eps)
+        if isinstance(feas, FinitePointCloud):
+            return grid_active
+        refined.update({i: _refine_in_box(problem, x_hat, ys[i], feas) for i in within if i not in refined})
+        points = _dedup(np.array([refined[i] for i in within]))
+        return _active(points, _rows("objective value", problem.objective(x_hat, points), points), eps)[0]
+
+    return active(eps_active), active
+
+
+def solve_inner(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> ActiveSet:
+    """Minimise the inner objective over the feasible set at ``x_hat``.
+
+    Point clouds are enumerated exactly.  Boxes are evaluated on the grid;
+    grid points within the activation tolerance of the grid minimum are
+    refined by fixed-count coordinate descent, deduplicated, and re-filtered
+    against the refined minimum.  :func:`danskin_report`'s two tolerances
+    share one grid or cloud pass and one refinement per candidate.
+    """
+    return _active_sets(problem, x_hat, eps_active)[0]
 
 
 def optimal_value(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> float:
@@ -244,18 +259,19 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
 
 
 def danskin_report(problem: OptimalValueProblem, x_hat, eps_active: Optional[float] = None) -> dict:
-    """The ``danskin`` command's output, from two inner solves.
+    """The ``danskin`` command's output.
 
     The :class:`CompassResult` fields, ``optimal_value``, ``active_set_size``
     and ``stability``: psi in the compass directions under eps (the
-    subgradient's probes) and 10 * eps, with both active-set sizes.
+    subgradient's probes) and 10 * eps, with both active-set sizes.  Both
+    tolerances share one grid or cloud pass and one refinement per candidate.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    base = solve_inner(problem, x_hat, eps_active)
+    base, active = _active_sets(problem, x_hat, eps_active)
     result = _subgradient_from_active(problem, x_hat, base)
     if not 10.0 * base.epsilon < math.inf:
         raise InputError(f"eps_active must be positive and finite, and so must 10 * eps, got {shown(base.epsilon)}")
-    wide = solve_inner(problem, x_hat, 10.0 * base.epsilon)
+    wide = active(10.0 * base.epsilon)
     report = result.to_json_dict()
     report["optimal_value"] = base.optimal_value
     report["active_set_size"] = int(base.minimizers.shape[0])

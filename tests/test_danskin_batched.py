@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compassdiff import cli
 from compassdiff import danskin as dk
 from compassdiff import expr as ex
 from compassdiff.cli import main
@@ -185,8 +186,20 @@ def _problems(draw):
     return {"objective": objective, "grad_x": grad_x, "feasible": feasible}
 
 
+# f = 0.004 y + min((y - 0.5)^2, (y + 0.5)^2) at x = (0.004, 0): its two local minima differ by 0.004, so
+# under eps = 1e-3 the one grid candidate is y = -0.5, and under 10 * eps also y = -0.6 and 0.5; the refined
+# point of 0.5 joins only the wider active set
+_WIDENING_BOX = (
+    {"objective": "(add (mul (var 0) (var 2)) (min (mul (sub (var 2) (const 0.5)) (sub (var 2) (const 0.5)))"
+                  " (mul (add (var 2) (const 0.5)) (add (var 2) (const 0.5)))))",
+     "grad_x": ["(var 2)", "(const 0)"],
+     "feasible": {"box": {"lower": [-1.0], "upper": [1.0], "grid": 21, "refine_steps": 12}}},
+    (0.004, 0.0), 1e-3)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_problems(), st.tuples(_COORD, _COORD), st.sampled_from([None, 1e-3, 0.5]))
+@example(*_WIDENING_BOX)
 def test_batched_solver_matches_per_point_reference(data, x, eps):
     batched, reference = dk.problem_from_json(data), point_problem(data)
 
@@ -314,20 +327,66 @@ def test_cli_rejects_an_oversized_box_with_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # the CLI's inner solves
 
-def test_cli_danskin_solves_the_inner_problem_twice(monkeypatch, capsys):
-    calls = []
-    solve = dk.solve_inner
+def _grid_candidates(data, x, eps) -> set:
+    """The grid points of a one-dimensional box within ``eps`` of the grid minimum, by the per-point reference."""
+    problem = point_problem(data)
+    feas = problem.feasible
+    mesh = np.linspace(feas.lower[0], feas.upper[0], feas.grid)[:, np.newaxis]
+    vals = ref_evaluate(problem, np.asarray(x), mesh)
+    return {float(y) for y in mesh[vals <= vals.min() + eps, 0]}
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(dk, "solve_inner", counting)
-    assert main(["danskin", "--problem", "danskin_sqdist.json", "--at", "0.25,-0.5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(calls) == 2  # the base active set, then the stability report's 10 * eps one
+def test_the_widening_box_adds_grid_candidates_and_minimizers():
+    data, x, eps = _WIDENING_BOX
+    assert _grid_candidates(data, x, eps) < _grid_candidates(data, x, 10.0 * eps)
+    stability = dk.danskin_report(dk.problem_from_json(data), x, eps)["stability"]
+    assert (stability["active_size"], stability["active_size_10eps"]) == (1, 2)
+
+
+def _counting_cli(monkeypatch, capsys, argv) -> tuple:
+    """Run the CLI; return its payload, the row count of each objective batch and each refinement's start."""
+    batches, starts = [], []
+    load, refine = cli.danskin_from_json, dk._refine_in_box
+
+    def counting_load(source):
+        problem = load(source)
+
+        def objective(x, ys):
+            batches.append(len(ys))
+            return problem.objective(x, ys)
+
+        return dk.OptimalValueProblem(objective=objective, grad_x=problem.grad_x, feasible=problem.feasible)
+
+    def counting_refine(problem, x, y, *rest):
+        starts.append(float(y[0]))
+        return refine(problem, x, y, *rest)
+
+    monkeypatch.setattr(cli, "danskin_from_json", counting_load)
+    monkeypatch.setattr(dk, "_refine_in_box", counting_refine)
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out), batches, starts
+
+
+def test_cli_danskin_evaluates_the_cloud_once(monkeypatch, capsys):
+    argv = ["danskin", "--problem", "danskin_sqdist.json", "--at", "0.25,-0.5"]
+    payload, batches, starts = _counting_cli(monkeypatch, capsys, argv)
+    assert batches == [360] and starts == []  # both tolerances filter the one pass over the cloud
     problem = dk.problem_from_json(paper_fixture_path("danskin_sqdist.json"))
     assert payload["subgradient"] == dk.danskin_subgradient(problem, [0.25, -0.5]).subgradient.tolist()
+
+
+def test_cli_danskin_evaluates_the_grid_once_and_refines_each_candidate_once(monkeypatch, capsys, tmp_path):
+    data, x, eps = _WIDENING_BOX
+    path = tmp_path / "widening_box.json"
+    path.write_text(json.dumps(data))
+    argv = ["danskin", "--problem", str(path), "--at", f"{x[0]!r},{x[1]!r}", "--eps-active", repr(eps)]
+    payload, batches, starts = _counting_cli(monkeypatch, capsys, argv)
+    grid = data["feasible"]["box"]["grid"]
+    assert batches.count(grid) == 1 and max(batches) == grid
+    assert sorted(starts) == sorted(_grid_candidates(data, x, eps) | _grid_candidates(data, x, 10.0 * eps))
+    refine_calls = len(starts) * (1 + 2 * data["feasible"]["box"]["refine_steps"])
+    assert batches.count(1) == refine_calls + 1  # the eps active set re-filters one refined point
+    assert payload == dk.danskin_report(dk.problem_from_json(data), x, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -375,11 +375,16 @@ def test_hull_and_demos_sample_no_directions(capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
-def test_cli_unwritable_output_file_exits_2(capsys, tmp_path):
-    (tmp_path / "surface.csv").mkdir()  # a directory where the CSV should go
-    code, out, err = _run(capsys, "ode", "--problem", "example46.json", "--at", "0,0", "--surface=-1:1:3",
-                          "--out", str(tmp_path))
+@pytest.mark.parametrize("name, argv", [
+    ("surface.csv", ["ode", "--problem", "example46.json", "--at", "0,0", "--surface=-1:1:3"]),
+    # the demo printed its whole report before the write failed
+    ("demo_example42.json", ["demo", "example42"]),
+])
+def test_cli_unwritable_output_file_exits_2(capsys, tmp_path, name, argv):
+    (tmp_path / name).mkdir()  # a directory where the file should go
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
     assert "cannot write" in err and "Traceback" not in err
 
 
