@@ -47,8 +47,9 @@ EXIT_NUMERIC = 4
 
 #: Largest ``ode --surface`` count: the surface is one ``ode_cost_value``
 #: batch of count ** 2 + 1 points, integrated one after another, at about
-#: 0.15 to 0.2 ms per state row of example46 on -1:1:51 (2602 rows in 0.4
-#: to 0.5 s on a shared 2-vCPU machine, ``tools/surface_report.py``).
+#: 0.15 to 0.21 ms per state row of example46 on -1:1:51 (2602 rows in
+#: 0.39 to 0.54 s on a shared, loaded 2-vCPU machine,
+#: ``tools/surface_report.py``).
 MAX_SURFACE_COUNT = 100
 
 

@@ -18,7 +18,8 @@ system and records its accepted steps.  It holds the step control, the
 landing on kink crossings and the failures; the arithmetic of one trial
 step (the six stage sums, the new state, the error estimate and its norm)
 is a function generated from one source (:func:`_trial_source`) in two
-forms.  Every run takes the straight-line form of its state's width,
+forms; the new state is the seventh stage's sum, whose row the weights
+are.  Every run takes the straight-line form of its state's width,
 compiled once per width and process (:func:`_trial_of_width`); on example46
 that is width 3 for :func:`integrate_state` and the rows of
 :func:`ode_cost_value`, and 6 for :func:`integrate_coupled`, so for each
@@ -183,7 +184,7 @@ _STAGES = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_WEIGHTS = (*_STAGES[6], 0.0)  # b5 is the seventh stage's row: first same as last
 _ERROR_WEIGHTS = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # the weights of the fourth-order continuous extension (Hairer, Norsett and Wanner, Solving ODEs I, II.6)
 _DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
@@ -192,6 +193,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER = 5.0
+# the step control's exponents: -0.7/p and 0.4/p on err and err_prev, -1/p after a rejection
+_ERROR_EXPONENT, _HISTORY_EXPONENT, _REJECT_EXPONENT = -0.7 / _ORDER, 0.4 / _ORDER, -1.0 / _ORDER
 
 #: Most kink crossings one row locates; past them its steps straddle kinks.
 MAX_EVENTS = 64
@@ -242,17 +245,28 @@ def _control(h: float, err: float, err_prev: float) -> tuple[float, float]:
 
     The step is accepted when ``err <= 1``.  Returns the next step size and
     the next ``err_prev``.  The factors use Python's ``**`` (libc ``pow``):
-    numpy's array ``**`` rounds differently in the last bit.
+    numpy's array ``**`` rounds differently in the last bit.  Each conditional
+    expression gives the bits of the builtin it replaces: max(a, b) is
+    ``b if b > a else a``, min(a, b) is ``b if b < a else a``.
     """
     if err <= 1.0:
-        # PI controller (error exponent 0.7/p, history exponent 0.4/p)
-        factor = _SAFETY * (max(err, 1e-16) ** (-0.7 / _ORDER)) * (max(err_prev, 1e-16) ** (0.4 / _ORDER))
-        return h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max(err, 1e-16)
-    return h * max(0.1, _SAFETY * err ** (-1.0 / _ORDER)), err_prev
+        err = 1e-16 if err < 1e-16 else err
+        factor = _SAFETY * err ** _ERROR_EXPONENT * (1e-16 if err_prev < 1e-16 else err_prev) ** _HISTORY_EXPONENT
+        factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+        return h * (factor if factor < _MAX_FACTOR else _MAX_FACTOR), err
+    factor = _SAFETY * err ** _REJECT_EXPONENT
+    return h * (factor if factor > 0.1 else 0.1), err_prev
 
 
 def _wrong_width(what: str, out, width: int) -> InputError:
     return InputError(f"{what} returned {len(out)} components for a point, expected {width}")
+
+
+def _finite(values: list) -> list:
+    """``values``, the floats of parameter points and directions; one that is NaN or infinite is an :class:`InputError`."""
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"parameter points and directions must be finite, got {shown(values)}")
+    return values
 
 
 def _point(point_map, x: list, width: int, what: str) -> list:
@@ -276,35 +290,44 @@ def _trial_source(n: Optional[int]) -> str:
     square over ``atol + rtol * max(|z|, |z_new|)``, or NaN when a component
     of z_new or of the error estimate is not finite, and ``ks`` the seven
     stages, the last one at z_new.  Every stage sum starts from +0.0 and runs
-    left to right, with each coefficient a literal and the 0.0 weights of b5
-    and of the error estimate kept (0.0 * inf is NaN); the squares of the
-    norm are summed left to right.  Both forms do these operations in the
-    same order, so they give the same bits.  The form of any width runs one
-    comprehension per stage and one loop over the components; the form of n
-    components unpacks the state and each stage into locals and computes
-    every component as its own statement.  An rhs output of another width
-    than the state's is an :class:`InputError`.
+    left to right, with each coefficient a literal and the 0.0 weights kept
+    (0.0 * inf is NaN).  b5 is the seventh stage's row and a last 0.0, so
+    the new state is ``z + h * (s7 + 0.0 * k7)`` from that stage's sums
+    ``s7``: the operations of b5's sum, done once.  ``|x|`` in the norm is
+    ``x if x >= 0.0 else -x``, -0.0 for -0.0, which ``atol + rtol * |x|``
+    with atol > 0 cannot show; the squares are summed left to right.  Both
+    forms do these operations in the same order, so they give the same
+    bits.  The form of any width runs one comprehension per stage and one
+    loop over the components; the form of n components unpacks the state
+    and each stage into locals and computes every component as its own
+    statement.  An rhs output of another width than the state's is an
+    :class:`InputError`.
     """
     def terms(coeffs: tuple, stage) -> str:  # stage(j) names the component of stage j
         return "0.0" + "".join(f" + {c!r} * {stage(j)}" for j, c in enumerate(coeffs, start=1))
 
-    def component(x: str, y: str, e: str, stage) -> list[str]:
+    def component(x: str, s7: str, y: str, e: str, stage) -> list[str]:
         """The new state's component ``y`` of ``x``, the error estimate's ``e``, and their shares of the norm."""
-        return [f"{y} = {x} + h * ({terms(_WEIGHTS, stage)})", f"{e} = h * ({terms(_ERROR_WEIGHTS, stage)})",
+        return [f"{y} = {x} + h * ({s7} + {_WEIGHTS[6]!r} * {stage(7)})",
+                f"{e} = h * ({terms(_ERROR_WEIGHTS, stage)})",
                 f"nonfinite += {y} * 0.0 + {e} * 0.0",  # zero for finite components, NaN otherwise
-                f"old, new = abs({x}), abs({y})", f"{e} /= atol + rtol * (old if old >= new else new)",
-                f"q += {e} * {e}"]
+                f"old, new = ({x} if {x} >= 0.0 else -{x}), ({y} if {y} >= 0.0 else -{y})",
+                f"{e} /= atol + rtol * (old if old >= new else new)", f"q += {e} * {e}"]
 
     lines = ["def trial(fun, z, k1, h, atol, rtol):"]
     if n is None:
         lines.append("n = len(z)")
         for s, row in enumerate(_STAGES[1:], start=2):
             ps, ks = (", ".join(f"{c}{j}" for j in range(1, s)) for c in "pk")
-            lines += [f"if len(k{s} := fun([a + h * ({terms(row, 'p{}'.format)}) for a, {ps} in zip(z, {ks})])) != n:",
-                      f"    raise wrong(k{s}, n)"]
+            if s < 7:
+                point = f"a + h * ({terms(row, 'p{}'.format)}) for a, {ps} in zip(z, {ks})"
+            else:
+                lines.append(f"s7 = [{terms(row, 'p{}'.format)} for {ps} in zip({ks})]")
+                point = "a + h * s for a, s in zip(z, s7)"
+            lines += [f"if len(k{s} := fun([{point}])) != n:", f"    raise wrong(k{s}, n)"]
         lines += ["z_new = []", "q = nonfinite = 0.0",
-                  "for a, p1, p2, p3, p4, p5, p6, p7 in zip(z, k1, k2, k3, k4, k5, k6, k7):",
-                  *(f"    {line}" for line in component("a", "b", "e", "p{}".format)), "    z_new.append(b)"]
+                  "for a, s, p1, p2, p3, p4, p5, p6, p7 in zip(z, s7, k1, k2, k3, k4, k5, k6, k7):",
+                  *(f"    {line}" for line in component("a", "s", "b", "e", "p{}".format)), "    z_new.append(b)"]
         z_new = "z_new"
     else:
         def names(prefix: str) -> str:
@@ -312,12 +335,16 @@ def _trial_source(n: Optional[int]) -> str:
 
         lines += [f"{names('x')}= z", f"{names('k1_')}= k1"]
         for s, row in enumerate(_STAGES[1:], start=2):
-            point = ", ".join(f"x{i} + h * ({terms(row, lambda j: f'k{j}_{i}')})" for i in range(n))
+            if s < 7:
+                point = ", ".join(f"x{i} + h * ({terms(row, lambda j: f'k{j}_{i}')})" for i in range(n))
+            else:
+                lines += [f"s7_{i} = {terms(row, lambda j: f'k{j}_{i}')}" for i in range(n)]
+                point = ", ".join(f"x{i} + h * s7_{i}" for i in range(n))
             lines += [f"k{s} = fun([{point}])", "try:", f"    {names(f'k{s}_')}= k{s}", "except ValueError:",
                       f"    raise wrong(k{s}, {n}) from None"]
         lines.append("q = nonfinite = 0.0")
         for i in range(n):
-            lines += component(f"x{i}", f"y{i}", f"e{i}", lambda j: f"k{j}_{i}")
+            lines += component(f"x{i}", f"s7_{i}", f"y{i}", f"e{i}", lambda j: f"k{j}_{i}")
         z_new = f"[{names('y')}]"
     width = "n" if n is None else n
     lines.append(f"return {z_new}, sqrt(q / {width}) + nonfinite, (k1, k2, k3, k4, k5, k6, k7)")
@@ -337,14 +364,14 @@ _trial = _compile_trial(None)
 
 #: Widest state that gets its own trial (:func:`_trial_of_width`); wider
 #: states take :data:`_trial` (coupled runs with n_state > 32).  The
-#: generated source grows by about 1.3 KB per component, and so do its
-#: compile() time and memory.  Measured on CPython 3.11 on a shared 2-vCPU
-#: machine, as compile time (the range over quiet and loaded runs) /
-#: tracemalloc peak / time per trial against :data:`_trial`'s: width 3,
-#: 1.2-2.2 ms / 0.36 MB / 0.50-0.55; width 6, 1.8-3.6 ms / 0.56 MB /
-#: 0.57-0.64; width 64, 17-33 ms / 5.6 MB / 0.84-0.88; width 512, 174-276
-#: ms / 44 MB / 0.95-1.00.  Past 64 components the trial gains little for
-#: its compile time and memory.
+#: generated source grows by about 1.2 KB per component, and so do its
+#: compile() time and memory.  Measured on CPython 3.11 on a loaded shared
+#: 2-vCPU machine, as compile time (the range over five compiles) /
+#: tracemalloc peak / time per trial against :data:`_trial`'s (the range
+#: over two runs): width 3, 1.9-2.3 ms / 0.38 MB / 0.46-0.49; width 6,
+#: 3.3-3.5 ms / 0.61 MB / 0.54-0.56; width 64, 39-40 ms / 5.8 MB /
+#: 0.83-0.90; width 512, 347-355 ms / 46 MB / 0.97-1.10.  Past 64
+#: components the trial gains little for its compile time and memory.
 MAX_TRIAL_WIDTH = 64
 
 
@@ -536,7 +563,7 @@ def integrate_state(problem: OdeProblem, p, config: IntegrationConfig = Integrat
     if p.size != 2:
         raise InputError("the parameter space is two-dimensional")
     n = problem.n_state
-    x0 = _point(problem.init.value, p.tolist(), n, "the initial map")
+    x0 = _point(problem.init.value, _finite(p.tolist()), n, "the initial map")
     times, states, stats = _dopri5_floats(problem.rhs.value, x0, problem.t_final, config, problem.rhs.switch)
     return np.array(times), np.array(states).reshape(-1, n), stats
 
@@ -552,7 +579,7 @@ def integrate_coupled(problem: OdeProblem, p, d,
     if p.size != 2 or d.size != 2:
         raise InputError("the parameter space is two-dimensional")
     n = problem.n_state
-    z0 = _point(problem.init.tangent, p.tolist() + d.tolist(), 2 * n, "the initial map's tangent")
+    z0 = _point(problem.init.tangent, _finite(p.tolist() + d.tolist()), 2 * n, "the initial map's tangent")
     try:
         times, zs, stats = _dopri5_floats(problem.rhs.tangent, z0, problem.t_final, config, problem.rhs.switch)
     except IntegrationError as error:
@@ -580,7 +607,7 @@ def ode_cost_value(problem: OdeProblem, p, config: IntegrationConfig = Integrati
         raise InputError("parameter points must be numbers of shape (2,) or (N, 2)")
     P = p.reshape(-1, 2)
     n = problem.n_state
-    x0 = [_point(problem.init.value, q, n, "the initial map") for q in P.tolist()]
+    x0 = [_point(problem.init.value, _finite(q), n, "the initial map") for q in P.tolist()]
     final = []
     for row, z0 in enumerate(x0):
         try:
@@ -620,6 +647,7 @@ def ode_probes(problem: OdeProblem, p, config: IntegrationConfig = IntegrationCo
     p = np.asarray(p, dtype=float)
     if p.size != 2:
         raise InputError("the parameter space is two-dimensional")
+    _finite(p.tolist())
     trajectories: list[SensitivityTrajectory] = []
 
     def psi(d: np.ndarray) -> float:

@@ -44,6 +44,7 @@ from compassdiff.odesens import (
     integrate_coupled,
     integrate_state,
     ode_cost_value,
+    ode_probes,
     ode_subgradient,
     problem_from_json as ode_from_json,
 )
@@ -130,6 +131,14 @@ LIBRARY_CASES = {
     "init value width": lambda: ode_cost_value(_NARROW_INIT, [1.0, 2.0]),
     "init tangent width": lambda: integrate_coupled(_NARROW_INIT, [1.0, 2.0], [1.0, 0.0]),
     "init value width, integrate_state": lambda: integrate_state(_NARROW_INIT, [1.0, 2.0]),
+    # a point or direction that is not finite: each used to fail its integration at t = 0 (exit 4)
+    "integrate_state nan point": lambda: integrate_state(ode_from_json(_EXAMPLE46), [math.nan, 0.0]),
+    "integrate_coupled nan direction": lambda: integrate_coupled(ode_from_json(_EXAMPLE46), [0.3, 0.2],
+                                                                 [math.nan, 0.0]),
+    "ode_probes inf point": lambda: ode_probes(ode_from_json(_EXAMPLE46), [0.3, -math.inf]),
+    "ode_subgradient nan point": lambda: ode_subgradient(ode_from_json(_EXAMPLE46), [math.nan, 0.0]),
+    "ode_cost_value inf point": lambda: ode_cost_value(ode_from_json(_EXAMPLE46), [math.inf, 0.0]),
+    "ode_cost_value inf row": lambda: ode_cost_value(ode_from_json(_EXAMPLE46), [[0.3, 0.2], [0.0, math.inf]]),
     "delta nan": lambda: finite_difference_probes(lambda p: 0.0, [0.0, 0.0], math.nan),
     "delta inf": lambda: finite_difference_probes(lambda p: 0.0, [0.0, 0.0], math.inf),
     "tol inf": lambda: membership_check(_TRIANGLE, [0.0, 0.0], tol=math.inf),

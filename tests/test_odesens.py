@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -872,6 +873,68 @@ def test_stage_sums_start_from_positive_zero_on_both_trials():
         with trial():
             x = _dopri5_floats(fun, [-0.0, 0.0], 1.0, IntegrationConfig())[1][-1]
         assert math.copysign(1.0, x[0]) == 1.0 and x[1] > 0.0  # x0 is +0.0 after the first step
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(width=st.integers(1, 8), data=st.data())
+def test_the_seventh_stage_is_evaluated_at_the_new_state_on_both_trials(width, data):
+    # first same as last: with finite stage outputs the seventh rhs call
+    # receives exactly the returned z_new, zeros' signs included, so the step
+    # loop may take that stage as the next step's first
+    finite = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+    vector = st.lists(finite, min_size=width, max_size=width)
+    z, k1, *outputs = (data.draw(vector) for _ in range(8))
+    h = data.draw(st.sampled_from([1.0, 1e-3]) | st.floats(1e-13, 10.0))
+    for trial in (_trial_of_width(width), _trial):
+        points = []
+
+        def fun(x):
+            points.append(x)
+            return list(outputs[len(points) - 1])
+
+        z_new = trial(fun, list(z), list(k1), h, 1e-8, 1e-8)[0]
+        # sums that overflow give NaN, compared as one NaN
+        seventh, new = (np.where(np.isnan(v), math.nan, v).tobytes() for v in map(np.array, (points[5], z_new)))
+        assert len(points) == 6 and seventh == new
+
+
+def _builtin_control(h, err, err_prev):
+    """The step control written with the builtin ``max`` and ``min``: the reference for :func:`_control`."""
+    if err <= 1.0:
+        factor = odesens._SAFETY * (max(err, 1e-16) ** (-0.7 / odesens._ORDER)) * \
+            (max(err_prev, 1e-16) ** (0.4 / odesens._ORDER))
+        return h * min(odesens._MAX_FACTOR, max(odesens._MIN_FACTOR, factor)), max(err, 1e-16)
+    return h * max(0.1, odesens._SAFETY * err ** (-1.0 / odesens._ORDER)), err_prev
+
+
+def _neighbours(x: float) -> list:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# error norms: zero, subnormals, around the 1e-16 floor and the acceptance
+# bound 1, where the factors reach their clamps, large values and inf
+_ERRS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, *_neighbours(1e-16), 1e-12, 0.3, *_neighbours(1.0), 1.5,
+         3.0, 1e3, 1e100, sys.float_info.max, math.inf]
+# what the loop passes as err_prev: 1.0 before the first accepted step, then
+# an accepted step's err with the 1e-16 floor, in [1e-16, 1]
+_ERR_PREVS = [1.0, math.nextafter(1.0, 0.0), *_neighbours(1e-16)[1:], 1e-10, 0.5]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(h=st.floats(1e-13, 10.0), err=st.floats(0.0, math.inf), err_prev=st.floats(1e-16, 1.0))
+def test_step_control_has_the_builtin_max_and_min_bits(h, err, err_prev):
+    assert [x.hex() for x in _control(h, err, err_prev)] == [x.hex() for x in _builtin_control(h, err, err_prev)]
+
+
+def test_step_control_meets_each_clamp():
+    # every listed pair: the PI factor below 0.2, inside, and above 5, and a rejection below and above 0.1
+    for err in _ERRS:
+        for err_prev in _ERR_PREVS:
+            for h in (1e-13, 1.0):
+                assert [x.hex() for x in _control(h, err, err_prev)] == \
+                       [x.hex() for x in _builtin_control(h, err, err_prev)]
+    assert _control(1.0, 0.0, 1.0)[0] == odesens._MAX_FACTOR and _control(1.0, 1.0, 1e-16)[0] == odesens._MIN_FACTOR
+    assert _control(1.0, math.inf, 1.0)[0] == 0.1 and 0.1 < _control(1.0, 1.5, 1.0)[0] < 0.9
 
 
 def test_the_last_step_lands_on_t_final_on_both_trials():
