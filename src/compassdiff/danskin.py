@@ -8,8 +8,9 @@ second-order conditions are required; f only needs a continuous gradient in x.
 The exact minimizer set is replaced numerically by an epsilon-active set.
 When the inner problem has near-ties this makes psi sensitive to the
 activation tolerance; :func:`danskin_report` reports psi under eps and
-10 * eps so instability is visible.  Both tolerances share one grid or cloud
-pass and one refinement per box grid candidate.
+10 * eps so instability is visible.  Both share one grid or cloud pass and
+one refinement per box grid candidate; one gradient call per active set
+serves all four compass directions.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class Box:
     refine_steps: int = 30
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", require_integer("grid", self.grid))
+        object.__setattr__(self, "refine_steps", require_integer("refine_steps", self.refine_steps))
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)
@@ -73,7 +76,7 @@ class Box:
             raise InputError(f"box widths upper - lower must be finite, got {width.tolist()}")
         if self.grid < 2:
             raise InputError("grid resolution must be at least 2 per axis")
-        if int(self.grid) ** lower.size > MAX_GRID_POINTS:
+        if self.grid ** lower.size > MAX_GRID_POINTS:
             raise InputError(f"grid of {shown(self.grid)}^{lower.size} points exceeds the cap of {MAX_GRID_POINTS}")
         if not 0 <= self.refine_steps <= MAX_REFINE_STEPS:
             raise InputError(f"refine_steps must be between 0 and {MAX_REFINE_STEPS}, got {shown(self.refine_steps)}")
@@ -90,11 +93,11 @@ class OptimalValueProblem:
     inner points ``ys`` of shape (N, m): ``objective(x, ys)`` returns the N
     values f(x, y) and ``grad_x(x, ys)`` the N gradients grad_x f(x, y) as an
     (N, 2) array, one row per inner point.  The solver makes one call per
-    point cloud, grid or active set, and one-row calls while it refines a
-    box minimizer.  ``objective`` must be continuously differentiable in x
-    with the supplied ``grad_x``; the gradient is user-supplied rather than
-    approximated so the reported subgradient carries no hidden differencing
-    error.
+    point cloud, grid or active set (one ``grad_x`` call serves all four
+    compass directions), and one-row calls while it refines a box minimizer.
+    ``objective`` must be continuously differentiable in x with the supplied
+    ``grad_x``; the gradient is user-supplied rather than approximated so the
+    reported subgradient carries no hidden differencing error.
     """
 
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -222,25 +225,33 @@ def optimal_value(problem: OptimalValueProblem, x_hat, eps_active: Optional[floa
     return solve_inner(problem, x_hat, eps_active).optimal_value
 
 
+def _psi_map(problem: OptimalValueProblem, x_hat: np.ndarray, active: ActiveSet) -> Callable[[np.ndarray], float]:
+    """psi on one gradient call over the active set; ``ValueError`` names the first non-finite gradient's point."""
+    ys = active.minimizers
+    g = _rows("gradient", problem.grad_x(x_hat, ys), ys, width=2)
+
+    def psi_of(d) -> float:
+        # each sum starts from +0.0, as ``d @ g`` does, and the first of tied
+        # minima wins, as with ``min``: the bits of a per-point loop, signs of
+        # zero included
+        dots = (0.0 + g[:, 0] * d[0]) + g[:, 1] * d[1]
+        return float(dots[np.argmin(dots)])
+
+    return psi_of
+
+
 def psi(problem: OptimalValueProblem, x_hat, active: ActiveSet, d) -> float:
     """Directional derivative of phi: min of <d, grad_x f(x_hat, y)> over the active set.
 
+    One gradient call; the compass probes share one for their four directions.
     Raises ``ValueError`` naming the first active point whose gradient is not
     finite.
     """
-    x_hat = np.asarray(x_hat, dtype=float)
-    d = np.asarray(d, dtype=float)
-    ys = active.minimizers
-    g = _rows("gradient", problem.grad_x(x_hat, ys), ys, width=2)
-    # each sum starts from +0.0, as ``d @ g`` does, and the first of tied
-    # minima wins, as with ``min``: the bits of a per-point loop, signs of
-    # zero included
-    dots = (0.0 + g[:, 0] * d[0]) + g[:, 1] * d[1]
-    return float(dots[np.argmin(dots)])
+    return _psi_map(problem, np.asarray(x_hat, dtype=float), active)(np.asarray(d, dtype=float))
 
 
 def _subgradient_from_active(problem: OptimalValueProblem, x_hat: np.ndarray, active: ActiveSet) -> CompassResult:
-    result = probe(lambda d: psi(problem, x_hat, active, d), np.eye(2))
+    result = probe(_psi_map(problem, x_hat, active), np.eye(2))  # one gradient call for the four directions
     if isinstance(problem.feasible, Box):  # a grid plus coordinate descent can miss the global minimum
         result = replace(result, guarantee=UNGUARANTEED)
     return result
@@ -250,7 +261,7 @@ def danskin_subgradient(problem: OptimalValueProblem, x_hat,
                         eps_active: Optional[float] = None) -> CompassResult:
     """Subgradient of the optimal-value function at ``x_hat``.
 
-    One inner solve, then the compass difference of psi (four evaluations).
+    One inner solve, then the compass difference of psi (four evaluations, one gradient call).
     Guaranteed over a point cloud, which is enumerated exactly; over a box
     the inner minimum is a numerical estimate, so the result is unguaranteed.
     """
@@ -264,7 +275,8 @@ def danskin_report(problem: OptimalValueProblem, x_hat, eps_active: Optional[flo
     The :class:`CompassResult` fields, ``optimal_value``, ``active_set_size``
     and ``stability``: psi in the compass directions under eps (the
     subgradient's probes) and 10 * eps, with both active-set sizes.  Both
-    tolerances share one grid or cloud pass and one refinement per candidate.
+    tolerances share one grid or cloud pass and one refinement per candidate,
+    and the probes too when both active sets have the same bits.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     base, active = _active_sets(problem, x_hat, eps_active)
@@ -272,6 +284,8 @@ def danskin_report(problem: OptimalValueProblem, x_hat, eps_active: Optional[flo
     if not 10.0 * base.epsilon < math.inf:
         raise InputError(f"eps_active must be positive and finite, and so must 10 * eps, got {shown(base.epsilon)}")
     wide = active(10.0 * base.epsilon)
+    same = wide.minimizers.shape == base.minimizers.shape and wide.minimizers.tobytes() == base.minimizers.tobytes()
+    wide_probes = result.probes if same else _subgradient_from_active(problem, x_hat, wide).probes
     report = result.to_json_dict()
     report["optimal_value"] = base.optimal_value
     report["active_set_size"] = int(base.minimizers.shape[0])
@@ -280,7 +294,7 @@ def danskin_report(problem: OptimalValueProblem, x_hat, eps_active: Optional[flo
         "active_size": report["active_set_size"],
         "active_size_10eps": int(wide.minimizers.shape[0]),
         "psi": [p.value for p in result.probes],
-        "psi_10eps": [p.value for p in _subgradient_from_active(problem, x_hat, wide).probes],
+        "psi_10eps": [p.value for p in wide_probes],
     }
     return report
 
@@ -318,8 +332,8 @@ def problem_from_json(source) -> OptimalValueProblem:
         feasible = Box(
             lower=require_numbers("box lower", b["lower"]),
             upper=require_numbers("box upper", b["upper"]),
-            grid=require_integer("grid", b.get("grid", 21)),
-            refine_steps=require_integer("refine_steps", b.get("refine_steps", 30)),
+            grid=b.get("grid", 21),
+            refine_steps=b.get("refine_steps", 30),
         )
         m = feasible.lower.size
     else:

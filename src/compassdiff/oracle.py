@@ -56,11 +56,11 @@ def require_positive(name: str, value: float, zero_ok: bool = False) -> None:
 
 
 def require_integer(name: str, value) -> int:
-    """``value`` as an ``int``; raise :class:`InputError` unless it is an integral number (a bool is not)."""
+    """``value`` as an ``int``; raise :class:`InputError` unless it is an integral number, numpy's too (not a bool)."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     raise InputError(f"{name} must be an integer, got {shown(value)}")
 
 

@@ -84,3 +84,34 @@ def test_metrics_beyond_their_bound_are_marked_and_exit_3(monkeypatch, capsys):
     outputs[str(ROOT)] = _stdout(80, 5.0, rss=44.2, correct=False)  # an incorrect run comes first
     assert ab_pairs.main(argv) == 1
     capsys.readouterr()
+
+
+def test_a_first_run_bias_shows_per_order_and_cancels_in_the_balanced_ratio():
+    # the same tree on both sides, and whichever side runs first reads about 4% more ops/s: pairs 0 and 2 ran
+    # the parent first, pairs 1 and 3 the change first
+    values = [(104, 100), (100, 104), (106, 102), (102, 106)]
+    pairs = [(ab_pairs.parse_result(_stdout(p, 5.0)), ab_pairs.parse_result(_stdout(c, 5.0 + k % 2)))
+             for k, (p, c) in enumerate(values)]
+    summary = ab_pairs.summarize(pairs, METRICS)
+    assert summary["by_order"] == (2, 2)
+    rows = {r["name"]: r for r in summary["metrics"]}
+    ops = rows["ops_per_s"]
+    assert ops["ratio"] == 1.0 and ops["wins"] == 2
+    (parent_first, won_pf), (change_first, won_cf) = ops["by_order"]
+    assert parent_first == pytest.approx(101 / 105) and change_first == pytest.approx(105 / 101)
+    assert (won_pf, won_cf) == (0, 2)
+    assert ops["balanced_ratio"] == pytest.approx(1.0, abs=1e-15)
+    p90 = rows["latency_ms.p90"]  # the change-first runs read 6.0 ms against 5.0: lower is better
+    assert p90["by_order"] == [(1.0, 0), (1.2, 0)] and p90["balanced_ratio"] == pytest.approx(math.sqrt(1.2))
+    table = ab_pairs.format_summary("cli_tour", summary)
+    assert "| 1.000 | 2/4 | 0.25 | 0.962 (0/2) | 1.040 (2/2) | 1.000 |" in table
+    assert "| 0.25 | 1.000 (0/2) | 1.200 (0/2) | 1.095 |" in table
+
+
+def test_one_pair_has_no_change_first_order_and_no_balanced_ratio():
+    pair = (ab_pairs.parse_result(_stdout(100, 5.0)), ab_pairs.parse_result(_stdout(110, 5.0)))
+    summary = ab_pairs.summarize([pair], METRICS)
+    ops = next(r for r in summary["metrics"] if r["name"] == "ops_per_s")
+    assert summary["by_order"] == (1, 0) and ops["by_order"][0] == (1.1, 1)
+    assert math.isnan(ops["by_order"][1][0]) and math.isnan(ops["balanced_ratio"])
+    assert "| 1.100 (1/1) | nan (0/0) | nan |" in ab_pairs.format_summary("danskin", summary)

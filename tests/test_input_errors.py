@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,12 @@ LIBRARY_CASES = {
     "box inf": lambda: Box(lower=[0.0, 0.0], upper=[1.0, math.inf]),
     "refine_steps above cap": lambda: Box(lower=[0.0], upper=[1.0], refine_steps=MAX_REFINE_STEPS + 1),
     "box width overflows": lambda: Box(lower=[-1e308], upper=[1e308]),
+    # counts that are not integers used to pass construction and fail in numpy or range with a TypeError
+    "Box grid 2.5": lambda: Box(lower=[0.0], upper=[1.0], grid=2.5),
+    "Box refine_steps 1.5": lambda: Box(lower=[0.0], upper=[1.0], refine_steps=1.5),
+    "Box grid np.float64(3.5)": lambda: Box(lower=[0.0], upper=[1.0], grid=np.float64(3.5)),
+    "Box grid '3'": lambda: Box(lower=[0.0], upper=[1.0], grid="3"),
+    "Box refine_steps True": lambda: Box(lower=[0.0], upper=[1.0], refine_steps=True),
     "constant inf": lambda: Constant(gamma=math.inf),
     "constant -1": lambda: Constant(gamma=-1.0),
     "diminishing nan": lambda: Diminishing(gamma0=math.nan),
@@ -178,6 +185,15 @@ LIBRARY_CASES = {
 def test_library_rejects_a_bad_argument_with_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_box_counts_of_any_integral_type_work():
+    box = Box(lower=[0.0, 0.0], upper=[1.0, 1.0], grid=np.int64(3), refine_steps=np.int32(2))
+    assert (box.grid, box.refine_steps) == (3, 2) and type(box.grid) is int and type(box.refine_steps) is int
+    assert Box(lower=[0.0], upper=[1.0], grid=4.0, refine_steps=0.0).grid == 4
+    problem = replace(danskin_from_json(_box_problem()), feasible=Box(lower=[0.0], upper=[1.0], grid=np.int64(3),
+                                                                      refine_steps=np.int64(2)))
+    assert solve_inner(problem, [0.0, 0.0]).minimizers.tolist() == [[0.0]]
 
 
 def test_messages_show_a_bounded_repr():

@@ -10,9 +10,13 @@ runs on a machine warmed (or tired) by the other.  For each end-to-end metric
 in the change tree's ``BENCHMARK.json`` it prints the median and quartiles
 per side, the ratio of the medians (change / parent), and the pairs the
 change won (ties count for neither side), then the ops attempted and failed
-per side.  A metric whose median is worse than the parent's by more than
-its ``bound`` (a share of the parent's median, in the metric's ``better``
-direction) is marked ``BEYOND``.  The exit code is 1 if any run was not
+per side.  The side that runs first can read faster (or slower) whatever
+the code, so each metric also gets the ratio of medians and the wins over
+the parent-first pairs and over the change-first pairs, and the geometric
+mean of those two ratios, the order-balanced ratio.  A metric whose median
+is worse than the parent's by more than its ``bound`` (a share of the
+parent's median, in the metric's ``better`` direction) is marked
+``BEYOND``.  The exit code is 1 if any run was not
 ``correct``, else 3 if any metric is beyond its bound, and 2 if a run could
 not be read.  Standard library only.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -46,24 +51,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """Per-metric comparison of ``(parent, change)`` result pairs.
+def _ratio_and_wins(got: list[tuple[float, float]], lower: bool) -> tuple[float, int]:
+    """The ratio of the medians (change / parent) of ``(parent, change)`` values, and the pairs the change won."""
+    if not got:
+        return float("nan"), 0
+    parent, change = statistics.median(p for p, _ in got), statistics.median(c for _, c in got)
+    wins = sum(c < p if lower else c > p for p, c in got)
+    return (change / parent if parent else float("nan")), wins
 
-    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``: each
-    names a metric, whether ``"lower"`` or ``"higher"`` is better, and its
-    ``bound``.
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """Per-metric comparison of ``(parent, change)`` result pairs, in the order they ran.
+
+    Pair ``i`` ran the parent first when ``i`` is even and the change first
+    when it is odd, as :func:`main` runs them.  ``metrics`` are the
+    ``end_to_end`` entries of ``BENCHMARK.json``: each names a metric,
+    whether ``"lower"`` or ``"higher"`` is better, and its ``bound``.
     """
     rows = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs]
         parent, change = quartiles([p for p, _ in got]), quartiles([c for _, c in got])
-        wins = sum(c < p if lower else c > p for p, c in got)
-        ratio = change[1] / parent[1] if parent[1] else float("nan")
+        ratio, wins = _ratio_and_wins(got, lower)
         beyond = ratio > 1.0 + m["bound"] if lower else ratio < 1.0 - m["bound"]
+        by_order = [_ratio_and_wins(got[first::2], lower) for first in (0, 1)]  # parent first, change first
+        balanced = math.sqrt(by_order[0][0] * by_order[1][0])  # NaN unless both orders ran
         rows.append({"name": name, "unit": m["unit"], "better": m["better"], "parent": parent,
-                     "change": change, "ratio": ratio, "wins": wins, "bound": m["bound"], "beyond": beyond})
-    summary = {"pairs": len(pairs), "metrics": rows}
+                     "change": change, "ratio": ratio, "wins": wins, "bound": m["bound"], "beyond": beyond,
+                     "by_order": by_order, "balanced_ratio": balanced})
+    summary = {"pairs": len(pairs), "by_order": (len(pairs[0::2]), len(pairs[1::2])), "metrics": rows}
     for k, label in enumerate(("parent", "change")):
         runs = [pair[k] for pair in pairs]
         summary[label] = {"attempted": sum(r["attempted"] for r in runs), "failed": sum(r["failed"] for r in runs),
@@ -75,14 +92,19 @@ def format_summary(workload: str, summary: dict) -> str:
     def cell(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
+    def order(r, k):
+        ratio, wins = r["by_order"][k]
+        return f"{ratio:.3f} ({wins}/{summary['by_order'][k]})"
+
     n = summary["pairs"]
     lines = ["| workload | metric | better | parent median [q1, q3] | change median [q1, q3] | ratio | change won "
-             "| bound |",
-             "|---|---|---|---|---|---|---|---|"]
+             "| bound | parent first: ratio (won) | change first: ratio (won) | order-balanced ratio |",
+             "|---|---|---|---|---|---|---|---|---|---|---|"]
     for r in summary["metrics"]:
         lines.append(f"| {workload} | {r['name']} [{r['unit']}] | {r['better']} | {cell(r['parent'])} | "
                      f"{cell(r['change'])} | {r['ratio']:.3f} | {r['wins']}/{n} | {r['bound']:g}"
-                     f"{' BEYOND' if r['beyond'] else ''} |")
+                     f"{' BEYOND' if r['beyond'] else ''} | {order(r, 0)} | {order(r, 1)} | "
+                     f"{r['balanced_ratio']:.3f} |")
     for label in ("parent", "change"):
         s = summary[label]
         lines.append(f"{label}: {s['attempted']} ops attempted, {s['failed']} failed, "
